@@ -22,7 +22,7 @@ from . import data_io, net, retrieval, sampling
 from . import training as train_mod
 from .config import RunConfig, load_run_config
 from .dataset import Dataset
-from .distance import DistanceMetric, relative_contrast
+from .distance import DistanceMetric, relative_contrast, triplet_correct
 from .errors import ConfigError, DataError, SimEmbedError
 
 
@@ -123,8 +123,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     index = retrieval.read_embeddings(args.embeddings)
     if args.metric_k is not None:
-        index = retrieval.build_index(list(index.records),
-                                      DistanceMetric(args.metric_k))
+        index = replace(index, metric=DistanceMetric(args.metric_k))
     if args.data:
         if not args.checkpoint:
             raise ConfigError("--data queries need --checkpoint to embed")
@@ -171,28 +170,23 @@ def _parse_query_list(text: str) -> list[tuple[str, list[str]]]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     index = retrieval.read_embeddings(args.embeddings)
-    metric = DistanceMetric(args.metric_k) if args.metric_k is not None \
-        else index.metric
     if args.metric_k is not None:
-        index = retrieval.build_index(list(index.records), metric)
+        index = replace(index, metric=DistanceMetric(args.metric_k))
     row = {item_id: i for i, item_id in enumerate(index.ids)}
     printed = False
     if args.triplets:
         with open(args.triplets, "r", encoding="utf-8") as fh:
             triplets = data_io.parse_triplet_list(fh.read())
-        k = metric.exponent
-        correct = 0
-        for t in triplets:
-            for item_id in (t.anchor_id, t.positive_id, t.negative_id):
-                if item_id not in row:
-                    raise DataError(
-                        f"triplet id {item_id!r} not in embeddings")
-            a = index.vectors[row[t.anchor_id]].astype(np.float64)
-            p = index.vectors[row[t.positive_id]].astype(np.float64)
-            n = index.vectors[row[t.negative_id]].astype(np.float64)
-            if (np.abs(a - p) ** k).sum() < (np.abs(a - n) ** k).sum():
-                correct += 1
-        acc = correct / len(triplets)
+        if not triplets:
+            raise DataError("triplet list contains no usable lines")
+        try:
+            rows = np.array([(row[t.anchor_id], row[t.positive_id],
+                              row[t.negative_id]) for t in triplets])
+        except KeyError as exc:
+            raise DataError(
+                f"triplet id {exc.args[0]!r} not in embeddings") from None
+        correct = triplet_correct(index.vectors, *rows.T, index.metric)
+        acc = int(correct.sum()) / len(triplets)
         print(f"triplet_accuracy={acc:.4f}")
         print(f"triplets={len(triplets)}")
         printed = True
@@ -274,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, metric: bool = False) -> None:
         p.add_argument("--seed", type=int, default=None,
                        help="override every RNG seed in the run")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (computation is single-threaded; "
-                            "values > 1 are accepted and ignored)")
         p.add_argument("--config", default=None,
                        help="JSON run-config path")
         p.add_argument("--force", action="store_true",
@@ -364,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        return _fail("error: ConfigError: --threads must be >= 1")
     try:
         return args.func(args)
     except SimEmbedError as exc:

@@ -101,10 +101,12 @@ def relative_contrast(points: Array, reference: Array,
 
 def knn(query: Array, index: "EmbeddingIndex", k: int,
         metric: DistanceMetric | None = None) -> list[tuple[str, float]]:
-    """Exact brute-force top-k of ``index`` for ``query``.
+    """Exact brute-force top-k of ``index`` for ``query``, ascending by
+    ``(distance, id)`` and clamped to the index size.
 
-    Results are sorted ascending by distance, then ascending by id on ties,
-    and clamped to the index size.  ``metric`` defaults to the index's own.
+    ``np.argpartition`` finds the k-th smallest distance; only the rows at
+    or below it are sorted, so ties at the k boundary break on the id as a
+    full sort would.  ``metric`` defaults to the index's own.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -112,5 +114,21 @@ def knn(query: Array, index: "EmbeddingIndex", k: int,
         raise DataError("knn on an empty index")
     metric = metric if metric is not None else index.metric
     dists = distances_to(index.vectors, query, metric)
-    order = sorted(range(index.size), key=lambda i: (dists[i], index.ids[i]))
+    k = min(k, index.size)
+    kth = dists[np.argpartition(dists, k - 1)[k - 1]]
+    survivors = np.flatnonzero(~(dists > kth))  # keeps NaN, unlike <=
+    order = sorted(survivors, key=lambda i: (dists[i], index.ids[i]))
     return [(index.ids[i], float(dists[i])) for i in order[:k]]
+
+
+def triplet_correct(vectors: Array, anchors: Array, positives: Array,
+                    negatives: Array, metric: DistanceMetric) -> Array:
+    """Whether each row-index triplet puts the positive strictly nearer
+    the anchor than the negative (ties count as wrong), comparing sums of
+    ``|a - x|^k`` in float64: the k-th root keeps their order."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    k = metric.exponent
+    a = vectors[anchors]
+    d_pos = (np.abs(a - vectors[positives]) ** k).sum(axis=1)
+    d_neg = (np.abs(a - vectors[negatives]) ** k).sum(axis=1)
+    return d_pos < d_neg

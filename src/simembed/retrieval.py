@@ -1,18 +1,21 @@
 """Embedding index: store (id, label, vector) records, answer top-k queries.
 
-Storage is a linear scan over a dense matrix; queries are exact by
-construction, which keeps every ranked result usable as an oracle.  The
-metric (including its exponent) is a property of the index and travels
-with the file, so an index built under one exponent cannot be silently
-queried under another.
+The index holds an id tuple, an int32 label array and one float32 (N, D)
+vector matrix.  Queries are an exact linear scan over that matrix:
+``distance.knn`` selects the k smallest distances with ``np.argpartition``
+and re-sorts only the survivors by ``(distance, id)``, so every ranked
+result is usable as an oracle.  The metric (including its exponent) is a
+property of the index and travels with the file, so an index built under
+one exponent cannot be silently queried under another.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -23,6 +26,7 @@ Array = np.ndarray
 
 EMBED_MAGIC = b"EMBIDX01"
 EMBED_VERSION = 1
+EMBED_HEADER = "<IdIQ"  # version, metric exponent, dim, record count
 
 
 @dataclass(frozen=True)
@@ -45,27 +49,25 @@ class EmbeddingRecord:
         object.__setattr__(self, "vector", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingIndex:
     dim: int
     metric: DistanceMetric
-    records: tuple[EmbeddingRecord, ...]
-    vectors: Array = field(repr=False, compare=False, default=None)
-    ids: tuple[str, ...] = field(compare=False, default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors",
-                           np.stack([r.vector for r in self.records]))
-        object.__setattr__(self, "ids",
-                           tuple(r.id for r in self.records))
+    ids: tuple[str, ...]
+    labels: Array = field(repr=False)
+    vectors: Array = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def labels_of(self, ids: Iterable[str]) -> list[int]:
-        by_id = {r.id: r.class_label for r in self.records}
-        return [by_id[i] for i in ids]
+
+def _check_unique(ids: Sequence[str]) -> None:
+    seen: set[str] = set()
+    for item_id in ids:
+        if item_id in seen:
+            raise DataError(f"duplicate record id {item_id!r}")
+        seen.add(item_id)
 
 
 def build_index(records: Sequence[EmbeddingRecord],
@@ -78,16 +80,17 @@ def build_index(records: Sequence[EmbeddingRecord],
     if not records:
         raise DataError("an index needs at least one record")
     dim = records[0].vector.shape[0]
-    seen: set[str] = set()
     for r in records:
         if r.vector.shape[0] != dim:
             raise DimensionError(
                 f"record {r.id!r} has dim {r.vector.shape[0]}, "
                 f"index dim is {dim}")
-        if r.id in seen:
-            raise DataError(f"duplicate record id {r.id!r}")
-        seen.add(r.id)
-    return EmbeddingIndex(dim=dim, metric=metric, records=tuple(records))
+    ids = tuple(r.id for r in records)
+    _check_unique(ids)
+    return EmbeddingIndex(
+        dim=dim, metric=metric, ids=ids,
+        labels=np.array([r.class_label for r in records], dtype=np.int32),
+        vectors=np.stack([r.vector for r in records]))
 
 
 def query_topk(index: EmbeddingIndex, query_vector: Array,
@@ -101,29 +104,30 @@ def query_topk(index: EmbeddingIndex, query_vector: Array,
     return knn(q, index, k)
 
 
-def _write_exact(fh: BinaryIO, data: bytes) -> None:
-    fh.write(data)
-
-
 def write_embeddings(path: str, index: EmbeddingIndex) -> None:
+    """Write via ``<path>.tmp``, renamed into place or removed on error."""
     if index.size == 0:
         raise DataError("refusing to write an empty index")
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(EMBED_MAGIC)
-        fh.write(struct.pack("<I", EMBED_VERSION))
-        fh.write(struct.pack("<d", index.metric.exponent))
-        fh.write(struct.pack("<I", index.dim))
-        fh.write(struct.pack("<Q", index.size))
-        for r in index.records:
-            raw_id = r.id.encode("utf-8")
-            if len(raw_id) > 0xFFFF:
-                raise DataError(f"id too long to store: {r.id[:32]!r}...")
-            fh.write(struct.pack("<H", len(raw_id)))
-            fh.write(raw_id)
-            fh.write(struct.pack("<i", r.class_label))
-            fh.write(r.vector.astype("<f4", copy=False).tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(EMBED_MAGIC + struct.pack(
+                EMBED_HEADER, EMBED_VERSION, index.metric.exponent,
+                index.dim, index.size))
+            for item_id, label, vector in zip(index.ids, index.labels,
+                                              index.vectors):
+                raw_id = item_id.encode("utf-8")
+                if len(raw_id) > 0xFFFF:
+                    raise DataError(
+                        f"id too long to store: {item_id[:32]!r}...")
+                fh.write(struct.pack("<H", len(raw_id)) + raw_id
+                         + struct.pack("<i", label)
+                         + vector.astype("<f4", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
@@ -136,35 +140,45 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 
 
 def read_embeddings(path: str) -> EmbeddingIndex:
+    """Read an index written by ``write_embeddings``, rejecting truncated,
+    padded or foreign files, non-finite vectors and duplicate ids."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 8, "magic")
         if magic != EMBED_MAGIC:
             raise FormatError(
                 f"bad magic: expected {EMBED_MAGIC!r}, got {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        version, exponent, dim, count = struct.unpack(
+            EMBED_HEADER, _read_exact(fh, struct.calcsize(EMBED_HEADER),
+                                      "header"))
         if version != EMBED_VERSION:
             raise FormatError(f"unsupported embedding file version "
                               f"{version}, expected {EMBED_VERSION}")
-        (exponent,) = struct.unpack("<d", _read_exact(fh, 8, "exponent"))
-        (dim,) = struct.unpack("<I", _read_exact(fh, 4, "dim"))
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "count"))
         if count == 0:
             raise FormatError("embedding file declares zero records")
-        records = []
+        if dim == 0:
+            raise DimensionError("embedding file declares dimension 0")
+        room = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * (6 + 4 * dim) > room:  # id length, label, vector
+            raise FormatError(f"truncated embedding file: {count} records "
+                              f"need more than its {room} bytes")
+        ids = []
+        labels = np.empty(count, dtype=np.int32)
+        vectors = np.empty((count, dim), dtype=np.float32)
         for i in range(count):
             (id_len,) = struct.unpack(
                 "<H", _read_exact(fh, 2, f"id length of record {i}"))
-            raw_id = _read_exact(fh, id_len, f"id of record {i}")
-            (label,) = struct.unpack(
-                "<i", _read_exact(fh, 4, f"label of record {i}"))
-            vec_bytes = _read_exact(fh, 4 * dim, f"vector of record {i}")
-            vector = np.frombuffer(vec_bytes, dtype="<f4").copy()
-            records.append(EmbeddingRecord(raw_id.decode("utf-8"),
-                                           label, vector))
-        trailing = fh.read(1)
-        if trailing:
+            body = _read_exact(fh, id_len + 4 + 4 * dim, f"record {i}")
+            ids.append(body[:id_len].decode("utf-8"))
+            (labels[i],) = struct.unpack_from("<i", body, id_len)
+            vectors[i] = np.frombuffer(body, "<f4", dim, id_len + 4)
+        if fh.read(1):
             raise FormatError("trailing bytes after the last record")
-    return build_index(records, DistanceMetric(exponent))
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise DataError(f"record {ids[bad[0]]!r}: non-finite vector entries")
+    _check_unique(ids)
+    return EmbeddingIndex(dim=dim, metric=DistanceMetric(exponent),
+                          ids=tuple(ids), labels=labels, vectors=vectors)
 
 
 def recall_at_k(index: EmbeddingIndex, query_vector: Array,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import net, sampling
 from .dataset import Dataset
-from .distance import EUCLIDEAN, DistanceMetric, distances_to
+from .distance import EUCLIDEAN, DistanceMetric, knn, triplet_correct
 from .errors import ConfigError, DataError, NumericError
 from .losses import (AngularConfig, ContrastiveConfig, PairSample,
                      TripletSample, batch_loss)
@@ -413,36 +413,18 @@ def triplet_accuracy(checkpoint: net.Checkpoint,
     """
     if not triplets:
         raise DataError("triplet_accuracy needs at least one triplet")
-    get = images.get if isinstance(images, Dataset) else \
-        lambda item_id: _MapItem(images[item_id])
-    unique_ids: list[str] = []
-    seen = set()
-    for t in triplets:
-        for item_id in (t.anchor_id, t.positive_id, t.negative_id):
-            if item_id not in seen:
-                seen.add(item_id)
-                unique_ids.append(item_id)
-    stack = np.stack([np.asarray(get(i).image, dtype=np.float32)
-                      for i in unique_ids])
-    vectors = net.embed(checkpoint, stack).astype(np.float64)
-    row = {item_id: i for i, item_id in enumerate(unique_ids)}
-    k = metric.exponent
-    correct = 0
-    for t in triplets:
-        a = vectors[row[t.anchor_id]]
-        d_pos = (np.abs(a - vectors[row[t.positive_id]]) ** k).sum()
-        d_neg = (np.abs(a - vectors[row[t.negative_id]]) ** k).sum()
-        # comparing the k-th powers preserves the distance ordering
-        if d_pos < d_neg:
-            correct += 1
-    return correct / len(triplets)
-
-
-class _MapItem:
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        self.image = image
+    image_of = images.__getitem__ if not isinstance(images, Dataset) \
+        else lambda item_id: images.get(item_id).image
+    row = {item_id: i for i, item_id in enumerate(dict.fromkeys(
+        item_id for t in triplets
+        for item_id in (t.anchor_id, t.positive_id, t.negative_id)))}
+    stack = np.stack([np.asarray(image_of(i), dtype=np.float32)
+                      for i in row])
+    vectors = net.embed(checkpoint, stack)
+    rows = np.array([(row[t.anchor_id], row[t.positive_id],
+                      row[t.negative_id]) for t in triplets])
+    correct = triplet_correct(vectors, *rows.T, metric)
+    return int(correct.sum()) / len(triplets)
 
 
 def topk_recall(checkpoint: net.Checkpoint,
@@ -467,13 +449,8 @@ def topk_recall(checkpoint: net.Checkpoint,
     stack = np.stack([np.asarray(img, dtype=np.float32)
                       for img, _ in queries])
     vectors = net.embed(checkpoint, stack)
-    metric = metric if metric is not None else catalog.metric
     hits = 0
     for vector, (_, truth) in zip(vectors, queries):
-        dists = distances_to(catalog.vectors, vector, metric)
-        order = sorted(range(catalog.size),
-                       key=lambda i: (dists[i], catalog.ids[i]))
-        top = {catalog.ids[i] for i in order[:k]}
-        if any(t in top for t in truth):
-            hits += 1
+        top = {item_id for item_id, _ in knn(vector, catalog, k, metric)}
+        hits += any(t in top for t in truth)
     return hits / len(queries)

@@ -241,6 +241,14 @@ class TestEval:
         assert rc == 2
         assert "error: ConfigError" in capsys.readouterr().err
 
+    def test_empty_triplet_list_rejected(self, workdir, capsys, tmp_path):
+        trips = tmp_path / "t.csv"
+        trips.write_text("# no triplets\n")
+        rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
+                       "--triplets", str(trips)])
+        assert rc == 2
+        assert "error: DataError" in capsys.readouterr().err
+
     def test_unknown_triplet_id_rejected(self, workdir, capsys, tmp_path):
         trips = tmp_path / "t.csv"
         trips.write_text("ghost,c0i1,c2i0\n")
@@ -299,12 +307,6 @@ class TestSamplePairs:
 
 
 class TestCommonFlags:
-    def test_threads_must_be_positive(self, workdir, capsys):
-        rc = cli.main(["query", "--embeddings", workdir["embeddings"],
-                       "--id", "c0i0", "--threads", "0"])
-        assert rc == 2
-        assert "threads" in capsys.readouterr().err
-
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])

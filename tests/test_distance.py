@@ -162,7 +162,40 @@ class TestKnn:
         got = distance.knn(query, index, 10)
         assert [i for i, _ in got] == [i for i, _ in oracle]
 
+    def test_ties_at_the_boundary_break_on_id(self, rng):
+        from simembed.retrieval import EmbeddingRecord, build_index
+        base = rng.standard_normal((3, 4))
+        # up to five rows share each vector, and ids descend with the row
+        # number, so every tie group's id order is the reverse of its rows
+        ids = [f"r{i:02d}" for i in range(12)][::-1]
+        vecs = base[[0, 1, 2, 0, 1, 2, 0, 1, 0, 2, 1, 0]]
+        index = build_index([EmbeddingRecord(i, 0, v)
+                             for i, v in zip(ids, vecs)], DistanceMetric(0.25))
+        for query in (rng.standard_normal(4), base[1]):
+            dists = distance.distances_to(index.vectors, query, index.metric)
+            oracle = [(i, float(d)) for i, d in
+                      sorted(zip(index.ids, dists),
+                             key=lambda t: (t[1], t[0]))]
+            for k in range(1, index.size + 1):
+                assert distance.knn(query, index, k) == oracle[:k]
+
     def test_k_below_one_rejected(self, rng):
         index = self._index(rng, n=3)
         with pytest.raises(ValueError):
             distance.knn(index.vectors[0], index, 0)
+
+
+class TestTripletCorrect:
+    @pytest.mark.parametrize("k", [0.25, 2.0])
+    def test_matches_per_triplet_oracle(self, rng, k):
+        metric = DistanceMetric(k)
+        vectors = rng.standard_normal((30, 8)).astype(np.float32)
+        a, p, n = rng.integers(0, 30, (3, 200))
+        a[0], p[0], n[0] = 0, 5, 5  # positive == negative: a tie
+        got = distance.triplet_correct(vectors, a, p, n, metric)
+        want = [lk_distance(vectors[i], vectors[j], metric)
+                < lk_distance(vectors[i], vectors[m], metric)
+                for i, j, m in zip(a, p, n)]
+        assert got.dtype == bool
+        assert got.tolist() == want
+        assert not got[0]

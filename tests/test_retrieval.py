@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,18 @@ def random_records(rng, n, dim=6, id_width=4):
     vectors = rng.standard_normal((n, dim)).astype(np.float32)
     return [EmbeddingRecord(f"r{i:0{id_width}d}", i % 10, vectors[i])
             for i in range(n)]
+
+
+def emb_bytes(rows, dim, exponent=2.0, count=None):
+    """EMBIDX01 bytes for ``(id, label, vector)`` rows, built by hand so
+    that they can hold what ``build_index`` would refuse."""
+    count = len(rows) if count is None else count
+    out = [b"EMBIDX01", struct.pack("<IdIQ", 1, exponent, dim, count)]
+    for item_id, label, vector in rows:
+        raw = item_id.encode("utf-8")
+        out += [struct.pack("<H", len(raw)), raw, struct.pack("<i", label),
+                np.asarray(vector, dtype="<f4").tobytes()]
+    return b"".join(out)
 
 
 class TestRecord:
@@ -54,8 +69,12 @@ class TestBuildIndex:
     def test_vectors_matrix_matches_records(self, rng):
         records = random_records(rng, 10)
         index = build_index(records, DistanceMetric())
-        for i, r in enumerate(records):
-            assert np.array_equal(index.vectors[i], r.vector)
+        assert index.ids == tuple(r.id for r in records)
+        assert index.labels.dtype == np.int32
+        assert index.labels.tolist() == [r.class_label for r in records]
+        assert index.vectors.dtype == np.float32
+        assert np.array_equal(index.vectors,
+                              np.stack([r.vector for r in records]))
 
 
 class TestQueryTopk:
@@ -124,9 +143,9 @@ class TestEmbeddingFile:
         assert loaded.dim == index.dim
         assert loaded.metric == index.metric
         assert loaded.ids == index.ids
-        for orig, got in zip(index.records, loaded.records):
-            assert got.class_label == orig.class_label
-            assert np.array_equal(got.vector, orig.vector)
+        assert np.array_equal(loaded.labels, index.labels)
+        assert loaded.vectors.dtype == np.float32
+        assert np.array_equal(loaded.vectors, index.vectors)
         retrieval.write_embeddings(b, loaded)
         assert open(a, "rb").read() == open(b, "rb").read()
 
@@ -173,3 +192,49 @@ class TestEmbeddingFile:
         retrieval.write_embeddings(path, index)
         assert retrieval.read_embeddings(path).ids == \
             ("skål-中文",)
+
+    def test_hand_written_file_reads_back(self, tmp_path):
+        path = tmp_path / "ok.emb"
+        path.write_bytes(emb_bytes([("a", 3, [1.0, 2.0]),
+                                    ("b", -1, [0.5, 0.0])], dim=2,
+                                   exponent=0.25))
+        index = retrieval.read_embeddings(str(path))
+        assert index.ids == ("a", "b")
+        assert index.labels.tolist() == [3, -1]
+        assert index.vectors.tolist() == [[1.0, 2.0], [0.5, 0.0]]
+        assert index.metric == DistanceMetric(0.25)
+
+    def test_nan_vector_entry_rejected(self, tmp_path):
+        path = tmp_path / "nan.emb"
+        path.write_bytes(emb_bytes([("a", 0, [1.0, 2.0]),
+                                    ("b", 1, [np.nan, 0.0])], dim=2))
+        with pytest.raises(DataError, match="'b'.*non-finite"):
+            retrieval.read_embeddings(str(path))
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.emb"
+        path.write_bytes(emb_bytes([("a", 0, [1.0, 2.0]),
+                                    ("a", 1, [3.0, 4.0])], dim=2))
+        with pytest.raises(DataError, match="duplicate"):
+            retrieval.read_embeddings(str(path))
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        path = tmp_path / "flat.emb"
+        path.write_bytes(emb_bytes([("a", 0, [])], dim=0))
+        with pytest.raises(DimensionError):
+            retrieval.read_embeddings(str(path))
+
+    def test_count_beyond_file_size_rejected(self, tmp_path):
+        path = tmp_path / "short.emb"
+        path.write_bytes(emb_bytes([("a", 0, [1.0, 2.0])], dim=2,
+                                   count=2 ** 40))
+        with pytest.raises(FormatError, match="truncated"):
+            retrieval.read_embeddings(str(path))
+
+    def test_failed_write_leaves_no_file(self, tmp_path, rng):
+        vec = rng.standard_normal(4).astype(np.float32)
+        index = build_index([EmbeddingRecord("x" * 0x10000, 0, vec)],
+                            DistanceMetric())
+        with pytest.raises(DataError, match="too long"):
+            retrieval.write_embeddings(str(tmp_path / "x.emb"), index)
+        assert os.listdir(tmp_path) == []
