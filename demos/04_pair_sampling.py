@@ -5,8 +5,11 @@ Mining training pairs with a cheap similarity scorer
 Siamese training needs labeled pairs.  Positives come from a basic image
 similarity scorer (intensity-histogram L1 distance): for each query it
 ranks the query's classmates and keeps the closest ones as candidates.
-Negatives mix in-class and out-of-class items 3:7, because items from the
-same category that the scorer does NOT consider close make hard negatives.
+``sample_negatives`` mixes in-class and out-of-class items 3:7, because
+items from the same category that the scorer does NOT consider close make
+hard negatives.  A training batch draws one negative per query with that
+rule, and round(1 * 0.3) == 0, so at this fraction its negatives all come
+from other classes.
 """
 
 import numpy as np
@@ -43,10 +46,12 @@ for neg_id, in_class in negatives:
     tag = "in " if in_class else "out"
     print(f"  [{tag}] {neg_id} (class {dataset.get(neg_id).class_label})")
 
-# a full batch: label 0 = similar, label 1 = dissimilar
-batch = sampling.make_pair_batch(dataset, scorer, cfg, batch_size=8,
-                                 pos_fraction=0.5,
-                                 rng=np.random.default_rng(1))
+# a full batch: the table ranks every item's candidates once, and batches
+# are rows of dataset positions; label 0 = similar, label 1 = dissimilar
+table = sampling.candidate_table(dataset, scorer, cfg)
+rows, labels = sampling.make_pair_batch(table, batch_size=8,
+                                        pos_fraction=0.5,
+                                        rng=np.random.default_rng(1))
 print("\none training batch:")
-for pair in batch:
-    print(f"  {pair.query_id} / {pair.candidate_id}  label={pair.label}")
+for (q, c), label in zip(rows, labels):
+    print(f"  {table.ids[q]} / {table.ids[c]}  label={label}")

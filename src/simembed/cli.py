@@ -251,10 +251,11 @@ def cmd_sample_pairs(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     dataset = data_io.read_dataset(args.data)
     rng = np.random.default_rng(cfg.sampler.rng_seed)
-    pairs = sampling.make_pair_batch(dataset, cfg.scorer, cfg.sampler,
-                                     args.count, args.pos_fraction, rng)
-    for pair in pairs:
-        print(f"{pair.query_id},{pair.candidate_id},{pair.label}")
+    table = sampling.candidate_table(dataset, cfg.scorer, cfg.sampler)
+    rows, labels = sampling.make_pair_batch(table, args.count,
+                                            args.pos_fraction, rng)
+    for (query, candidate), label in zip(rows, labels):
+        print(f"{table.ids[query]},{table.ids[candidate]},{label}")
     return 0
 
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import gzip
 import struct
-from typing import BinaryIO
 
 import numpy as np
 
+from .container import (atomic_write, pack_header, pack_name, read_exact,
+                        read_header, read_name)
 from .dataset import Dataset, DatasetItem
 from .errors import DataError, FormatError
 from .losses import TripletSample
@@ -83,17 +84,9 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes,
             f"{8 + count} (truncated at byte {len(label_bytes)})")
 
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
-    images = (pixels.reshape(count, 1, rows, cols).astype(np.float32)
-              / np.float32(255.0))
-    labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8)
-    bad = np.nonzero(labels > 9)[0]
-    if bad.size:
-        raise FormatError(
-            f"label {labels[bad[0]]} out of range 0-9 at item {bad[0]}")
-    items = tuple(
-        DatasetItem(f"{id_prefix}{i:05d}", images[i], int(labels[i]))
-        for i in range(count))
-    return Dataset(items)
+    return _digit_dataset(pixels.reshape(count, 1, rows, cols),
+                          np.frombuffer(label_bytes, np.uint8, offset=8),
+                          id_prefix, "item")
 
 
 def parse_cifar10_bin(batch_bytes: bytes,
@@ -109,17 +102,21 @@ def parse_cifar10_bin(batch_bytes: bytes,
             f"multiple of {CIFAR_RECORD_BYTES}")
     records = np.frombuffer(batch_bytes, dtype=np.uint8)
     records = records.reshape(-1, CIFAR_RECORD_BYTES)
-    labels = records[:, 0]
+    return _digit_dataset(records[:, 1:].reshape(-1, 3, 32, 32),
+                          records[:, 0], id_prefix, "record")
+
+
+def _digit_dataset(pixels: np.ndarray, labels: np.ndarray, id_prefix: str,
+                   unit: str) -> Dataset:
+    """Items ``{id_prefix}{i:05d}`` of byte pixels / 255, labels 0-9."""
     bad = np.nonzero(labels > 9)[0]
     if bad.size:
         raise FormatError(
-            f"label {labels[bad[0]]} out of range 0-9 at record {bad[0]}")
-    images = (records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32)
-              / np.float32(255.0))
-    items = tuple(
+            f"label {labels[bad[0]]} out of range 0-9 at {unit} {bad[0]}")
+    images = pixels.astype(np.float32) / np.float32(255.0)
+    return Dataset(tuple(
         DatasetItem(f"{id_prefix}{i:05d}", images[i], int(labels[i]))
-        for i in range(len(records)))
-    return Dataset(items)
+        for i in range(len(labels))))
 
 
 def parse_triplet_list(text: str) -> list[TripletSample]:
@@ -144,58 +141,39 @@ def parse_triplet_list(text: str) -> list[TripletSample]:
 
 
 def write_dataset(path: str, dataset: Dataset) -> None:
-    """Serialize ``dataset`` to the internal container format."""
-    c, h, w = dataset.image_shape
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<I", DATASET_VERSION))
+    """Serialize ``dataset`` to the internal container format, atomically;
+    an id longer than 65535 UTF-8 bytes is refused before anything is
+    written."""
+    names = [pack_name(item.id) for item in dataset.items]
+    with atomic_write(path) as fh:
+        fh.write(pack_header(DATASET_MAGIC, DATASET_VERSION))
         fh.write(struct.pack("<Q", len(dataset)))
-        fh.write(struct.pack("<III", c, h, w))
-        for item in dataset.items:
-            encoded = item.id.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
+        fh.write(struct.pack("<III", *dataset.image_shape))
+        for name, item in zip(names, dataset.items):
+            fh.write(name)
             fh.write(struct.pack("<i", item.class_label))
             fh.write(np.ascontiguousarray(
                 item.image, dtype="<f4").tobytes())
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(
-            f"dataset file truncated while reading {what} "
-            f"({len(data)}/{n} bytes)")
-    return data
-
-
 def read_dataset(path: str) -> Dataset:
     """Read a dataset container written by :func:`write_dataset`."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(DATASET_MAGIC))
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"bad dataset magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != DATASET_VERSION:
-            raise FormatError(f"unsupported dataset version {version}")
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "item count"))
+        read_header(fh, DATASET_MAGIC, DATASET_VERSION, "dataset")
+        (count,) = struct.unpack("<Q", read_exact(fh, 8, "item count"))
         if count == 0:
             raise FormatError("dataset file declares zero items")
-        c, h, w = struct.unpack("<III", _read_exact(fh, 12, "image shape"))
+        c, h, w = struct.unpack("<III", read_exact(fh, 12, "image shape"))
         pixels = c * h * w
         items = []
         for i in range(count):
-            (id_len,) = struct.unpack(
-                "<H", _read_exact(fh, 2, f"id length of item {i}"))
-            item_id = _read_exact(fh, id_len, f"id of item {i}").decode(
-                "utf-8")
+            item_id = read_name(fh, f"id of item {i}")
             (label,) = struct.unpack(
-                "<i", _read_exact(fh, 4, f"label of item {i}"))
-            raw = _read_exact(fh, 4 * pixels, f"pixels of item {i}")
+                "<i", read_exact(fh, 4, f"label of item {i}"))
+            raw = read_exact(fh, 4 * pixels, f"pixels of item {i}")
             image = np.frombuffer(raw, dtype="<f4").reshape(c, h, w)
             items.append(DatasetItem(item_id, image, label))
-        trailing = fh.read(1)
-        if trailing:
+        if fh.read(1):
             raise FormatError("trailing bytes after final item")
     return Dataset(tuple(items))
 

@@ -1,9 +1,12 @@
 """Pairwise contrastive loss and triplet angular loss, with gradients.
 
-Both losses are written against an arbitrary ``DistanceMetric``; the default
-used by training configs is Euclidean.  With fractional exponents the
-derivative of ``|a_i - b_i|^k`` is singular where coordinates coincide, so
-any partial term with ``|a_i - b_i| < 1e-12`` is set to zero.  That keeps
+Each loss runs over whole ``(B, D)`` arms at once; ``batch_loss`` takes a
+batch as rows of an embedding matrix, and ``contrastive_loss`` and
+``angular_loss`` are the one-sample forms of the same code.  Both losses
+are written against an arbitrary ``DistanceMetric``; the default used by
+training configs is Euclidean.  With fractional exponents the derivative
+of ``|a_i - b_i|^k`` is singular where coordinates coincide, so any
+partial term with ``|a_i - b_i| < 1e-12`` is set to zero.  That keeps
 gradients finite and deterministic at the (measure-zero) singular points.
 """
 
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,28 +28,6 @@ HINGE_AS_WRITTEN = "as_written"
 HINGE_SQUARED = "squared_hinge"
 ANGULAR_NEGATIVE_TO_CENTER = "negative_to_center"
 ANGULAR_AS_WRITTEN = "as_written"
-
-
-@dataclass(frozen=True)
-class PairSample:
-    """A supervised image pair: label 0 means similar, 1 dissimilar.
-
-    ``augmented`` marks self-pairs built from two augmented views of the
-    same image; only those may have ``query_id == candidate_id``.
-    """
-
-    query_id: str
-    candidate_id: str
-    label: int
-    augmented: bool = False
-
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"pair label must be 0 or 1, got {self.label}")
-        if self.query_id == self.candidate_id and not self.augmented:
-            raise ValueError(
-                f"pair of {self.query_id!r} with itself must be flagged "
-                f"augmented")
 
 
 @dataclass(frozen=True)
@@ -109,78 +89,66 @@ class AngularConfig:
         return math.tan(math.radians(self.alpha_degrees)) ** 2
 
 
-def squared_distance_with_grad(a: Array, b: Array,
-                               metric: DistanceMetric) -> tuple[float, Array]:
-    """``D(a, b)^2`` and its gradient with respect to ``a``.
+def _squared_distances(a: Array, b: Array, metric: DistanceMetric,
+                       ) -> tuple[Array, Array]:
+    """Row-wise ``D(a_i, b_i)^2`` over ``(B, D)`` arms and its gradient
+    with respect to ``a``.
 
     For ``D^2 = S^(2/k)`` with ``S = sum |a_i - b_i|^k`` the partial is
     ``2 * S^(2/k - 1) * |d_i|^(k-1) * sign(d_i)``; terms with
     ``|d_i| < 1e-12`` are zeroed (see module docstring).  The gradient with
     respect to ``b`` is the negation.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError(
-            f"expected equal-length vectors, got {a.shape} and {b.shape}")
     k = metric.exponent
     d = a - b
     absd = np.abs(d)
-    s = float((absd ** k).sum())
-    if s == 0.0:
-        return 0.0, np.zeros_like(a)
-    dsq = s ** (2.0 / k)
-    grad = np.zeros_like(a)
-    live = absd >= COINCIDENT_GUARD
-    grad[live] = (2.0 * s ** (2.0 / k - 1.0)
-                  * absd[live] ** (k - 1.0) * np.sign(d[live]))
+    sums = (absd ** k).sum(axis=1)
+    # Python's scalar ``**`` on each sum: numpy's array power may round the
+    # last bit differently on some machines, and these values must equal
+    # the one-vector formula's bit for bit.
+    dsq = np.array([s ** (2.0 / k) for s in sums.tolist()])
+    coef = np.array([2.0 * s ** (2.0 / k - 1.0) if s else 0.0
+                     for s in sums.tolist()])
+    live = (absd >= COINCIDENT_GUARD) & (sums > 0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = np.where(live, coef[:, None] * absd ** (k - 1.0) * np.sign(d),
+                        0.0)
     return dsq, grad
 
 
-def contrastive_loss(xq: Array, xc: Array, label: int,
-                     cfg: ContrastiveConfig,
-                     metric: DistanceMetric = EUCLIDEAN,
-                     ) -> tuple[float, Array, Array]:
-    """Per-pair contrastive loss and gradients w.r.t. both embeddings.
+def _contrastive_rows(xq: Array, xc: Array, labels: Array,
+                      cfg: ContrastiveConfig, metric: DistanceMetric,
+                      ) -> tuple[Array, list[Array]]:
+    """Per-pair contrastive losses and the gradients of both arms.
 
     Similar pairs (label 0) pay ``D^2 / 2``; dissimilar pairs (label 1) pay
     the hinge selected by ``cfg``, with an exactly-zero gradient wherever
     the hinge is inactive.
     """
-    dsq, g = squared_distance_with_grad(xq, xc, metric)
-    if label == 0:
-        loss = 0.5 * dsq
-        gq = 0.5 * g
-    elif label == 1:
-        if cfg.hinge_variant == HINGE_AS_WRITTEN:
-            slack = cfg.margin - dsq
-            if slack > 0:
-                loss = 0.5 * slack
-                gq = -0.5 * g
-            else:
-                loss = 0.0
-                gq = np.zeros_like(g)
-        else:  # squared hinge on the plain distance
-            dist = math.sqrt(dsq)
-            slack = cfg.margin - dist
-            if slack > 0:
-                loss = 0.5 * slack * slack
-                # dD/dx = dD^2/dx / (2 D); at D == 0 the guarded rule gives 0
-                gq = -slack * g / (2 * dist) if dist > 0 else np.zeros_like(g)
-            else:
-                loss = 0.0
-                gq = np.zeros_like(g)
-    else:
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    if not math.isfinite(loss):
-        raise NumericError("contrastive loss is non-finite")
-    return loss, gq, -gq
+    dsq, g = _squared_distances(xq, xc, metric)
+    similar = labels == 0
+    if cfg.hinge_variant == HINGE_AS_WRITTEN:
+        slack = cfg.margin - dsq
+        hinge, hinge_grad = 0.5 * slack, -0.5 * g
+    else:  # squared hinge on the plain distance
+        dist = np.sqrt(dsq)
+        slack = cfg.margin - dist
+        hinge = 0.5 * slack * slack
+        # dD/dx = dD^2/dx / (2 D); at D == 0 the guarded rule gives 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hinge_grad = np.where((dist > 0)[:, None],
+                                  -slack[:, None] * g / (2 * dist)[:, None],
+                                  0.0)
+    active = ~similar & (slack > 0)
+    losses = np.where(similar, 0.5 * dsq, np.where(active, hinge, 0.0))
+    gq = np.where(similar[:, None], 0.5 * g,
+                  np.where(active[:, None], hinge_grad, 0.0))
+    return losses, [gq, -gq]
 
 
-def angular_loss(xa: Array, xp: Array, xn: Array, cfg: AngularConfig,
-                 metric: DistanceMetric = EUCLIDEAN,
-                 ) -> tuple[float, Array, Array, Array]:
-    """Per-triplet angular loss and gradients w.r.t. all three embeddings.
+def _angular_rows(xa: Array, xp: Array, xn: Array, cfg: AngularConfig,
+                  metric: DistanceMetric) -> tuple[Array, list[Array]]:
+    """Per-triplet angular losses and the gradients of all three arms.
 
     With center ``x_c = (x_a + x_p) / 2`` the loss is
     ``max(0, D(x_a, x_p)^2 - 4 tan^2(alpha) * D(x_n, x_c)^2)`` in the
@@ -188,99 +156,110 @@ def angular_loss(xa: Array, xp: Array, xn: Array, cfg: AngularConfig,
     with ``D(x_a, x_c)^2``.  The center's dependence on anchor and positive
     contributes to their gradients in the active region.
     """
-    xa = np.asarray(xa, dtype=np.float64)
-    xp = np.asarray(xp, dtype=np.float64)
-    xn = np.asarray(xn, dtype=np.float64)
-    if not (xa.shape == xp.shape == xn.shape) or xa.ndim != 1:
-        raise DimensionError(
-            f"expected three equal-length vectors, got {xa.shape}, "
-            f"{xp.shape}, {xn.shape}")
     center = (xa + xp) / 2.0
     scale = 4.0 * cfg.tan_alpha_sq
-    dsq_ap, g_ap = squared_distance_with_grad(xa, xp, metric)
-
+    dsq_ap, g_ap = _squared_distances(xa, xp, metric)
     if cfg.formula_variant == ANGULAR_NEGATIVE_TO_CENTER:
-        dsq_second, g_n = squared_distance_with_grad(xn, center, metric)
-        raw = dsq_ap - scale * dsq_second
-        if raw <= 0:
-            zero = np.zeros_like(xa)
-            return 0.0, zero.copy(), zero.copy(), zero.copy()
         # d(dsq_second)/d(center) = -g_n, and d(center)/d(xa) = 1/2
-        ga = g_ap + 0.5 * scale * g_n
-        gp = -g_ap + 0.5 * scale * g_n
-        gn = -scale * g_n
+        dsq_second, g_n = _squared_distances(xn, center, metric)
+        grads = [g_ap + 0.5 * scale * g_n, -g_ap + 0.5 * scale * g_n,
+                 -scale * g_n]
     else:
-        dsq_second, g_a_first = squared_distance_with_grad(xa, center, metric)
-        raw = dsq_ap - scale * dsq_second
-        if raw <= 0:
-            zero = np.zeros_like(xa)
-            return 0.0, zero.copy(), zero.copy(), zero.copy()
         # both arguments depend on xa: direct term plus the center chain
-        d_second_da = g_a_first - 0.5 * g_a_first
-        d_second_dp = -0.5 * g_a_first
-        ga = g_ap - scale * d_second_da
-        gp = -g_ap - scale * d_second_dp
-        gn = np.zeros_like(xa)
-    if not math.isfinite(raw):
-        raise NumericError("angular loss is non-finite")
-    return raw, ga, gp, gn
+        dsq_second, g_a_first = _squared_distances(xa, center, metric)
+        grads = [g_ap - scale * (g_a_first - 0.5 * g_a_first),
+                 -g_ap - scale * (-0.5 * g_a_first), np.zeros_like(xa)]
+    raw = dsq_ap - scale * dsq_second
+    active = ~(raw <= 0)
+    return (np.where(active, raw, 0.0),
+            [np.where(active[:, None], g, 0.0) for g in grads])
 
 
-def batch_loss(embeddings: Array, ids: Sequence[str],
-               samples: Sequence[PairSample | TripletSample],
+def _one_row(*vectors: Array) -> list[Array]:
+    """Equal-length vectors as float64 ``(1, D)`` arms."""
+    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if rows[0].ndim != 1 or any(r.shape != rows[0].shape for r in rows):
+        raise DimensionError(f"expected equal-length vectors, got "
+                             f"{[r.shape for r in rows]}")
+    return [r[None] for r in rows]
+
+
+def _one_sample(losses: Array, grads: list[Array]) -> tuple:
+    if not math.isfinite(losses[0]):
+        raise NumericError("loss is non-finite")
+    return (float(losses[0]), *(g[0] for g in grads))
+
+
+def squared_distance_with_grad(a: Array, b: Array,
+                               metric: DistanceMetric) -> tuple[float, Array]:
+    """``D(a, b)^2`` and its gradient with respect to ``a`` (see
+    :func:`_squared_distances`)."""
+    dsq, grad = _squared_distances(*_one_row(a, b), metric)
+    return float(dsq[0]), grad[0]
+
+
+def contrastive_loss(xq: Array, xc: Array, label: int,
+                     cfg: ContrastiveConfig,
+                     metric: DistanceMetric = EUCLIDEAN,
+                     ) -> tuple[float, Array, Array]:
+    """Per-pair contrastive loss and gradients w.r.t. both embeddings (see
+    :func:`_contrastive_rows`)."""
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return _one_sample(*_contrastive_rows(*_one_row(xq, xc),
+                                          np.array([label]), cfg, metric))
+
+
+def angular_loss(xa: Array, xp: Array, xn: Array, cfg: AngularConfig,
+                 metric: DistanceMetric = EUCLIDEAN,
+                 ) -> tuple[float, Array, Array, Array]:
+    """Per-triplet angular loss and gradients w.r.t. all three embeddings
+    (see :func:`_angular_rows`)."""
+    return _one_sample(*_angular_rows(*_one_row(xa, xp, xn), cfg, metric))
+
+
+def batch_loss(embeddings: Array, labels: Array | None, rows: Array,
                cfg: ContrastiveConfig | AngularConfig,
                metric: DistanceMetric = EUCLIDEAN,
                ) -> tuple[float, Array]:
-    """Mean loss over ``samples`` plus gradients per embedding row.
+    """Mean loss over a batch plus gradients per embedding row.
 
-    ``embeddings`` is an ``(R, D)`` matrix and ``ids`` names its rows;
-    every sample id must resolve to a row.  Per-sample gradients are
+    ``rows`` holds one sample per line as row numbers of the ``(R, D)``
+    ``embeddings``: (query, candidate) pairs with 0/1 ``labels`` under a
+    ``ContrastiveConfig``, (anchor, positive, negative) triplets under an
+    ``AngularConfig`` (``labels`` unused).  Per-sample gradients are
     accumulated in sample order and divided by the sample count.
     """
-    if len(samples) == 0:
+    rows = np.asarray(rows)
+    if len(rows) == 0:
         raise DataError("batch_loss on an empty sample list")
-    if embeddings.ndim != 2 or len(ids) != embeddings.shape[0]:
+    if not isinstance(cfg, (ContrastiveConfig, AngularConfig)):
+        raise TypeError(f"unsupported loss config {type(cfg)!r}")
+    width = 2 if isinstance(cfg, ContrastiveConfig) else 3
+    if embeddings.ndim != 2 or rows.shape != (len(rows), width):
         raise DimensionError(
-            f"embeddings {embeddings.shape} do not match {len(ids)} ids")
-    row_of = {item_id: row for row, item_id in enumerate(ids)}
-    if len(row_of) != len(ids):
-        raise DataError("embedding row ids must be unique")
-
-    def resolve(item_id: str) -> int:
-        try:
-            return row_of[item_id]
-        except KeyError:
-            raise KeyError(
-                f"sample id {item_id!r} has no embedding row") from None
-
-    total = 0.0
-    grads = np.zeros(embeddings.shape, dtype=np.float64)
-    for sample in samples:
-        if isinstance(sample, PairSample):
-            if not isinstance(cfg, ContrastiveConfig):
-                raise TypeError("pair samples require a ContrastiveConfig")
-            qi, ci = resolve(sample.query_id), resolve(sample.candidate_id)
-            loss, gq, gc = contrastive_loss(
-                embeddings[qi], embeddings[ci], sample.label, cfg, metric)
-            total += loss
-            grads[qi] += gq
-            grads[ci] += gc
-        elif isinstance(sample, TripletSample):
-            if not isinstance(cfg, AngularConfig):
-                raise TypeError("triplet samples require an AngularConfig")
-            ai = resolve(sample.anchor_id)
-            pi = resolve(sample.positive_id)
-            ni = resolve(sample.negative_id)
-            loss, ga, gp, gn = angular_loss(
-                embeddings[ai], embeddings[pi], embeddings[ni], cfg, metric)
-            total += loss
-            grads[ai] += ga
-            grads[pi] += gp
-            grads[ni] += gn
-        else:
-            raise TypeError(f"unsupported sample type {type(sample)!r}")
-    n = len(samples)
-    mean = total / n
+            f"{type(cfg).__name__} needs an (R, D) embedding matrix and "
+            f"(B, {width}) sample rows, got {embeddings.shape} and "
+            f"{rows.shape}")
+    if rows.min() < 0 or rows.max() >= len(embeddings):
+        raise DimensionError(
+            f"sample rows must lie in [0, {len(embeddings)})")
+    arms = [embeddings[column].astype(np.float64) for column in rows.T]
+    if isinstance(cfg, ContrastiveConfig):
+        labels = np.asarray(labels)
+        if labels.shape != (len(rows),) or not np.isin(labels, (0, 1)).all():
+            raise ValueError(
+                f"need one 0/1 label per pair, got {labels!r}")
+        losses, arm_grads = _contrastive_rows(*arms, labels, cfg, metric)
+    else:
+        losses, arm_grads = _angular_rows(*arms, cfg, metric)
+    n = len(rows)
+    # left to right, as samples are added one at a time: np.sum's pairwise
+    # order can move the last bit of the mean
+    mean = float(np.cumsum(losses)[-1]) / n
     if not math.isfinite(mean):
         raise NumericError("batch loss is non-finite")
+    grads = np.zeros(embeddings.shape, dtype=np.float64)
+    np.add.at(grads, rows.ravel(),
+              np.stack(arm_grads, axis=1).reshape(-1, embeddings.shape[1]))
     return mean, (grads / n).astype(embeddings.dtype, copy=False)

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import BinaryIO, Callable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import ops
+from .container import (atomic_write, pack_header, pack_name, read_exact,
+                        read_header, read_name)
 from .errors import ConfigError, DimensionError, FormatError
 
 Array = np.ndarray
@@ -400,64 +402,43 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         "rng_seed": checkpoint.rng_seed,
         "epoch": checkpoint.epoch,
     })
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+    with atomic_write(path) as fh:
+        fh.write(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         fh.write(struct.pack("<Q", len(checkpoint.parameters)))
         for name, value in checkpoint.parameters.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
+            fh.write(pack_name(name))
             fh.write(struct.pack("<I", value.ndim))
             fh.write(struct.pack(f"<{value.ndim}Q", *value.shape))
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(
-            f"checkpoint truncated while reading {what} "
-            f"({len(data)}/{n} bytes)")
-    return data
-
-
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint and validate it against its own config."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
+        read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
         (header_len,) = struct.unpack(
-            "<Q", _read_exact(fh, 8, "header length"))
+            "<Q", read_exact(fh, 8, "header length"))
         try:
-            header = json.loads(_read_exact(fh, header_len, "header"))
+            header = json.loads(read_exact(fh, header_len, "header"))
             config = _config_from_dict(header["config"])
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise FormatError(f"bad checkpoint header: {exc}") from exc
         (count,) = struct.unpack(
-            "<Q", _read_exact(fh, 8, "parameter count"))
+            "<Q", read_exact(fh, 8, "parameter count"))
         params: dict[str, Array] = {}
         for i in range(count):
-            (name_len,) = struct.unpack(
-                "<H", _read_exact(fh, 2, f"name length of block {i}"))
-            name = _read_exact(fh, name_len, f"name of block {i}").decode(
-                "utf-8")
+            name = read_name(fh, f"name of block {i}")
             (rank,) = struct.unpack(
-                "<I", _read_exact(fh, 4, f"rank of block {i}"))
+                "<I", read_exact(fh, 4, f"rank of block {i}"))
             shape = struct.unpack(
-                f"<{rank}Q", _read_exact(fh, 8 * rank, f"dims of block {i}"))
+                f"<{rank}Q", read_exact(fh, 8 * rank, f"dims of block {i}"))
             size = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 4 * size, f"data of block {i}")
+            raw = read_exact(fh, 4 * size, f"data of block {i}")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(
                 shape).copy()
-        trailing = fh.read(1)
-        if trailing:
+        if fh.read(1):
             raise FormatError("trailing bytes after final parameter block")
 
     expected = dict(parameter_shapes(config))

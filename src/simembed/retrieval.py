@@ -11,14 +11,15 @@ one exponent cannot be silently queried under another.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .container import (atomic_write, pack_header, pack_name, read_exact,
+                        read_header)
 from .distance import DistanceMetric, knn
 from .errors import DataError, DimensionError, FormatError
 
@@ -26,7 +27,7 @@ Array = np.ndarray
 
 EMBED_MAGIC = b"EMBIDX01"
 EMBED_VERSION = 1
-EMBED_HEADER = "<IdIQ"  # version, metric exponent, dim, record count
+EMBED_HEADER = "<dIQ"  # after the version: metric exponent, dim, count
 
 
 @dataclass(frozen=True)
@@ -108,51 +109,23 @@ def write_embeddings(path: str, index: EmbeddingIndex) -> None:
     """Write via ``<path>.tmp``, renamed into place or removed on error."""
     if index.size == 0:
         raise DataError("refusing to write an empty index")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(EMBED_MAGIC + struct.pack(
-                EMBED_HEADER, EMBED_VERSION, index.metric.exponent,
-                index.dim, index.size))
-            for item_id, label, vector in zip(index.ids, index.labels,
-                                              index.vectors):
-                raw_id = item_id.encode("utf-8")
-                if len(raw_id) > 0xFFFF:
-                    raise DataError(
-                        f"id too long to store: {item_id[:32]!r}...")
-                fh.write(struct.pack("<H", len(raw_id)) + raw_id
-                         + struct.pack("<i", label)
-                         + vector.astype("<f4", copy=False).tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(
-            f"truncated embedding file: expected {n} bytes for {what}, "
-            f"got {len(data)}")
-    return data
+    with atomic_write(path) as fh:
+        fh.write(pack_header(EMBED_MAGIC, EMBED_VERSION) + struct.pack(
+            EMBED_HEADER, index.metric.exponent, index.dim, index.size))
+        for item_id, label, vector in zip(index.ids, index.labels,
+                                          index.vectors):
+            fh.write(pack_name(item_id) + struct.pack("<i", label)
+                     + vector.astype("<f4", copy=False).tobytes())
 
 
 def read_embeddings(path: str) -> EmbeddingIndex:
     """Read an index written by ``write_embeddings``, rejecting truncated,
     padded or foreign files, non-finite vectors and duplicate ids."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 8, "magic")
-        if magic != EMBED_MAGIC:
-            raise FormatError(
-                f"bad magic: expected {EMBED_MAGIC!r}, got {magic!r}")
-        version, exponent, dim, count = struct.unpack(
-            EMBED_HEADER, _read_exact(fh, struct.calcsize(EMBED_HEADER),
-                                      "header"))
-        if version != EMBED_VERSION:
-            raise FormatError(f"unsupported embedding file version "
-                              f"{version}, expected {EMBED_VERSION}")
+        read_header(fh, EMBED_MAGIC, EMBED_VERSION, "embedding file")
+        exponent, dim, count = struct.unpack(
+            EMBED_HEADER, read_exact(fh, struct.calcsize(EMBED_HEADER),
+                                     "header"))
         if count == 0:
             raise FormatError("embedding file declares zero records")
         if dim == 0:
@@ -166,8 +139,8 @@ def read_embeddings(path: str) -> EmbeddingIndex:
         vectors = np.empty((count, dim), dtype=np.float32)
         for i in range(count):
             (id_len,) = struct.unpack(
-                "<H", _read_exact(fh, 2, f"id length of record {i}"))
-            body = _read_exact(fh, id_len + 4 + 4 * dim, f"record {i}")
+                "<H", read_exact(fh, 2, f"id length of record {i}"))
+            body = read_exact(fh, id_len + 4 + 4 * dim, f"record {i}")
             ids.append(body[:id_len].decode("utf-8"))
             (labels[i],) = struct.unpack_from("<i", body, id_len)
             vectors[i] = np.frombuffer(body, "<f4", dim, id_len + 4)

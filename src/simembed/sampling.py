@@ -1,11 +1,16 @@
 """Training-pair and triplet generation.
 
 Positive candidates for a query are its same-class nearest neighbors under
-a cheap similarity scorer (the default scores L1 distance between
-normalized intensity histograms).  Negatives mix same-class items drawn
-from outside that candidate set with items from other classes, 3:7 by
-default.  A ``random_baseline`` strategy replaces the scorer with uniform
-same-class / cross-class draws for ablation runs.
+a cheap similarity scorer: L1 distance between normalized intensity (or
+per-channel color) histograms.  :func:`candidate_table` ranks them once per
+dataset, for every item, and the batch makers draw row indices (positions
+in ``dataset.items``) from that table.  :func:`sample_negatives` mixes
+same-class items from outside the candidate set with items from other
+classes, 3:7 by default.  The batch makers draw one negative per query
+with that rule, and ``round(1 * 0.3) == 0``, so at the default fraction
+their negatives all come from other classes.  A ``random_baseline``
+strategy replaces the scorer with uniform same-class / cross-class draws
+for ablation runs.
 
 All sampling is driven by an explicit ``numpy.random.Generator``; batches
 are a deterministic function of (dataset, scorer, config, seed).
@@ -13,51 +18,45 @@ are a deterministic function of (dataset, scorer, config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import MutableMapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from . import net
 from .dataset import Dataset
-from .distance import EUCLIDEAN, lk_distance
 from .errors import ConfigError, DataError, DimensionError
-from .losses import PairSample, TripletSample
 
 Array = np.ndarray
 
 SCORER_INTENSITY = "intensity_histogram"
 SCORER_COLOR = "color_histogram"
-SCORER_EMBEDDING = "embedding"
 
 STRATEGY_BISS = "biss"
 STRATEGY_RANDOM = "random_baseline"
+
+# Scores held at once while ranking one class: queries x classmates x bins.
+_SCORE_BLOCK = 1 << 16
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class BissScorer:
     """A basic image similarity scorer: lower score = more similar.
 
-    Histogram kinds compare L1 distance between normalized histograms
+    Both kinds compare L1 distance between normalized histograms
     (intensity pools all channels; color histograms are per-channel and
-    concatenated).  The ``embedding`` kind scores Euclidean distance
-    between embeddings from ``checkpoint``, which lets a trained model
-    bootstrap the sampling of the next run.
+    concatenated).
     """
 
     kind: str = SCORER_INTENSITY
     bins: int = 16
-    checkpoint: net.Checkpoint | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (SCORER_INTENSITY, SCORER_COLOR,
-                             SCORER_EMBEDDING):
+        if self.kind not in (SCORER_INTENSITY, SCORER_COLOR):
             raise ConfigError(f"unknown scorer kind {self.kind!r}")
-        if self.kind != SCORER_EMBEDDING and self.bins < 2:
+        if self.bins < 2:
             raise ConfigError(
                 f"histogram scorers need bins >= 2, got {self.bins}")
-        if self.kind == SCORER_EMBEDDING and self.checkpoint is None:
-            raise ConfigError("embedding scorer needs a checkpoint")
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,24 @@ class SamplerConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
 
 
+@dataclass(frozen=True)
+class CandidateTable:
+    """One dataset's rows (positions in ``dataset.items``) grouped for
+    sampling under ``cfg``: ``class_rows`` and ``other_rows`` map each class
+    to its rows and to the rows outside it, ascending; ``queryable`` rows
+    have a classmate; ``candidates[row]`` lists a row's positive candidates,
+    nearest first, or is ``None`` under ``random_baseline``, where a row's
+    candidates are its classmates."""
+
+    cfg: SamplerConfig
+    ids: tuple[str, ...]
+    labels: Array
+    class_rows: dict[int, Array]
+    other_rows: dict[int, Array]
+    queryable: Array
+    candidates: tuple[Array, ...] | None
+
+
 def _histogram(scorer: BissScorer, image: Array) -> Array:
     """Normalized histogram feature for one (C, H, W) image in [0, 1]."""
     if scorer.kind == SCORER_INTENSITY:
@@ -106,71 +123,98 @@ def biss_score(scorer: BissScorer, a: Array, b: Array) -> float:
     if a.shape != b.shape:
         raise DimensionError(
             f"images differ in shape: {a.shape} vs {b.shape}")
-    if scorer.kind == SCORER_EMBEDDING:
-        stacked = np.stack([a, b])
-        vectors = net.embed(scorer.checkpoint, stacked)
-        return lk_distance(vectors[0], vectors[1], EUCLIDEAN)
     return float(np.abs(_histogram(scorer, a) - _histogram(scorer, b)).sum())
 
 
-def _scores_against(scorer: BissScorer, query_image: Array,
-                    images: Array) -> Array:
-    """Vectorized ``biss_score(scorer, query_image, images[i])``."""
-    if scorer.kind == SCORER_EMBEDDING:
-        stacked = np.concatenate([query_image[None], images])
-        vectors = net.embed(scorer.checkpoint, stacked).astype(np.float64)
-        diffs = vectors[1:] - vectors[0]
-        return np.sqrt((diffs * diffs).sum(axis=1))
-    qh = _histogram(scorer, query_image)
-    hists = np.stack([_histogram(scorer, img) for img in images])
-    return np.abs(hists - qh).sum(axis=1)
-
-
-def _feature(scorer: BissScorer, item_id: str, dataset: Dataset,
-             cache: MutableMapping[str, Array]) -> Array:
-    """Memoized per-item scorer feature, keyed by id within one dataset."""
-    feat = cache.get(item_id)
-    if feat is None:
-        image = dataset.get(item_id).image
-        if scorer.kind == SCORER_EMBEDDING:
-            feat = net.embed(scorer.checkpoint,
-                             image[None])[0].astype(np.float64)
-        else:
-            feat = _histogram(scorer, image)
-        cache[item_id] = feat
-    return feat
-
-
 def positive_candidates(scorer: BissScorer, query_id: str, dataset: Dataset,
-                        cfg: SamplerConfig,
-                        feature_cache: MutableMapping[str, Array]
-                        | None = None) -> list[str]:
+                        cfg: SamplerConfig) -> list[str]:
     """Up to ``cfg.n_candidates`` same-class ids nearest to the query under
     the scorer, ascending score with ties broken by ascending id; the query
-    itself is excluded.  ``feature_cache`` memoizes per-item features
-    across repeated calls on the same dataset."""
+    itself is excluded."""
     query = dataset.get(query_id)
-    classmates = [i for i in dataset.class_index[query.class_label]
-                  if i != query_id]
-    if not classmates:
+    classmates = dataset.class_index[query.class_label]
+    if len(classmates) < 2:
         raise DataError(
             f"item {query_id!r} is alone in class {query.class_label}; "
             f"no positive candidates exist")
-    if feature_cache is None:
-        scores = _scores_against(scorer, query.image,
-                                 dataset.images(classmates))
-    else:
-        qf = _feature(scorer, query_id, dataset, feature_cache)
-        feats = np.stack([_feature(scorer, i, dataset, feature_cache)
-                          for i in classmates])
-        if scorer.kind == SCORER_EMBEDDING:
-            diffs = feats - qf
-            scores = np.sqrt((diffs * diffs).sum(axis=1))
-        else:
-            scores = np.abs(feats - qf).sum(axis=1)
-    order = sorted(range(len(classmates)),
-                   key=lambda i: (scores[i], classmates[i]))
-    return [classmates[i] for i in order[:cfg.n_candidates]]
+    table = candidate_table(dataset.subset(classmates), scorer,
+                            replace(cfg, strategy=STRATEGY_BISS))
+    return [classmates[row]
+            for row in table.candidates[classmates.index(query_id)]]
+
+
+def candidate_table(dataset: Dataset, scorer: BissScorer,
+                    cfg: SamplerConfig) -> CandidateTable:
+    """Group ``dataset``'s rows by class and, under the ``biss`` strategy,
+    rank each row's classmates by (score, id) and keep the first
+    ``cfg.n_candidates``."""
+    ids = dataset.ids
+    labels = np.array([item.class_label for item in dataset.items])
+    class_rows = {label: np.flatnonzero(labels == label)
+                  for label in dataset.class_index}
+    other_rows = {label: np.flatnonzero(labels != label)
+                  for label in class_rows}
+    queryable = np.flatnonzero(
+        [len(class_rows[label]) >= 2 for label in labels])
+    candidates = None
+    if cfg.strategy == STRATEGY_BISS:
+        hists = np.stack([_histogram(scorer, item.image)
+                          for item in dataset.items])
+        id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+        found = [_NO_ROWS] * len(ids)
+        for rows in class_rows.values():
+            step = max(1, _SCORE_BLOCK // (len(rows) * hists.shape[1]))
+            for start in range(0, len(rows), step):
+                queries = rows[start:start + step]
+                scores = np.abs(hists[queries, None] - hists[None, rows]) \
+                    .sum(axis=2)
+                order = np.lexsort(
+                    (np.broadcast_to(id_rank[rows], scores.shape), scores))
+                for query, ranked in zip(queries, rows[order]):
+                    found[query] = ranked[ranked != query][
+                        :cfg.n_candidates].copy()  # drop the rest of the row
+        candidates = tuple(found)
+    return CandidateTable(cfg, ids, labels, class_rows, other_rows,
+                          queryable, candidates)
+
+
+def _candidates_cached(table: CandidateTable, row: int) -> Array:
+    """Row ``row``'s positive candidates, nearest first.  The batch makers
+    read candidates only here; ``perfbench/tracer.py`` counts lookups by
+    this name."""
+    if table.candidates is not None:
+        return table.candidates[row]
+    classmates = table.class_rows[table.labels[row]]
+    return classmates[classmates != row]
+
+
+def _other_rows(table: CandidateTable, row: int) -> Array:
+    others = table.other_rows[table.labels[row]]
+    if not len(others):
+        raise DataError("negative sampling needs at least one other class")
+    return others
+
+
+def _negative_rows(table: CandidateTable, row: int, count: int,
+                   rng: np.random.Generator, exclude: Array = _NO_ROWS,
+                   ) -> list[Array]:
+    """In-class and out-of-class negative rows for ``row``, drawn as
+    :func:`sample_negatives` describes."""
+    n_in = int(round(count * table.cfg.in_class_fraction))
+    out_pool = _other_rows(table, row)
+    in_pool = table.class_rows[table.labels[row]]
+    if n_in:  # a batch's single negative mostly needs no in-class pool
+        in_pool = in_pool[~np.isin(in_pool, exclude) & (in_pool != row)]
+    picked = []
+    for pool, need, name in (
+            (in_pool, n_in, f"in-class negative pool for {table.ids[row]!r}"),
+            (out_pool, count - n_in, "out-of-class negative pool")):
+        if len(pool) < need:
+            raise DataError(f"{name} has {len(pool)} items, need {need} "
+                            f"(short by {need - len(pool)})")
+        picked.append(pool[rng.choice(len(pool), size=need, replace=False)]
+                      if need else _NO_ROWS)
+    return picked
 
 
 def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
@@ -185,65 +229,49 @@ def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
     Returns ``(id, in_class)`` tuples, in-class entries first.  Raises
     ``DataError`` naming the shortfall when a pool is too small.
     """
-    query = dataset.get(query_id)
-    n_in = int(round(count * cfg.in_class_fraction))
-    n_out = count - n_in
-    excluded = set(exclude) | {query_id}
-    in_pool = [i for i in dataset.class_index[query.class_label]
-               if i not in excluded]
-    out_pool = [item.id for item in dataset.items
-                if item.class_label != query.class_label]
-    if not out_pool:
-        raise DataError("negative sampling needs at least one other class")
-    if len(in_pool) < n_in:
-        raise DataError(
-            f"in-class negative pool for {query_id!r} has {len(in_pool)} "
-            f"items, need {n_in} (short by {n_in - len(in_pool)})")
-    if len(out_pool) < n_out:
-        raise DataError(
-            f"out-of-class negative pool has {len(out_pool)} items, need "
-            f"{n_out} (short by {n_out - len(out_pool)})")
-    picked_in = rng.choice(len(in_pool), size=n_in, replace=False) \
-        if n_in else []
-    picked_out = rng.choice(len(out_pool), size=n_out, replace=False) \
-        if n_out else []
-    return ([(in_pool[i], True) for i in picked_in]
-            + [(out_pool[i], False) for i in picked_out])
+    dataset.get(query_id)  # KeyError naming an unknown id
+    # the random-baseline table groups the rows and ranks nothing
+    table = candidate_table(dataset, BissScorer(),
+                            replace(cfg, strategy=STRATEGY_RANDOM))
+    row_of = {item_id: row for row, item_id in enumerate(table.ids)}
+    picked_in, picked_out = _negative_rows(
+        table, row_of[query_id], count, rng,
+        np.array([row_of[i] for i in exclude if i in row_of], dtype=np.intp))
+    return ([(table.ids[r], True) for r in picked_in]
+            + [(table.ids[r], False) for r in picked_out])
 
 
-def _queryable_ids(dataset: Dataset) -> list[str]:
-    """Ids whose class has at least one other member."""
-    return [item.id for item in dataset.items
-            if len(dataset.class_index[item.class_label]) >= 2]
+def _negative(table: CandidateTable, row: int,
+              rng: np.random.Generator) -> int:
+    """One negative row for ``row``: :func:`sample_negatives` with count 1
+    and the row's candidates excluded, or a uniform other-class row under
+    ``random_baseline``."""
+    if table.cfg.strategy == STRATEGY_RANDOM:
+        others = _other_rows(table, row)
+        return others[rng.integers(len(others))]
+    return np.concatenate(_negative_rows(
+        table, row, 1, rng, exclude=_candidates_cached(table, row)))[0]
 
 
-def _candidates_cached(scorer: BissScorer, query_id: str, dataset: Dataset,
-                       cfg: SamplerConfig,
-                       cache: MutableMapping[str, list[str]] | None,
-                       feature_cache: MutableMapping[str, Array]
-                       | None = None) -> list[str]:
-    if cache is None:
-        return positive_candidates(scorer, query_id, dataset, cfg,
-                                   feature_cache)
-    if query_id not in cache:
-        cache[query_id] = positive_candidates(scorer, query_id, dataset,
-                                              cfg, feature_cache)
-    return cache[query_id]
+def _queryable(table: CandidateTable) -> Array:
+    if not len(table.queryable):
+        raise DataError("no class in the dataset has two or more items")
+    return table.queryable
 
 
-def make_pair_batch(dataset: Dataset, scorer: BissScorer, cfg: SamplerConfig,
-                    batch_size: int, pos_fraction: float,
-                    rng: np.random.Generator,
-                    candidate_cache: MutableMapping[str, list[str]]
-                    | None = None,
-                    feature_cache: MutableMapping[str, Array]
-                    | None = None) -> list[PairSample]:
+def make_pair_batch(table: CandidateTable, batch_size: int,
+                    pos_fraction: float, rng: np.random.Generator,
+                    ) -> tuple[Array, Array]:
     """Build a labeled pair batch: ``round(batch_size * pos_fraction)``
     positives (label 0) followed by negatives (label 1).
 
-    Under the ``biss`` strategy positives come from the scorer's candidate
-    list (or, with probability ``cfg.self_pair_fraction``, are augmented
-    self-pairs) and negatives honor the in/out-of-class mixture.  Under
+    Returns ``(rows, labels)``: a ``(batch_size, 2)`` array of (query,
+    candidate) rows and the 0/1 labels.  Under the ``biss`` strategy
+    positives come from the query's candidate list (or, with probability
+    ``cfg.self_pair_fraction``, are self-pairs for augmented views).  Each
+    negative is drawn as :func:`sample_negatives` draws one: from the
+    query's class outside its candidates when ``round(in_class_fraction)``
+    is 1 (fractions above 1/2), from the other classes otherwise.  Under
     ``random_baseline`` positives are uniform same-class pairs and
     negatives uniform cross-class pairs.
     """
@@ -252,86 +280,37 @@ def make_pair_batch(dataset: Dataset, scorer: BissScorer, cfg: SamplerConfig,
     if not 0 <= pos_fraction <= 1:
         raise ConfigError(
             f"pos_fraction must be in [0, 1], got {pos_fraction}")
-    queryable = _queryable_ids(dataset)
-    if not queryable:
-        raise DataError("no class in the dataset has two or more items")
+    queryable = _queryable(table)
     n_pos = int(round(batch_size * pos_fraction))
-    n_neg = batch_size - n_pos
-
-    pairs: list[PairSample] = []
-    for _ in range(n_pos):
-        query_id = queryable[rng.integers(len(queryable))]
-        if cfg.self_pair_fraction and rng.random() < cfg.self_pair_fraction:
-            pairs.append(PairSample(query_id, query_id, 0, augmented=True))
+    self_pairs = table.cfg.self_pair_fraction
+    rows = np.empty((batch_size, 2), dtype=np.intp)
+    for i in range(n_pos):
+        query = queryable[rng.integers(len(queryable))]
+        if self_pairs and rng.random() < self_pairs:
+            rows[i] = query, query
             continue
-        if cfg.strategy == STRATEGY_BISS:
-            candidates = _candidates_cached(scorer, query_id, dataset, cfg,
-                                            candidate_cache, feature_cache)
-        else:
-            label = dataset.get(query_id).class_label
-            candidates = [i for i in dataset.class_index[label]
-                          if i != query_id]
-        pairs.append(PairSample(
-            query_id, candidates[rng.integers(len(candidates))], 0))
-
-    all_ids = list(dataset.ids)
-    for _ in range(n_neg):
-        query_id = all_ids[rng.integers(len(all_ids))]
-        if cfg.strategy == STRATEGY_BISS:
-            label = dataset.get(query_id).class_label
-            if len(dataset.class_index[label]) >= 2:
-                exclude = _candidates_cached(scorer, query_id, dataset, cfg,
-                                             candidate_cache, feature_cache)
-            else:
-                exclude = []
-            (neg_id, _in_class), = sample_negatives(
-                query_id, dataset, cfg, 1, rng, exclude=exclude)
-        else:
-            label = dataset.get(query_id).class_label
-            others = [item.id for item in dataset.items
-                      if item.class_label != label]
-            if not others:
-                raise DataError(
-                    "negative sampling needs at least one other class")
-            neg_id = others[rng.integers(len(others))]
-        pairs.append(PairSample(query_id, neg_id, 1))
-    return pairs
+        candidates = _candidates_cached(table, query)
+        rows[i] = query, candidates[rng.integers(len(candidates))]
+    for i in range(n_pos, batch_size):
+        query = rng.integers(len(table.ids))
+        rows[i] = query, _negative(table, query, rng)
+    return rows, (np.arange(batch_size) >= n_pos).astype(np.intp)
 
 
-def make_triplet_batch(dataset: Dataset, scorer: BissScorer,
-                       cfg: SamplerConfig, batch_size: int,
-                       rng: np.random.Generator,
-                       candidate_cache: MutableMapping[str, list[str]]
-                       | None = None,
-                       feature_cache: MutableMapping[str, Array]
-                       | None = None) -> list[TripletSample]:
-    """Build (anchor, positive, negative) triplets: anchors uniform,
-    positives from the candidate list (same-class uniform under the random
-    baseline), negatives via :func:`sample_negatives` with count 1."""
+def make_triplet_batch(table: CandidateTable, batch_size: int,
+                       rng: np.random.Generator) -> Array:
+    """Build a ``(batch_size, 3)`` array of (anchor, positive, negative)
+    rows: anchors uniform over queryable rows, positives from the
+    candidate list (same-class uniform under the random baseline),
+    negatives drawn one per anchor as :func:`make_pair_batch` draws
+    them."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    queryable = _queryable_ids(dataset)
-    if not queryable:
-        raise DataError("no class in the dataset has two or more items")
-    triplets: list[TripletSample] = []
-    while len(triplets) < batch_size:
-        anchor_id = queryable[rng.integers(len(queryable))]
-        label = dataset.get(anchor_id).class_label
-        if cfg.strategy == STRATEGY_BISS:
-            candidates = _candidates_cached(scorer, anchor_id, dataset, cfg,
-                                            candidate_cache, feature_cache)
-            positive_id = candidates[rng.integers(len(candidates))]
-            (negative_id, _in_class), = sample_negatives(
-                anchor_id, dataset, cfg, 1, rng, exclude=candidates)
-        else:
-            classmates = [i for i in dataset.class_index[label]
-                          if i != anchor_id]
-            positive_id = classmates[rng.integers(len(classmates))]
-            others = [item.id for item in dataset.items
-                      if item.class_label != label]
-            if not others:
-                raise DataError(
-                    "negative sampling needs at least one other class")
-            negative_id = others[rng.integers(len(others))]
-        triplets.append(TripletSample(anchor_id, positive_id, negative_id))
-    return triplets
+    queryable = _queryable(table)
+    rows = np.empty((batch_size, 3), dtype=np.intp)
+    for i in range(batch_size):
+        anchor = queryable[rng.integers(len(queryable))]
+        candidates = _candidates_cached(table, anchor)
+        positive = candidates[rng.integers(len(candidates))]
+        rows[i] = anchor, positive, _negative(table, anchor, rng)
+    return rows

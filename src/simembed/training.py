@@ -1,10 +1,12 @@
 """Optimization loop, data augmentation, and evaluation metrics.
 
-Training is siamese: every batch's query and candidate images are embedded
-by the same parameter set under one dropout mask per step, so row i of
-each arm of a pair (or triplet) goes through the same thinned network.
-The pair (or triplet) loss produces per-row embedding gradients, and the
-arms' parameter gradients are summed before one RMSProp step.  Runs are
+``train`` builds one candidate table per dataset when it starts and draws
+every batch from it as rows of dataset positions.  Training is siamese:
+every batch's query and candidate images are embedded by the same
+parameter set under one dropout mask per step, so row i of each arm of a
+pair (or triplet) goes through the same thinned network.  The pair (or
+triplet) loss produces per-row embedding gradients, and the arms'
+parameter gradients are summed before one RMSProp step.  Runs are
 bit-reproducible for a fixed seed on one thread.  A NaN/Inf loss aborts
 the run and returns the last good checkpoint.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,8 +25,8 @@ from . import net, sampling
 from .dataset import Dataset
 from .distance import EUCLIDEAN, DistanceMetric, knn, triplet_correct
 from .errors import ConfigError, DataError, NumericError
-from .losses import (AngularConfig, ContrastiveConfig, PairSample,
-                     TripletSample, batch_loss)
+from .losses import (AngularConfig, ContrastiveConfig, TripletSample,
+                     batch_loss)
 from .retrieval import EmbeddingIndex
 
 Array = np.ndarray
@@ -191,55 +193,31 @@ def augment(image: Array, cfg: TrainConfig,
     return np.ascontiguousarray(out)
 
 
-def _batch_arrays(dataset: Dataset, ids: Sequence[str], cfg: TrainConfig,
-                  rng: np.random.Generator, augmented: bool) -> Array:
-    """Stack images for ``ids``, augmenting each occurrence independently
+def _arms(dataset: Dataset, rows: Array, cfg: TrainConfig | None = None,
+          rng: np.random.Generator | None = None) -> list[Array]:
+    """One (B, C, H, W) image stack per column of sample ``rows``.  Given
+    ``rng``, every occurrence is augmented on its own, column by column,
     so self-pairs see two different views."""
-    images = []
-    for item_id in ids:
-        img = dataset.get(item_id).image
-        if augmented and cfg.augmentation:
-            img = augment(img, cfg, rng)
-        images.append(img)
-    return np.stack(images)
+    arms = []
+    for column in rows.T:
+        images = [dataset.items[row].image for row in column]
+        if rng is not None and cfg.augmentation:
+            images = [augment(image, cfg, rng) for image in images]
+        arms.append(np.stack(images))
+    return arms
 
 
-def _pair_step_samples(pairs: Sequence[PairSample]
-                       ) -> tuple[list[str], list[str], list[PairSample]]:
-    """Row keys for the two siamese stacks plus re-keyed samples."""
-    q_ids = [p.query_id for p in pairs]
-    c_ids = [p.candidate_id for p in pairs]
-    keyed = [PairSample(f"q{i}", f"c{i}", p.label, p.augmented)
-             for i, p in enumerate(pairs)]
-    return q_ids, c_ids, keyed
+def _arm_rows(arms: Sequence[Array]) -> Array:
+    """Sample rows into the arms stacked one after another."""
+    return np.arange(sum(map(len, arms))).reshape(len(arms), -1).T
 
 
-def _validation_loss(checkpoint: net.Checkpoint, dataset: Dataset,
-                     pairs_or_triplets, cfg: TrainConfig) -> float:
+def _batch(table: sampling.CandidateTable, cfg: TrainConfig, size: int,
+           rng: np.random.Generator) -> tuple[Array, Array | None]:
+    """Sample rows (and pair labels) for the loss ``cfg`` trains."""
     if isinstance(cfg.loss, ContrastiveConfig):
-        pairs = pairs_or_triplets
-        q_ids, c_ids, keyed = _pair_step_samples(pairs)
-        q = net.embed(checkpoint, dataset.images(q_ids))
-        c = net.embed(checkpoint, dataset.images(c_ids))
-        rows = np.concatenate([q, c])
-        keys = [f"q{i}" for i in range(len(pairs))] + \
-               [f"c{i}" for i in range(len(pairs))]
-        loss, _ = batch_loss(rows, keys, keyed, cfg.loss, cfg.loss_metric)
-        return loss
-    triplets = pairs_or_triplets
-    a = net.embed(checkpoint, dataset.images([t.anchor_id
-                                              for t in triplets]))
-    p = net.embed(checkpoint, dataset.images([t.positive_id
-                                              for t in triplets]))
-    n = net.embed(checkpoint, dataset.images([t.negative_id
-                                              for t in triplets]))
-    rows = np.concatenate([a, p, n])
-    m = len(triplets)
-    keys = ([f"a{i}" for i in range(m)] + [f"p{i}" for i in range(m)]
-            + [f"n{i}" for i in range(m)])
-    keyed = [TripletSample(f"a{i}", f"p{i}", f"n{i}") for i in range(m)]
-    loss, _ = batch_loss(rows, keys, keyed, cfg.loss, cfg.loss_metric)
-    return loss
+        return sampling.make_pair_batch(table, size, cfg.pos_fraction, rng)
+    return sampling.make_triplet_batch(table, size, rng), None
 
 
 def train(dataset_train: Dataset, dataset_val: Dataset,
@@ -257,31 +235,22 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         raise DataError("training data needs at least two classes")
     if scorer is None:
         scorer = sampling.BissScorer()
-    contrastive = isinstance(train_cfg.loss, ContrastiveConfig)
 
     checkpoint = net.build_network(net_cfg, seed=train_cfg.seed)
     params = checkpoint.parameters
     state = {name: np.zeros_like(value) for name, value in params.items()}
-    candidate_cache: dict[str, list[str]] = {}
-    feature_cache: dict[str, Array] = {}
-    val_cache: dict[str, list[str]] = {}
-    val_features: dict[str, Array] = {}
+    train_table = sampling.candidate_table(dataset_train, scorer,
+                                           sampler_cfg)
+    val_table = sampling.candidate_table(dataset_val, scorer, sampler_cfg)
 
     # fixed validation batches, sampled once, never augmented
     val_rng = np.random.default_rng([train_cfg.seed, sampler_cfg.rng_seed,
                                      0x5EED])
-    if contrastive:
-        val_samples = sampling.make_pair_batch(
-            dataset_val, scorer, sampler_cfg, train_cfg.val_pairs,
-            train_cfg.pos_fraction, val_rng, candidate_cache=val_cache,
-            feature_cache=val_features)
-    else:
-        val_samples = sampling.make_triplet_batch(
-            dataset_val, scorer, sampler_cfg, train_cfg.val_pairs, val_rng,
-            candidate_cache=val_cache, feature_cache=val_features)
-    val_triplets = sampling.make_triplet_batch(
-        dataset_val, scorer, sampler_cfg, train_cfg.val_triplets, val_rng,
-        candidate_cache=val_cache, feature_cache=val_features)
+    val_rows, val_labels = _batch(val_table, train_cfg, train_cfg.val_pairs,
+                                  val_rng)
+    val_triplets = [TripletSample(*(val_table.ids[row] for row in rows))
+                    for rows in sampling.make_triplet_batch(
+                        val_table, train_cfg.val_triplets, val_rng)]
 
     n_batches = train_cfg.batches_per_epoch
     if n_batches is None:
@@ -302,9 +271,8 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         for _ in range(n_batches):
             try:
                 step_loss = _train_step(
-                    checkpoint, params, state, dataset_train, scorer,
-                    sampler_cfg, train_cfg, epoch_rng, candidate_cache,
-                    feature_cache, contrastive, lr)
+                    checkpoint, params, state, dataset_train, train_table,
+                    train_cfg, epoch_rng, lr)
             except NumericError:
                 aborted = True
                 break
@@ -315,8 +283,11 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         if aborted and not losses_seen:
             break
         checkpoint.parameters = params = dict(params)
-        val_loss = _validation_loss(checkpoint, dataset_val, val_samples,
-                                    train_cfg)
+        val_out = [net.embed(checkpoint, arm)
+                   for arm in _arms(dataset_val, val_rows)]
+        val_loss, _ = batch_loss(np.concatenate(val_out), val_labels,
+                                 _arm_rows(val_out), train_cfg.loss,
+                                 train_cfg.loss_metric)
         acc = triplet_accuracy(checkpoint, val_triplets, dataset_val,
                                train_cfg.loss_metric)
         elapsed = time.perf_counter() - t0
@@ -336,39 +307,14 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
 
 
 def _train_step(checkpoint: net.Checkpoint, params: dict, state: dict,
-                dataset: Dataset, scorer, sampler_cfg, train_cfg,
-                rng: np.random.Generator, candidate_cache: dict,
-                feature_cache: dict, contrastive: bool,
+                dataset: Dataset, table: sampling.CandidateTable,
+                train_cfg: TrainConfig, rng: np.random.Generator,
                 lr: float) -> float:
     """Sample one batch, run the siamese arms under one shared dropout
     mask, apply one RMSProp step.  Mutates ``params`` and ``state`` in
     place (same dict objects)."""
-    if contrastive:
-        pairs = sampling.make_pair_batch(
-            dataset, scorer, sampler_cfg, train_cfg.batch_size,
-            train_cfg.pos_fraction, rng, candidate_cache=candidate_cache,
-            feature_cache=feature_cache)
-        q_ids, c_ids, keyed = _pair_step_samples(pairs)
-        stacks = [_batch_arrays(dataset, q_ids, train_cfg, rng, True),
-                  _batch_arrays(dataset, c_ids, train_cfg, rng, True)]
-        keys = [f"q{i}" for i in range(len(pairs))] + \
-               [f"c{i}" for i in range(len(pairs))]
-    else:
-        triplets = sampling.make_triplet_batch(
-            dataset, scorer, sampler_cfg, train_cfg.batch_size, rng,
-            candidate_cache=candidate_cache, feature_cache=feature_cache)
-        m = len(triplets)
-        stacks = [
-            _batch_arrays(dataset, [t.anchor_id for t in triplets],
-                          train_cfg, rng, True),
-            _batch_arrays(dataset, [t.positive_id for t in triplets],
-                          train_cfg, rng, True),
-            _batch_arrays(dataset, [t.negative_id for t in triplets],
-                          train_cfg, rng, True),
-        ]
-        keys = ([f"a{i}" for i in range(m)] + [f"p{i}" for i in range(m)]
-                + [f"n{i}" for i in range(m)])
-        keyed = [TripletSample(f"a{i}", f"p{i}", f"n{i}") for i in range(m)]
+    rows, labels = _batch(table, train_cfg, train_cfg.batch_size, rng)
+    stacks = _arms(dataset, rows, train_cfg, rng)
 
     # Every arm gets a generator seeded alike, and the stacks have equal
     # row counts, so row i of each stack draws the same dropout mask.  With
@@ -383,18 +329,15 @@ def _train_step(checkpoint: net.Checkpoint, params: dict, state: dict,
             rng=np.random.default_rng(mask_seed))
         outputs.append(out)
         backwards.append(back)
-    rows = np.concatenate(outputs)
-    loss, row_grads = batch_loss(rows, keys, keyed, train_cfg.loss,
+    loss, row_grads = batch_loss(np.concatenate(outputs), labels,
+                                 _arm_rows(outputs), train_cfg.loss,
                                  train_cfg.loss_metric)
 
     grads: dict[str, Array] = {name: np.zeros_like(p)
                                for name, p in params.items()}
-    offset = 0
-    for out, back in zip(outputs, backwards):
-        part = back(row_grads[offset:offset + out.shape[0]])
-        for name, g in part.items():
+    for back, arm_grads in zip(backwards, np.split(row_grads, len(stacks))):
+        for name, g in back(arm_grads).items():
             grads[name] += g.astype(grads[name].dtype, copy=False)
-        offset += out.shape[0]
 
     new_params, new_state = rmsprop_step(params, grads, state, train_cfg,
                                          learning_rate=lr)

@@ -186,10 +186,10 @@ def test_criterion_1_gradient_suite(capsys):
     cases_per_op = 100
     worst_by_name = {}
     counted = {}
-    for name, make in _op_case_makers().items():
+    for position, (name, make) in enumerate(_op_case_makers().items()):
         worst = 0.0
         for i in range(cases_per_op):
-            rng = np.random.default_rng([1000, hash(name) % (2**31), i])
+            rng = np.random.default_rng([1000, position, i])
             op, inputs = make(rng)
             fd_rng = np.random.default_rng([4000, i])
             inputs = [np.asarray(a, dtype=np.float64) for a in inputs]

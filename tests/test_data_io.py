@@ -1,4 +1,5 @@
 import gzip
+import os
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from simembed import data_io
 from simembed.errors import DataError, FormatError
-from simembed.dataset import Dataset
+from simembed.dataset import Dataset, DatasetItem
 
 
 def idx_image_bytes(images):
@@ -178,6 +179,38 @@ class TestDatasetFile:
     def test_empty_dataset_refused(self, tmp_path):
         with pytest.raises(DataError):
             data_io.write_dataset(str(tmp_path / "e.dset"), Dataset(()))
+
+    def test_overlong_id_refused_before_writing(self, tmp_path):
+        ds = Dataset((DatasetItem("x" * 0x10000, np.zeros((1, 2, 2)), 0),))
+        with pytest.raises(DataError, match="too long"):
+            data_io.write_dataset(str(tmp_path / "x.dset"), ds)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_leaves_no_file(self, tmp_path, small_dataset,
+                                         monkeypatch):
+        path = str(tmp_path / "x.dset")
+        real = np.ascontiguousarray
+        calls = []
+
+        def failing(*args, **kwargs):  # the disk fills on the third image
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", failing)
+        with pytest.raises(OSError, match="no space"):
+            data_io.write_dataset(path, small_dataset)
+        assert os.listdir(tmp_path) == []
+        monkeypatch.undo()
+        data_io.write_dataset(path, small_dataset)
+        before = open(path, "rb").read()
+        calls.clear()
+        monkeypatch.setattr(np, "ascontiguousarray", failing)
+        with pytest.raises(OSError):
+            data_io.write_dataset(path, small_dataset)
+        assert os.listdir(tmp_path) == ["x.dset"]
+        assert open(path, "rb").read() == before
 
 
 class TestLoadHelpers:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from simembed import losses
 from simembed.distance import EUCLIDEAN, DistanceMetric
 from simembed.errors import DataError, DimensionError
-from simembed.losses import (AngularConfig, ContrastiveConfig, PairSample,
-                             TripletSample, angular_loss, batch_loss,
-                             contrastive_loss, squared_distance_with_grad)
+from simembed.losses import (AngularConfig, ContrastiveConfig, TripletSample,
+                             angular_loss, batch_loss, contrastive_loss,
+                             squared_distance_with_grad)
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -211,11 +211,6 @@ class TestAngular:
 
 
 class TestSamples:
-    def test_self_pair_requires_augmented_flag(self):
-        with pytest.raises(ValueError):
-            PairSample("a", "a", 0)
-        assert PairSample("a", "a", 0, augmented=True).augmented
-
     def test_triplet_ids_must_be_distinct(self):
         with pytest.raises(ValueError):
             TripletSample("a", "a", "b")
@@ -223,24 +218,98 @@ class TestSamples:
             TripletSample("a", "b", "b")
 
     def test_pair_label_validated(self):
+        emb = np.zeros((2, 3))
         with pytest.raises(ValueError):
-            PairSample("a", "b", 2)
+            contrastive_loss(emb[0], emb[1], 2, ContrastiveConfig())
+        with pytest.raises(ValueError):
+            batch_loss(emb, [2], [[0, 1]], ContrastiveConfig())
+
+
+def reference_squared_distance(a, b, metric):
+    """The one-vector formula with scalar arithmetic on the sum, as the
+    per-sample loss loop computed it before losses ran over whole arms."""
+    k = metric.exponent
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    absd = np.abs(d)
+    s = float((absd ** k).sum())
+    grad = np.zeros_like(d)
+    if s == 0.0:
+        return 0.0, grad
+    live = absd >= losses.COINCIDENT_GUARD
+    grad[live] = (2.0 * s ** (2.0 / k - 1.0)
+                  * absd[live] ** (k - 1.0) * np.sign(d[live]))
+    return s ** (2.0 / k), grad
+
+
+def reference_contrastive(xq, xc, label, cfg, metric):
+    dsq, g = reference_squared_distance(xq, xc, metric)
+    zero = np.zeros_like(g)
+    if label == 0:
+        return 0.5 * dsq, 0.5 * g, -0.5 * g
+    if cfg.hinge_variant == losses.HINGE_AS_WRITTEN:
+        slack = cfg.margin - dsq
+        return (0.5 * slack, -0.5 * g, 0.5 * g) if slack > 0 \
+            else (0.0, zero, zero)
+    dist = math.sqrt(dsq)
+    slack = cfg.margin - dist
+    if slack <= 0:
+        return 0.0, zero, zero
+    gq = -slack * g / (2 * dist) if dist > 0 else zero
+    return 0.5 * slack * slack, gq, -gq
+
+
+def reference_angular(xa, xp, xn, cfg, metric):
+    xa, xp, xn = (np.asarray(x, dtype=np.float64) for x in (xa, xp, xn))
+    center = (xa + xp) / 2.0
+    scale = 4.0 * cfg.tan_alpha_sq
+    dsq_ap, g_ap = reference_squared_distance(xa, xp, metric)
+    zero = np.zeros_like(xa)
+    if cfg.formula_variant == losses.ANGULAR_NEGATIVE_TO_CENTER:
+        dsq_second, g_n = reference_squared_distance(xn, center, metric)
+        grads = (g_ap + 0.5 * scale * g_n, -g_ap + 0.5 * scale * g_n,
+                 -scale * g_n)
+    else:
+        dsq_second, g_a = reference_squared_distance(xa, center, metric)
+        grads = (g_ap - scale * (g_a - 0.5 * g_a),
+                 -g_ap - scale * (-0.5 * g_a), zero)
+    raw = dsq_ap - scale * dsq_second
+    return (0.0, zero, zero, zero) if raw <= 0 else (raw, *grads)
+
+
+PER_SAMPLE = {"public": (contrastive_loss, angular_loss),
+              "reference": (reference_contrastive, reference_angular)}
+
+
+def per_sample_batch_loss(emb, labels, rows, cfg, metric,
+                          ops=PER_SAMPLE["public"]):
+    """Mean loss and row gradients summed one sample at a time."""
+    pair_op, triplet_op = ops
+    total = 0.0
+    grads = np.zeros(emb.shape)
+    for i, row in enumerate(rows):
+        if isinstance(cfg, ContrastiveConfig):
+            loss, *sample_grads = pair_op(emb[row[0]], emb[row[1]],
+                                          int(labels[i]), cfg, metric)
+        else:
+            loss, *sample_grads = triplet_op(*emb[row], cfg, metric)
+        total += loss
+        for r, g in zip(row, sample_grads):
+            grads[r] += g
+    return total / len(rows), (grads / len(rows)).astype(emb.dtype)
 
 
 class TestBatchLoss:
     def _rows(self):
-        emb = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        return emb, ["a", "b", "c", "d"]
+        return np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
     def test_empty_batch_rejected(self):
-        emb, ids = self._rows()
         with pytest.raises(DataError):
-            batch_loss(emb, ids, [], ContrastiveConfig())
+            batch_loss(self._rows(), [], np.empty((0, 2), dtype=int),
+                       ContrastiveConfig())
 
     def test_single_sample_equals_per_sample_op(self):
-        emb, ids = self._rows()
-        sample = PairSample("a", "b", 0)
-        mean, grads = batch_loss(emb, ids, [sample], ContrastiveConfig())
+        emb = self._rows()
+        mean, grads = batch_loss(emb, [0], [[0, 1]], ContrastiveConfig())
         direct, gq, gc = contrastive_loss(emb[0], emb[1], 0,
                                           ContrastiveConfig())
         assert mean == direct
@@ -249,40 +318,104 @@ class TestBatchLoss:
         assert np.array_equal(grads[2], np.zeros(2))
 
     def test_mean_of_two(self):
-        # losses 2.0 (a-b similar) and 0.5 (c-c' dissimilar coincident)
+        # losses 2.0 (rows 0-1 similar) and 0.5 (rows 2-3 dissimilar,
+        # coincident)
         emb = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-        ids = ["a", "b", "c", "c2"]
-        samples = [PairSample("a", "b", 0), PairSample("c", "c2", 1)]
-        mean, _ = batch_loss(emb, ids, samples, ContrastiveConfig())
+        mean, _ = batch_loss(emb, [0, 1], [[0, 1], [2, 3]],
+                             ContrastiveConfig())
         assert mean == 1.25
 
-    def test_unknown_id_rejected(self):
-        emb, ids = self._rows()
-        with pytest.raises(KeyError):
-            batch_loss(emb, ids, [PairSample("a", "zz", 0)],
-                       ContrastiveConfig())
+    def test_row_outside_embeddings_rejected(self):
+        with pytest.raises(DimensionError):
+            batch_loss(self._rows(), [0], [[0, 4]], ContrastiveConfig())
+        with pytest.raises(DimensionError):
+            batch_loss(self._rows(), [0], [[-1, 0]], ContrastiveConfig())
 
     def test_sample_config_mismatch_rejected(self):
-        emb, ids = self._rows()
+        emb = self._rows()
+        with pytest.raises(DimensionError):
+            batch_loss(emb, [0], [[0, 1]], AngularConfig())
+        with pytest.raises(DimensionError):
+            batch_loss(emb, None, [[0, 1, 2]], ContrastiveConfig())
         with pytest.raises(TypeError):
-            batch_loss(emb, ids, [PairSample("a", "b", 0)], AngularConfig())
-        with pytest.raises(TypeError):
-            batch_loss(emb, ids, [TripletSample("a", "b", "c")],
-                       ContrastiveConfig())
+            batch_loss(emb, [0], [[0, 1]], object())
 
-    def test_duplicate_row_ids_rejected(self):
-        emb, _ = self._rows()
-        with pytest.raises(DataError):
-            batch_loss(emb, ["a", "a", "b", "c"], [PairSample("a", "b", 0)],
-                       ContrastiveConfig())
+    def test_rows_and_labels_must_match_the_batch_shape(self):
+        emb = self._rows()
+        with pytest.raises(DimensionError):
+            batch_loss(emb, [0, 1], [0, 1], ContrastiveConfig())
+        with pytest.raises(DimensionError):
+            batch_loss(emb[0], [0], [[0, 1]], ContrastiveConfig())
+        with pytest.raises(ValueError):
+            batch_loss(emb, [0, 1], [[0, 1]], ContrastiveConfig())
+        with pytest.raises(ValueError):
+            batch_loss(emb, [2], [[0, 1]], ContrastiveConfig())
 
     def test_triplet_batch(self):
         emb = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.5]])
-        ids = ["a", "p", "n"]
-        mean, grads = batch_loss(emb, ids, [TripletSample("a", "p", "n")],
-                                 AngularConfig())
+        mean, grads = batch_loss(emb, None, [[0, 1, 2]], AngularConfig())
         assert math.isclose(mean, 3.0)
         assert grads.shape == emb.shape
+
+    def test_repeated_rows_sum_in_sample_order(self):
+        emb = np.random.default_rng(2).standard_normal((3, 4))
+        rows = np.array([[0, 1], [1, 2], [2, 0], [1, 1]])
+        labels = np.array([0, 1, 0, 1])
+        cfg = ContrastiveConfig(margin=50.0)
+        mean, grads = batch_loss(emb, labels, rows, cfg)
+        ref_mean, ref_grads = per_sample_batch_loss(emb, labels, rows, cfg,
+                                                    EUCLIDEAN)
+        assert mean == ref_mean
+        assert np.array_equal(grads, ref_grads)
+
+
+def _loss_batches(k, n_batches=100, size=32, dim=8):
+    """Random pair/triplet batches with repeated rows, coincident rows and
+    coordinates inside the 1e-12 guard."""
+    rng = np.random.default_rng([77, int(k * 100)])
+    for i in range(n_batches):
+        emb = rng.standard_normal((3 * size, dim)) * rng.uniform(0.05, 1.0)
+        emb[1] = emb[size + 1]
+        emb[2, :dim // 2] = emb[size + 2, :dim // 2] + 1e-14
+        if i % 2:
+            emb = emb.astype(np.float32)
+        rows = np.arange(3 * size).reshape(3, size).T
+        if i % 3 == 0:
+            rows = rng.integers(0, 3 * size, (size, 3))
+        yield emb, rng.integers(0, 2, size), rows
+
+
+LOSS_CONFIGS = [ContrastiveConfig(),
+                ContrastiveConfig(hinge_variant="squared_hinge", margin=0.7),
+                AngularConfig(),
+                AngularConfig(alpha_degrees=30.0,
+                              formula_variant="as_written")]
+
+
+@pytest.mark.parametrize("ops", PER_SAMPLE.values(), ids=PER_SAMPLE.keys())
+@pytest.mark.parametrize("cfg", LOSS_CONFIGS)
+class TestVectorisedBatchLoss:
+    def test_bit_identical_to_per_sample_loop_at_k2(self, cfg, ops):
+        metric = DistanceMetric(2.0)
+        for emb, labels, rows in _loss_batches(2.0):
+            rows = rows[:, :2] if isinstance(cfg, ContrastiveConfig) \
+                else rows
+            mean, grads = batch_loss(emb, labels, rows, cfg, metric)
+            ref_mean, ref_grads = per_sample_batch_loss(emb, labels, rows,
+                                                        cfg, metric, ops)
+            assert mean == ref_mean
+            assert np.array_equal(grads, ref_grads)
+
+    def test_matches_per_sample_loop_at_k_quarter(self, cfg, ops):
+        metric = DistanceMetric(0.25)
+        for emb, labels, rows in _loss_batches(0.25):
+            rows = rows[:, :2] if isinstance(cfg, ContrastiveConfig) \
+                else rows
+            mean, grads = batch_loss(emb, labels, rows, cfg, metric)
+            ref_mean, ref_grads = per_sample_batch_loss(emb, labels, rows,
+                                                        cfg, metric, ops)
+            assert mean == pytest.approx(ref_mean, rel=1e-15, abs=0.0)
+            assert np.array_equal(grads, ref_grads)
 
 
 class TestConfigValidation:

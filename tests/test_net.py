@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from simembed import net
-from simembed.errors import ConfigError, DimensionError, FormatError
+from simembed.errors import (ConfigError, DataError, DimensionError,
+                             FormatError)
 
 
 def tiny_config(dropout=0.0):
@@ -216,6 +219,13 @@ class TestCheckpointFile:
         padded.write_bytes(blob + b"x")
         with pytest.raises(FormatError):
             net.load_checkpoint(str(padded))
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        ckpt = net.build_network(tiny_config(), seed=5)
+        ckpt.parameters["x" * 0x10000] = np.zeros(1, dtype=np.float32)
+        with pytest.raises(DataError, match="too long"):
+            net.save_checkpoint(ckpt, str(tmp_path / "model.ckpt"))
+        assert os.listdir(tmp_path) == []
 
     def test_loaded_parameters_are_writable(self, tmp_path):
         ckpt = net.build_network(tiny_config(), seed=5)

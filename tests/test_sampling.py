@@ -58,8 +58,8 @@ class TestBissScore:
         with pytest.raises(ConfigError):
             BissScorer(kind="nope")
 
-    def test_embedding_scorer_requires_checkpoint(self):
-        with pytest.raises(ConfigError):
+    def test_embedding_kind_rejected_as_unknown(self):
+        with pytest.raises(ConfigError, match="unknown scorer kind"):
             BissScorer(kind="embedding")
 
 
@@ -106,17 +106,80 @@ class TestPositiveCandidates:
             sampling.positive_candidates(
                 BissScorer(), "c0i0", ds, SamplerConfig())
 
-    def test_feature_cache_gives_same_answer(self, small_dataset):
+    def test_unknown_query_rejected(self, small_dataset):
+        with pytest.raises(KeyError):
+            sampling.positive_candidates(BissScorer(), "nope", small_dataset,
+                                         SamplerConfig())
+
+
+def tie_dataset():
+    """Three classes with repeated images (score ties broken by id, ids out
+    of row order) plus a singleton class."""
+    rng = np.random.default_rng(3)
+    base = rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
+    items = []
+    for c in range(3):
+        for j in range(12):
+            image = base.copy() if j % 4 == 0 else \
+                rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
+            items.append(DatasetItem(f"z{(7 * j) % 12:02d}-c{c}", image, c))
+    items.append(DatasetItem("alone", base.copy(), 9))
+    return Dataset(tuple(items))
+
+
+def table_ids(table, row):
+    return [table.ids[r] for r in sampling._candidates_cached(table, row)]
+
+
+class TestCandidateTable:
+    @pytest.mark.parametrize("n", [1, 3, 100])
+    def test_rows_match_full_sort_oracle(self, n):
+        ds = tie_dataset()
         scorer = BissScorer()
-        cfg = SamplerConfig(n_candidates=3)
-        cache = {}
-        for qid in small_dataset.ids:
-            plain = sampling.positive_candidates(scorer, qid,
-                                                 small_dataset, cfg)
-            cached = sampling.positive_candidates(scorer, qid,
-                                                  small_dataset, cfg, cache)
-            assert plain == cached
-        assert len(cache) == len(small_dataset)
+        table = sampling.candidate_table(ds, scorer,
+                                         SamplerConfig(n_candidates=n))
+        for row, item in enumerate(ds.items):
+            scored = sorted(
+                (sampling.biss_score(scorer, item.image, ds.get(i).image), i)
+                for i in ds.class_index[item.class_label] if i != item.id)
+            assert table_ids(table, row) == [i for _, i in scored[:n]]
+            if len(scored):
+                assert table_ids(table, row) == sampling.positive_candidates(
+                    scorer, item.id, ds, SamplerConfig(n_candidates=n))
+        assert table_ids(table, len(ds) - 1) == []  # the singleton
+
+    def test_ranking_in_blocks_gives_same_rows(self, monkeypatch):
+        ds = tie_dataset()
+        cfg = SamplerConfig(n_candidates=5)
+        scorer = BissScorer(kind="color_histogram", bins=4)
+        whole = sampling.candidate_table(ds, scorer, cfg)
+        monkeypatch.setattr(sampling, "_SCORE_BLOCK", 50)
+        blocked = sampling.candidate_table(ds, scorer, cfg)
+        for row in range(len(ds)):
+            assert np.array_equal(whole.candidates[row],
+                                  blocked.candidates[row])
+
+    def test_groups_rows_by_class(self):
+        ds = tie_dataset()
+        table = sampling.candidate_table(ds, BissScorer(), SamplerConfig())
+        assert list(table.class_rows[9]) == [len(ds) - 1]
+        assert list(table.other_rows[9]) == list(range(len(ds) - 1))
+        assert list(table.queryable) == list(range(len(ds) - 1))
+        assert [ds.items[r].class_label for r in table.class_rows[1]] \
+            == [1] * 12
+
+    def test_random_baseline_candidates_are_classmates(self):
+        ds = tie_dataset()
+        table = sampling.candidate_table(
+            ds, BissScorer(), SamplerConfig(strategy="random_baseline"))
+        assert table.candidates is None
+        classmates = [i for i in ds.class_index[0] if i != ds.ids[5]]
+        assert table_ids(table, 5) == classmates
+
+
+def pair_ids(table, rows, labels):
+    return [(table.ids[q], table.ids[c], int(label))
+            for (q, c), label in zip(rows, labels)]
 
 
 class TestSampleNegatives:
@@ -187,101 +250,107 @@ class TestSampleNegatives:
 
 
 class TestMakePairBatch:
+    def batch(self, ds, cfg, seed, batch_size=16, pos_fraction=0.5):
+        table = sampling.candidate_table(ds, BissScorer(), cfg)
+        rows, labels = sampling.make_pair_batch(
+            table, batch_size, pos_fraction, np.random.default_rng(seed))
+        return pair_ids(table, rows, labels)
+
     def test_label_split_matches_pos_fraction(self, small_dataset):
-        pairs = sampling.make_pair_batch(
-            small_dataset, BissScorer(), SamplerConfig(n_candidates=3),
-            batch_size=16, pos_fraction=0.75,
-            rng=np.random.default_rng(0))
-        labels = [p.label for p in pairs]
-        assert labels.count(0) == 12 and labels.count(1) == 4
+        pairs = self.batch(small_dataset, SamplerConfig(n_candidates=3), 0,
+                           pos_fraction=0.75)
+        labels = [label for _, _, label in pairs]
+        assert labels == [0] * 12 + [1] * 4
 
     def test_positive_pairs_share_class(self, small_dataset):
-        pairs = sampling.make_pair_batch(
-            small_dataset, BissScorer(), SamplerConfig(n_candidates=3),
-            batch_size=20, pos_fraction=0.5,
-            rng=np.random.default_rng(1))
-        for p in pairs:
-            qc = small_dataset.get(p.query_id).class_label
-            cc = small_dataset.get(p.candidate_id).class_label
-            if p.label == 0:
+        pairs = self.batch(small_dataset, SamplerConfig(n_candidates=3), 1,
+                           batch_size=20)
+        for q, c, label in pairs:
+            qc = small_dataset.get(q).class_label
+            cc = small_dataset.get(c).class_label
+            assert q != c
+            if label == 0:
                 assert qc == cc
-                assert p.query_id != p.candidate_id
-            else:
-                assert p.query_id != p.candidate_id
 
     def test_self_pairs_only_when_enabled(self, small_dataset):
         cfg = SamplerConfig(n_candidates=3, self_pair_fraction=1.0)
-        pairs = sampling.make_pair_batch(
-            small_dataset, BissScorer(), cfg, batch_size=8,
-            pos_fraction=1.0, rng=np.random.default_rng(2))
-        assert all(p.augmented and p.query_id == p.candidate_id
-                   for p in pairs)
+        pairs = self.batch(small_dataset, cfg, 2, batch_size=8,
+                           pos_fraction=1.0)
+        assert all(q == c for q, c, _ in pairs)
 
     def test_random_baseline_matches_definition(self, small_dataset):
         cfg = SamplerConfig(strategy="random_baseline")
-        pairs = sampling.make_pair_batch(
-            small_dataset, BissScorer(), cfg, batch_size=30,
-            pos_fraction=0.5, rng=np.random.default_rng(3))
-        for p in pairs:
-            qc = small_dataset.get(p.query_id).class_label
-            cc = small_dataset.get(p.candidate_id).class_label
-            assert (qc == cc) == (p.label == 0)
+        pairs = self.batch(small_dataset, cfg, 3, batch_size=30)
+        for q, c, label in pairs:
+            qc = small_dataset.get(q).class_label
+            cc = small_dataset.get(c).class_label
+            assert (qc == cc) == (label == 0)
 
-    def test_cache_and_no_cache_agree(self, small_dataset):
-        cfg = SamplerConfig(n_candidates=3)
-        kwargs = dict(batch_size=12, pos_fraction=0.5)
-        plain = sampling.make_pair_batch(
-            small_dataset, BissScorer(), cfg,
-            rng=np.random.default_rng(5), **kwargs)
-        cached = sampling.make_pair_batch(
-            small_dataset, BissScorer(), cfg,
-            rng=np.random.default_rng(5), candidate_cache={},
-            feature_cache={}, **kwargs)
-        assert plain == cached
-
-    def test_tiny_batch_rejected(self, small_dataset):
-        with pytest.raises(ConfigError):
-            sampling.make_pair_batch(
-                small_dataset, BissScorer(), SamplerConfig(), batch_size=1,
-                pos_fraction=0.5, rng=np.random.default_rng(0))
-
-
-class TestMakeTripletBatch:
-    def test_class_constraints(self, small_dataset):
-        trips = sampling.make_triplet_batch(
-            small_dataset, BissScorer(), SamplerConfig(n_candidates=3),
-            batch_size=25, rng=np.random.default_rng(0))
-        assert len(trips) == 25
-        for t in trips:
-            ac = small_dataset.get(t.anchor_id).class_label
-            pc = small_dataset.get(t.positive_id).class_label
-            assert ac == pc
-            assert t.anchor_id != t.positive_id
-
-    def test_negative_respects_in_class_fraction_zero(self, small_dataset):
-        cfg = SamplerConfig(n_candidates=3, in_class_fraction=0.0)
-        trips = sampling.make_triplet_batch(
-            small_dataset, BissScorer(), cfg, batch_size=25,
-            rng=np.random.default_rng(1))
-        for t in trips:
-            ac = small_dataset.get(t.anchor_id).class_label
-            nc = small_dataset.get(t.negative_id).class_label
-            assert ac != nc
-
-    def test_random_baseline_strategy(self, small_dataset):
-        cfg = SamplerConfig(strategy="random_baseline")
-        trips = sampling.make_triplet_batch(
-            small_dataset, BissScorer(), cfg, batch_size=15,
-            rng=np.random.default_rng(2))
-        for t in trips:
-            ac = small_dataset.get(t.anchor_id).class_label
-            assert small_dataset.get(t.positive_id).class_label == ac
-            assert small_dataset.get(t.negative_id).class_label != ac
+    @pytest.mark.parametrize("fraction,in_class", [(0.3, False),
+                                                   (0.5, False),
+                                                   (0.6, True)])
+    def test_negatives_follow_rounded_in_class_fraction(self, fraction,
+                                                        in_class):
+        # one negative per query: round(1 * fraction) of it is in-class
+        ds = dataset_of_flats({c: [c / 3 + j / 40 for j in range(8)]
+                               for c in range(3)})
+        cfg = SamplerConfig(n_candidates=3, in_class_fraction=fraction)
+        table = sampling.candidate_table(ds, BissScorer(), cfg)
+        rows, labels = sampling.make_pair_batch(
+            table, 40, 0.0, np.random.default_rng(4))
+        for q, c in rows:
+            assert (table.labels[q] == table.labels[c]) == in_class
+            assert c not in sampling._candidates_cached(table, q)
 
     def test_same_seed_reproduces_batch(self, small_dataset):
         cfg = SamplerConfig(n_candidates=3)
-        a = sampling.make_triplet_batch(small_dataset, BissScorer(), cfg,
-                                        10, np.random.default_rng(11))
-        b = sampling.make_triplet_batch(small_dataset, BissScorer(), cfg,
-                                        10, np.random.default_rng(11))
-        assert a == b
+        assert self.batch(small_dataset, cfg, 5) == \
+            self.batch(small_dataset, cfg, 5)
+
+    def test_tiny_batch_rejected(self, small_dataset):
+        table = sampling.candidate_table(small_dataset, BissScorer(),
+                                         SamplerConfig())
+        with pytest.raises(ConfigError):
+            sampling.make_pair_batch(table, batch_size=1, pos_fraction=0.5,
+                                     rng=np.random.default_rng(0))
+
+    def test_all_singletons_rejected(self):
+        ds = dataset_of_flats({0: [0.1], 1: [0.5]})
+        table = sampling.candidate_table(ds, BissScorer(), SamplerConfig())
+        with pytest.raises(DataError, match="two or more"):
+            sampling.make_pair_batch(table, 4, 0.5,
+                                     np.random.default_rng(0))
+
+
+class TestMakeTripletBatch:
+    def batch(self, ds, cfg, batch_size, seed):
+        table = sampling.candidate_table(ds, BissScorer(), cfg)
+        rows = sampling.make_triplet_batch(table, batch_size,
+                                           np.random.default_rng(seed))
+        assert rows.shape == (batch_size, 3)
+        return [tuple(ds.items[r] for r in row) for row in rows]
+
+    def test_class_constraints(self, small_dataset):
+        trips = self.batch(small_dataset, SamplerConfig(n_candidates=3), 25,
+                           0)
+        for a, p, _ in trips:
+            assert a.class_label == p.class_label
+            assert a.id != p.id
+
+    def test_negative_respects_in_class_fraction_zero(self, small_dataset):
+        cfg = SamplerConfig(n_candidates=3, in_class_fraction=0.0)
+        for a, _, n in self.batch(small_dataset, cfg, 25, 1):
+            assert a.class_label != n.class_label
+
+    def test_random_baseline_strategy(self, small_dataset):
+        cfg = SamplerConfig(strategy="random_baseline")
+        for a, p, n in self.batch(small_dataset, cfg, 15, 2):
+            assert p.class_label == a.class_label
+            assert n.class_label != a.class_label
+
+    def test_same_seed_reproduces_batch(self, small_dataset):
+        cfg = SamplerConfig(n_candidates=3)
+        a = self.batch(small_dataset, cfg, 10, 11)
+        b = self.batch(small_dataset, cfg, 10, 11)
+        assert [[i.id for i in t] for t in a] == [[i.id for i in t]
+                                                  for t in b]
