@@ -230,55 +230,69 @@ def _run_branch(branch: BranchSpec, bi: int, params: dict[str, Array],
                 x: Array, tape: list | None) -> Array:
     """Forward one branch; if ``tape`` is given, append (grad_fn, names)
     entries whose grad_fn maps upstream -> (dinput, *dparams)."""
+    def step(r: ops.OpGrad, names: tuple[str, ...] = ()) -> Array:
+        if tape is not None:
+            tape.append((r.grad, names))
+        return r.output
+
     h = x
     if branch.input_downsample_factor > 1:
-        r = ops.downsample_avg(h, branch.input_downsample_factor)
-        if tape is not None:
-            tape.append((r.grad, ()))
-        h = r.output
+        h = step(ops.downsample_avg(h, branch.input_downsample_factor))
     for li, conv in enumerate(branch.conv_layers):
-        wname = f"branch{bi}.conv{li}.weight"
-        bname = f"branch{bi}.conv{li}.bias"
-        r = ops.conv2d(h, params[wname], params[bname], conv.stride,
-                       conv.padding)
-        if tape is not None:
-            tape.append((r.grad, (wname, bname)))
-        h = r.output
-        r = ops.relu(h)
-        if tape is not None:
-            tape.append((r.grad, ()))
-        h = r.output
+        names = (f"branch{bi}.conv{li}.weight", f"branch{bi}.conv{li}.bias")
+        h = step(ops.conv2d(h, params[names[0]], params[names[1]],
+                            conv.stride, conv.padding), names)
+        h = step(ops.relu(h))
         if conv.pool_after:
-            r = ops.maxpool2x2(h)
-            if tape is not None:
-                tape.append((r.grad, ()))
-            h = r.output
-    spatial_shape = h.shape
-    h = h.reshape(h.shape[0], -1)
-    if tape is not None:
-        tape.append((lambda u, s=spatial_shape: (u.reshape(s),), ()))
-    r = ops.affine(h, params[f"branch{bi}.fc.weight"],
-                   params[f"branch{bi}.fc.bias"])
-    if tape is not None:
-        tape.append((r.grad, (f"branch{bi}.fc.weight",
-                              f"branch{bi}.fc.bias")))
-    h = r.output
-    r = ops.l2_normalize(h)
-    if tape is not None:
-        tape.append((r.grad, ()))
-    return r.output
+            h = step(ops.maxpool2x2(h))
+    h = step(ops.OpGrad(h.reshape(h.shape[0], -1),
+                        lambda u, s=h.shape: (u.reshape(s),)))
+    names = (f"branch{bi}.fc.weight", f"branch{bi}.fc.bias")
+    h = step(ops.affine(h, params[names[0]], params[names[1]]), names)
+    return step(ops.l2_normalize(h))
 
 
 def _backward_chain(tape: list, upstream: Array,
-                    grads: dict[str, Array]) -> Array:
-    """Walk a branch tape in reverse, accumulating parameter gradients and
-    returning the gradient w.r.t. the chain input."""
-    for grad_fn, names in reversed(tape):
+                    grads: dict[str, Array]) -> None:
+    """Walk a branch tape in reverse, accumulating parameter gradients.
+
+    The walk stops after the earliest entry that holds parameters: the
+    gradient w.r.t. the chain input is never used, so the backward of a
+    leading ``downsample_avg`` is skipped."""
+    first = next(i for i, (_, names) in enumerate(tape) if names)
+    for grad_fn, names in reversed(tape[first:]):
         results = grad_fn(upstream)
         upstream = results[0]
         for offset, name in enumerate(names, start=1):
             grads[name] = grads.get(name, 0) + results[offset]
-    return upstream
+
+
+def _forward(checkpoint: Checkpoint, images: Array,
+             tapes: list[list] | None = None,
+             rng: np.random.Generator | None = None) -> list[ops.OpGrad]:
+    """Check ``images`` against the config and run every branch and the
+    head.  Returns the head's op results in order: concat, dropout (only
+    given ``rng`` and a positive rate), affine, l2_normalize; the last
+    output is the embedding.  ``tapes``, one list per branch, receives the
+    branch tapes; without it no tape is kept."""
+    config = checkpoint.config
+    params = checkpoint.parameters
+    if images.ndim != 4 or images.shape[1:] != config.input_shape:
+        raise DimensionError(
+            f"images of shape {images.shape} do not match configured "
+            f"input {config.input_shape}")
+    x = np.ascontiguousarray(images, dtype=next(iter(params.values())).dtype)
+    head = [ops.concat([
+        _run_branch(branch, bi, params, x,
+                    None if tapes is None else tapes[bi])
+        for bi, branch in enumerate(config.branches)])]
+    if rng is not None and config.dropout_rate > 0:
+        head.append(ops.dropout(head[-1].output, config.dropout_rate, rng,
+                                training=True))
+    head.append(ops.affine(head[-1].output, params["head.weight"],
+                           params["head.bias"]))
+    head.append(ops.l2_normalize(head[-1].output))
+    return head
 
 
 def embed_with_grad(checkpoint: Checkpoint, images: Array,
@@ -290,67 +304,37 @@ def embed_with_grad(checkpoint: Checkpoint, images: Array,
 
     With ``training=True`` the dropout mask, one ``(N, merged)`` draw, comes
     from ``rng`` (a generator seeded from the checkpoint if omitted)."""
-    config = checkpoint.config
-    params = checkpoint.parameters
-    if images.ndim != 4 or images.shape[1:] != config.input_shape:
-        raise DimensionError(
-            f"images of shape {images.shape} do not match configured "
-            f"input {config.input_shape}")
-    dtype = next(iter(params.values())).dtype
-    x = np.ascontiguousarray(images, dtype=dtype)
-
-    branch_tapes: list[list] = []
-    branch_outputs: list[Array] = []
-    for bi, branch in enumerate(config.branches):
-        tape: list = []
-        branch_outputs.append(_run_branch(branch, bi, params, x, tape))
-        branch_tapes.append(tape)
-
-    head_tape: list = []
-    r = ops.concat(branch_outputs)
-    concat_grad = r.grad
-    merged = r.output
-    if training and config.dropout_rate > 0:
-        if rng is None:
-            rng = np.random.default_rng(checkpoint.rng_seed)
-        r = ops.dropout(merged, config.dropout_rate, rng, training=True)
-        head_tape.append((r.grad, ()))
-        merged = r.output
-    r = ops.affine(merged, params["head.weight"], params["head.bias"])
-    head_tape.append((r.grad, ("head.weight", "head.bias")))
-    r2 = ops.l2_normalize(r.output)
-    head_tape.append((r2.grad, ()))
-    out = r2.output
+    if training and rng is None:
+        rng = np.random.default_rng(checkpoint.rng_seed)
+    tapes: list[list] = [[] for _ in checkpoint.config.branches]
+    merge, *dropout, head, norm = _forward(checkpoint, images, tapes,
+                                           rng if training else None)
 
     def backward(upstream: Array) -> dict[str, Array]:
         grads: dict[str, Array] = {}
-        u = _backward_chain(head_tape, upstream, grads)
-        branch_upstreams = concat_grad(u)
-        for tape, bu in zip(branch_tapes, branch_upstreams):
+        (u,) = norm.grad(upstream)
+        u, grads["head.weight"], grads["head.bias"] = head.grad(u)
+        for r in dropout:
+            (u,) = r.grad(u)
+        for tape, bu in zip(tapes, merge.grad(u)):
             _backward_chain(tape, bu, grads)
         return grads
 
-    return out, backward
+    return norm.output, backward
 
 
-def embed(checkpoint: Checkpoint, images: Array, training: bool = False,
-          rng: np.random.Generator | None = None,
+def embed(checkpoint: Checkpoint, images: Array,
           chunk_size: int = 256) -> Array:
-    """Embed ``images (N,C,H,W)`` into unit-norm rows of the final dim.
+    """Embed ``images (N,C,H,W)`` into unit-norm rows of the final dim,
+    ``chunk_size`` images at a time.
 
-    Inference is deterministic: repeated calls with the same checkpoint and
-    input agree bitwise.  ``training=True`` additionally applies dropout
-    using ``rng``.
+    Inference applies no dropout and keeps no tape, so each chunk equals
+    ``embed_with_grad(checkpoint, chunk)[0]`` bit for bit and repeated
+    calls agree bitwise.
     """
-    if images.ndim != 4:
-        raise DimensionError(f"images must be 4-d, got {images.ndim}-d")
-    outputs = []
-    for start in range(0, images.shape[0], chunk_size):
-        chunk = images[start:start + chunk_size]
-        out, _ = embed_with_grad(checkpoint, chunk, training=training,
-                                 rng=rng)
-        outputs.append(out)
-    return np.concatenate(outputs, axis=0)
+    return np.concatenate(
+        [_forward(checkpoint, images[start:start + chunk_size])[-1].output
+         for start in range(0, len(images), chunk_size)], axis=0)
 
 
 def _canonical_json(obj) -> bytes:

@@ -112,28 +112,34 @@ def maxpool2x2(x: Array) -> OpGrad:
     """2x2 max pooling with stride 2 over ``(N,C,H,W)``; H and W must be even.
 
     The gradient routes entirely to the argmax cell of each window; ties
-    break to the first cell in row-major order.
+    break to the first cell in row-major order, and a window holding NaN
+    pools to NaN and routes to its first NaN.  The output is the
+    ``np.maximum`` of the four strided cells taken last cell first, since
+    it keeps its second argument when ``-0.0`` ties ``0.0``.
     """
     if x.ndim != 4:
         raise DimensionError(f"maxpool2x2 expects 4-d input, got {x.ndim}-d")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(
             f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    # (N, C, H/2, W/2, 4) with the window flattened row-major
-    win = (x.reshape(n, c, h2, 2, w2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h2, w2, 4))
-    arg = win.argmax(axis=-1)  # first max in row-major order
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major in the window
+    cells = [x[:, :, i::2, j::2] for i, j in offsets]
+    out = np.maximum(np.maximum(cells[3], cells[2]),
+                     np.maximum(cells[1], cells[0]))
 
     def grad(upstream: Array) -> tuple[Array]:
-        onehot = np.arange(4).reshape(1, 1, 1, 1, 4) == arg[..., None]
-        g = upstream[..., None] * onehot
-        dx = (g.reshape(n, c, h2, w2, 2, 2)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(n, c, h, w))
+        # dx and the masks in C order, as upstream is, though x may be laid
+        # out (C, N, H, W); the four cells cover dx, so all of it is written
+        dx = np.empty(x.shape, dtype=upstream.dtype)
+        free = np.ones(out.shape, dtype=bool)  # windows not yet routed
+        hit = np.empty(out.shape, dtype=bool)
+        for (i, j), cell in zip(offsets, cells):
+            np.equal(cell, out, out=hit)
+            hit |= np.isnan(cell)
+            hit &= free
+            free ^= hit
+            np.multiply(upstream, hit, out=dx[:, :, i::2, j::2])
         return (dx,)
 
     return OpGrad(out, grad)

@@ -235,6 +235,16 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         raise DataError("training data needs at least two classes")
     if scorer is None:
         scorer = sampling.BissScorer()
+    smallest = min(len(ids) for data in (dataset_train, dataset_val)
+                   for ids in data.class_index.values())
+    if (sampler_cfg.strategy == sampling.STRATEGY_BISS
+            and round(sampler_cfg.in_class_fraction)
+            and sampler_cfg.n_candidates >= smallest - 1):
+        raise ConfigError(
+            f"in_class_fraction {sampler_cfg.in_class_fraction} takes every "
+            f"batch negative from a query's non-candidate classmates, but "
+            f"n_candidates {sampler_cfg.n_candidates} leaves none in a class "
+            f"of {smallest}")
 
     checkpoint = net.build_network(net_cfg, seed=train_cfg.seed)
     params = checkpoint.parameters

@@ -140,6 +140,33 @@ class TestEmbed:
             assert g.shape == ckpt.parameters[name].shape
             assert np.all(np.isfinite(g))
 
+    def test_tape_free_embed_equals_embed_with_grad(self, rng):
+        ckpt = net.build_network(net.desk_scale_config(), seed=4)
+        x = rng.uniform(0, 1, (40, 1, 28, 28)).astype(np.float32)
+        out, _ = net.embed_with_grad(ckpt, x)
+        assert net.embed(ckpt, x).tobytes() == out.tobytes()
+        chunks = [net.embed_with_grad(ckpt, x[i:i + 16])[0]
+                  for i in range(0, 40, 16)]
+        assert net.embed(ckpt, x, chunk_size=16).tobytes() \
+            == np.concatenate(chunks).tobytes()
+
+    def test_backward_covers_branches_that_start_with_a_downsample(self,
+                                                                   rng):
+        cfg = net.desk_scale_config()
+        assert [b.input_downsample_factor for b in cfg.branches] == [1, 2, 4]
+        ckpt = net.build_network(cfg, seed=4)
+        x = rng.uniform(0, 1, (6, 1, 28, 28)).astype(np.float32)
+        out, back = net.embed_with_grad(ckpt, x, training=True,
+                                        rng=np.random.default_rng(0))
+        grads = back(rng.standard_normal(out.shape).astype(np.float32))
+        assert set(grads) == set(ckpt.parameters)
+        for name, g in grads.items():
+            assert g.shape == ckpt.parameters[name].shape
+            assert g.dtype == np.float32
+            assert np.all(np.isfinite(g))
+        for bi in range(3):
+            assert np.any(grads[f"branch{bi}.conv0.weight"] != 0)
+
     def test_whole_net_gradient_against_finite_difference(self):
         cfg = tiny_config()
         ckpt = net.build_network(cfg, seed=3, dtype=np.float64)

@@ -129,6 +129,99 @@ class TestMaxpool:
         assert report.passed, report
 
 
+def reshape_argmax_pool(x):
+    """Frozen copy of the earlier pool: a reshaped copy of every window,
+    argmax (first max in row-major order) and take_along_axis; the
+    gradient is a one-hot product reshaped back to (N, C, H, W)."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = (x.reshape(n, c, h2, 2, w2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, h2, w2, 4))
+    arg = win.argmax(axis=-1)
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+
+    def grad(upstream):
+        onehot = np.arange(4).reshape(1, 1, 1, 1, 4) == arg[..., None]
+        g = upstream[..., None] * onehot
+        return (g.reshape(n, c, h2, w2, 2, 2)
+                 .transpose(0, 1, 2, 4, 3, 5)
+                 .reshape(n, c, h, w),)
+
+    return out, grad
+
+
+def conv_output(rng, n=4, filters=8, size=28):
+    """An ops.conv2d output as the net feeds it to the pool: its memory is
+    laid out (F, N, H, W), so it is not C-contiguous."""
+    x = rng.standard_normal((n, 1, size, size)).astype(np.float32)
+    k = rng.standard_normal((filters, 1, 3, 3)).astype(np.float32)
+    return ops.conv2d(x, k, np.zeros(filters, np.float32), padding=1).output
+
+
+class TestMaxpoolMatchesArgmaxOracle:
+    """Output and gradient equal the frozen reshape/argmax pool byte for
+    byte, and the gradient keeps its C-order strides."""
+
+    def check(self, x, upstream):
+        want_out, want_grad = reshape_argmax_pool(x)
+        (want_dx,) = want_grad(upstream)
+        result = ops.maxpool2x2(x)
+        (dx,) = result.grad(upstream)
+        assert result.output.dtype == want_out.dtype
+        assert result.output.tobytes() == want_out.tobytes()
+        assert dx.dtype == want_dx.dtype
+        assert dx.strides == want_dx.strides
+        assert dx.flags.c_contiguous
+        assert dx.tobytes() == want_dx.tobytes()
+
+    def upstream(self, rng, x):
+        n, c, h, w = x.shape
+        return rng.standard_normal((n, c, h // 2, w // 2)).astype(x.dtype)
+
+    def test_relu_output_full_of_zero_ties(self, rng):
+        x = ops.relu(conv_output(rng) - 1.0).output
+        windows_all_zero = (ops.maxpool2x2(x).output == 0).mean()
+        assert windows_all_zero > 0.1
+        self.check(x, self.upstream(rng, x))
+
+    def test_all_equal_windows(self, rng):
+        x = np.full((2, 3, 4, 6), 0.5, dtype=np.float32)
+        self.check(x, self.upstream(rng, x))
+
+    def test_signed_zero_ties_pool_to_the_first_cell(self, rng):
+        x = rng.choice(np.array([-0.0, 0.0], np.float32), (3, 4, 8, 8))
+        self.check(x, self.upstream(rng, x))
+
+    def test_nan_routes_to_the_first_nan(self, rng):
+        x = rng.standard_normal((2, 2, 4, 4))
+        x[0, 0, 0, 1] = x[0, 0, 1, 0] = np.nan  # two NaNs in one window
+        x[1, 1, 3, 3] = np.nan  # the window's last cell
+        self.check(x, self.upstream(rng, x))
+        (dx,) = ops.maxpool2x2(x).grad(np.ones((2, 2, 2, 2)))
+        assert dx[0, 0, 0, 1] == 1 and dx[0, 0, 1, 0] == 0
+        assert dx[1, 1, 3, 3] == 1
+
+    def test_negative_and_non_finite_upstream(self, rng):
+        x = rng.standard_normal((2, 2, 4, 4))
+        upstream = -np.abs(self.upstream(rng, x))
+        upstream[0, 0, 0, 0] = np.nan
+        upstream[1, 1, 1, 1] = -np.inf
+        with np.errstate(invalid="ignore"):
+            self.check(x, upstream)
+
+    def test_float64(self, rng):
+        x = rng.standard_normal((3, 5, 6, 10))
+        self.check(x, self.upstream(rng, x))
+
+    def test_conv_output_layout(self, rng):
+        x = conv_output(rng)
+        assert not x.flags.c_contiguous
+        self.check(x, self.upstream(rng, x))
+        relu_out = ops.relu(x).output
+        self.check(relu_out, self.upstream(rng, relu_out))
+
+
 class TestDownsample:
     def test_mean_oracle(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)

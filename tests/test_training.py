@@ -234,6 +234,58 @@ class TestTrainLoop:
                            SamplerConfig(), quick_train_config())
 
 
+class TestInClassNegativePool:
+    """Above in_class_fraction 1/2 every batch negative is a classmate
+    outside the query's candidates; ``train`` refuses a set-up that leaves
+    some class none, before it builds a batch."""
+
+    @pytest.fixture(scope="class")
+    def quick_start(self):
+        # the README quick start: 1500 training items (150 per class) and
+        # 300 held out (30 per class)
+        dataset = toydata.make_shape_dataset(1800, seed=3)
+        return (dataset.subset(dataset.ids[:1500]),
+                dataset.subset(dataset.ids[1500:]))
+
+    def run(self, quick_start, monkeypatch, **sampler):
+        class FirstStep(Exception):
+            pass
+
+        def first_step(*args, **kwargs):
+            raise FirstStep
+
+        monkeypatch.setattr(training, "_train_step", first_step)
+        train_set, held_out = quick_start
+        with pytest.raises(FirstStep):  # validation batches were drawn
+            training.train(train_set, held_out, net.desk_scale_config(),
+                           SamplerConfig(rng_seed=0, **sampler),
+                           quick_train_config())
+
+    def test_every_classmate_a_candidate_rejected(self, quick_start,
+                                                  monkeypatch):
+        monkeypatch.setattr(training, "_train_step", None)  # never reached
+        train_set, held_out = quick_start
+        with pytest.raises(ConfigError) as err:
+            training.train(train_set, held_out, net.desk_scale_config(),
+                           SamplerConfig(n_candidates=100, rng_seed=0,
+                                         in_class_fraction=0.8),
+                           quick_train_config())
+        assert "in_class_fraction 0.8" in str(err.value)
+        assert "n_candidates 100" in str(err.value)
+        assert "class of 30" in str(err.value)
+
+    @pytest.mark.parametrize("fraction, n_candidates", [
+        (0.8, 28),   # one classmate of 30 left outside the candidates
+        (0.5, 100),  # round(0.5) == 0: negatives from other classes
+        (0.3, 100),  # the default fraction
+    ])
+    def test_set_ups_that_leave_a_negative_run(self, quick_start,
+                                               monkeypatch, fraction,
+                                               n_candidates):
+        self.run(quick_start, monkeypatch, n_candidates=n_candidates,
+                 in_class_fraction=fraction)
+
+
 def test_no_seed_stalls_at_the_collapsed_loss_after_epoch_3():
     # a collapsed embedding pays 0 on positives and 1/2 on negatives, so a
     # run stuck in collapse reports a mean train loss of 0.25
