@@ -2,7 +2,7 @@
 retrieval, self-contained on numpy."""
 
 from .dataset import Dataset, DatasetItem, make_dataset
-from .distance import (EUCLIDEAN, MANHATTAN, DistanceMetric, knn,
+from .distance import (EUCLIDEAN, MANHATTAN, DistanceMetric, knn, knn_many,
                        lk_distance, pairwise_distances, relative_contrast)
 from .errors import (ConfigError, DataError, DimensionError, FormatError,
                      NumericError, SimEmbedError)
@@ -31,9 +31,10 @@ __all__ = [
     "TrainLogRow", "TripletSample", "angular_loss", "augment", "batch_loss",
     "biss_score", "build_index", "build_network", "candidate_table",
     "contrastive_loss", "desk_scale_config", "embed", "embed_with_grad", "knn",
-    "lk_distance", "load_checkpoint", "make_dataset", "make_pair_batch",
-    "make_triplet_batch", "pairwise_distances", "positive_candidates",
-    "query_topk", "read_embeddings", "recall_at_k", "relative_contrast",
-    "rmsprop_step", "sample_negatives", "save_checkpoint", "topk_recall",
-    "train", "triplet_accuracy", "write_embeddings",
+    "knn_many", "lk_distance", "load_checkpoint", "make_dataset",
+    "make_pair_batch", "make_triplet_batch", "pairwise_distances",
+    "positive_candidates", "query_topk", "read_embeddings", "recall_at_k",
+    "relative_contrast", "rmsprop_step", "sample_negatives",
+    "save_checkpoint", "topk_recall", "train", "triplet_accuracy",
+    "write_embeddings",
 ]

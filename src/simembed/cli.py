@@ -22,7 +22,8 @@ from . import data_io, net, retrieval, sampling
 from . import training as train_mod
 from .config import RunConfig, load_run_config
 from .dataset import Dataset
-from .distance import DistanceMetric, relative_contrast, triplet_correct
+from .distance import (DistanceMetric, knn_many, relative_contrast,
+                       triplet_correct)
 from .errors import ConfigError, DataError, SimEmbedError
 
 
@@ -193,17 +194,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.queries:
         with open(args.queries, "r", encoding="utf-8") as fh:
             queries = _parse_query_list(fh.read())
-        hits = 0
-        for query_id, truth in queries:
-            if query_id not in row:
-                raise DataError(f"query id {query_id!r} not in embeddings")
-            for t in truth:
-                if t not in row:
-                    raise DataError(
-                        f"ground-truth id {t!r} not in embeddings")
-            score = retrieval.recall_at_k(
-                index, index.vectors[row[query_id]], truth, args.k)
-            hits += int(score)
+        unknown = [i for q, truth in queries for i in (q, *truth)
+                   if i not in row]
+        if unknown:
+            raise DataError(f"query list id {unknown[0]!r} not in embeddings")
+        ranked = knn_many(index.vectors[[row[q] for q, _ in queries]],
+                          index, args.k)
+        hits = sum(not {i for i, _ in top}.isdisjoint(truth)
+                   for top, (_, truth) in zip(ranked, queries))
         print(f"top{args.k}_recall={hits / len(queries):.4f}")
         print(f"queries={len(queries)}")
         printed = True

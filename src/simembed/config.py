@@ -26,14 +26,20 @@ _BRANCH_KEYS = {"input_downsample_factor", "conv_layers",
 _CONV_KEYS = {"filters", "kernel", "stride", "padding", "pool_after"}
 _SAMPLER_KEYS = {"n_candidates", "in_class_fraction", "rng_seed",
                  "strategy", "self_pair_fraction", "scorer"}
-_SCORER_KEYS = {"kind", "bins"}
-_TRAIN_KEYS = {"learning_rate", "rms_decay", "epsilon", "epochs",
-               "batch_size", "loss", "loss_metric_exponent",
-               "augmentation", "weight_decay", "seed", "lr_decay",
-               "pos_fraction", "batches_per_epoch", "val_pairs",
-               "val_triplets"}
-_LOSS_KEYS_CONTRASTIVE = {"kind", "margin", "hinge_variant"}
-_LOSS_KEYS_ANGULAR = {"kind", "alpha_degrees", "formula_variant"}
+_SCORER_CASTS = {"kind": str, "bins": int}
+_TRAIN_CASTS = {
+    **dict.fromkeys(("learning_rate", "rms_decay", "epsilon",
+                     "loss_metric_exponent", "weight_decay", "lr_decay",
+                     "pos_fraction"), float),
+    **dict.fromkeys(("epochs", "batch_size", "seed", "val_pairs",
+                     "val_triplets"), int),
+    "augmentation": lambda names: frozenset(str(a) for a in names)}
+_TRAIN_KEYS = {"loss", "batches_per_epoch", *_TRAIN_CASTS}
+_LOSSES = {
+    "contrastive": (ContrastiveConfig,
+                    {"margin": float, "hinge_variant": str}),
+    "angular": (AngularConfig,
+                {"alpha_degrees": float, "formula_variant": str})}
 _METRIC_KEYS = {"exponent"}
 
 
@@ -52,6 +58,14 @@ def _collect_unknown(section: Mapping[str, Any], allowed: set[str],
     for key in section:
         if key not in allowed:
             offenders.append(f"{prefix}{key}")
+
+
+def _typed(section: Mapping[str, Any],
+           casts: Mapping[str, Any]) -> dict[str, Any]:
+    """The keys of ``casts`` that ``section`` sets, each passed through its
+    cast."""
+    return {key: cast(section[key]) for key, cast in casts.items()
+            if key in section}
 
 
 def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
@@ -106,15 +120,10 @@ def _parse_net(section: Mapping[str, Any],
 
 def _parse_scorer(section: Mapping[str, Any],
                   offenders: list[str]) -> BissScorer:
-    _collect_unknown(section, _SCORER_KEYS, "sampler.scorer.", offenders)
-    if offenders:
-        return BissScorer()
-    kwargs: dict[str, Any] = {}
-    if "kind" in section:
-        kwargs["kind"] = str(section["kind"])
-    if "bins" in section:
-        kwargs["bins"] = int(section["bins"])
-    return BissScorer(**kwargs)
+    _collect_unknown(section, set(_SCORER_CASTS), "sampler.scorer.",
+                     offenders)
+    return BissScorer(**({} if offenders
+                         else _typed(section, _SCORER_CASTS)))
 
 
 def _parse_sampler(section: Mapping[str, Any], offenders: list[str]
@@ -136,30 +145,12 @@ def _parse_sampler(section: Mapping[str, Any], offenders: list[str]
 def _parse_loss(section: Mapping[str, Any], offenders: list[str]
                 ) -> ContrastiveConfig | AngularConfig:
     kind = section.get("kind", "contrastive")
-    if kind == "contrastive":
-        _collect_unknown(section, _LOSS_KEYS_CONTRASTIVE, "train.loss.",
-                         offenders)
-        if offenders:
-            return ContrastiveConfig()
-        kwargs = {}
-        if "margin" in section:
-            kwargs["margin"] = float(section["margin"])
-        if "hinge_variant" in section:
-            kwargs["hinge_variant"] = str(section["hinge_variant"])
-        return ContrastiveConfig(**kwargs)
-    if kind == "angular":
-        _collect_unknown(section, _LOSS_KEYS_ANGULAR, "train.loss.",
-                         offenders)
-        if offenders:
-            return AngularConfig()
-        kwargs = {}
-        if "alpha_degrees" in section:
-            kwargs["alpha_degrees"] = float(section["alpha_degrees"])
-        if "formula_variant" in section:
-            kwargs["formula_variant"] = str(section["formula_variant"])
-        return AngularConfig(**kwargs)
-    raise ConfigError(
-        f"train.loss.kind must be 'contrastive' or 'angular', got {kind!r}")
+    if kind not in ("contrastive", "angular"):
+        raise ConfigError("train.loss.kind must be 'contrastive' or "
+                          f"'angular', got {kind!r}")
+    make, casts = _LOSSES[kind]
+    _collect_unknown(section, {"kind", *casts}, "train.loss.", offenders)
+    return make(**({} if offenders else _typed(section, casts)))
 
 
 def _parse_train(section: Mapping[str, Any],
@@ -171,21 +162,9 @@ def _parse_train(section: Mapping[str, Any],
                            offenders)
     if offenders:
         return TrainConfig()
-    kwargs: dict[str, Any] = {"loss": loss}
-    for key in ("learning_rate", "rms_decay", "epsilon",
-                "loss_metric_exponent", "weight_decay", "lr_decay",
-                "pos_fraction"):
-        if key in section:
-            kwargs[key] = float(section[key])
-    for key in ("epochs", "batch_size", "seed", "val_pairs",
-                "val_triplets"):
-        if key in section:
-            kwargs[key] = int(section[key])
+    kwargs = {"loss": loss, **_typed(section, _TRAIN_CASTS)}
     if section.get("batches_per_epoch") is not None:
         kwargs["batches_per_epoch"] = int(section["batches_per_epoch"])
-    if "augmentation" in section:
-        kwargs["augmentation"] = frozenset(
-            str(a) for a in section["augmentation"])
     return TrainConfig(**kwargs)
 
 

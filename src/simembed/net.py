@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -277,10 +277,11 @@ def _forward(checkpoint: Checkpoint, images: Array,
     branch tapes; without it no tape is kept."""
     config = checkpoint.config
     params = checkpoint.parameters
-    if images.ndim != 4 or images.shape[1:] != config.input_shape:
+    if (images.ndim != 4 or images.shape[1:] != config.input_shape
+            or not len(images)):
         raise DimensionError(
-            f"images of shape {images.shape} do not match configured "
-            f"input {config.input_shape}")
+            f"images of shape {images.shape} are not a non-empty batch of "
+            f"configured input {config.input_shape}")
     x = np.ascontiguousarray(images, dtype=next(iter(params.values())).dtype)
     head = [ops.concat([
         _run_branch(branch, bi, params, x,
@@ -334,33 +335,12 @@ def embed(checkpoint: Checkpoint, images: Array,
     """
     return np.concatenate(
         [_forward(checkpoint, images[start:start + chunk_size])[-1].output
-         for start in range(0, len(images), chunk_size)], axis=0)
+         for start in range(0, len(images) or 1, chunk_size)], axis=0)
 
 
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-
-
-def _config_to_dict(config: MultiScaleNetConfig) -> dict:
-    return {
-        "branches": [
-            {
-                "input_downsample_factor": b.input_downsample_factor,
-                "conv_layers": [
-                    {"filters": c.filters, "kernel": c.kernel,
-                     "stride": c.stride, "padding": c.padding,
-                     "pool_after": c.pool_after}
-                    for c in b.conv_layers
-                ],
-                "branch_embed_dim": b.branch_embed_dim,
-            }
-            for b in config.branches
-        ],
-        "final_embed_dim": config.final_embed_dim,
-        "input_shape": list(config.input_shape),
-        "dropout_rate": config.dropout_rate,
-    }
 
 
 def _config_from_dict(doc: dict) -> MultiScaleNetConfig:
@@ -382,7 +362,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the checkpoint; parameters are stored as little-endian
     float32, so a float32 checkpoint round-trips bit-exactly."""
     header = _canonical_json({
-        "config": _config_to_dict(checkpoint.config),
+        "config": asdict(checkpoint.config),
         "rng_seed": checkpoint.rng_seed,
         "epoch": checkpoint.epoch,
     })

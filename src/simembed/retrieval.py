@@ -2,11 +2,13 @@
 
 The index holds an id tuple, an int32 label array and one float32 (N, D)
 vector matrix.  Queries are an exact linear scan over that matrix:
-``distance.knn`` selects the k smallest distances with ``np.argpartition``
-and re-sorts only the survivors by ``(distance, id)``, so every ranked
-result is usable as an oracle.  The metric (including its exponent) is a
-property of the index and travels with the file, so an index built under
-one exponent cannot be silently queried under another.
+``distance.knn`` (one query) and ``distance.knn_many`` (a batch) take each
+query's distances from a blocked float64 kernel that never copies the
+matrix whole, select the k smallest with ``np.argpartition`` and re-sort
+only the survivors by ``(distance, id)``, so every ranked result is usable
+as an oracle.  The metric (including its exponent) is a property of the
+index and travels with the file, so an index built under one exponent
+cannot be silently queried under another.
 """
 
 from __future__ import annotations
@@ -97,12 +99,9 @@ def build_index(records: Sequence[EmbeddingRecord],
 def query_topk(index: EmbeddingIndex, query_vector: Array,
                k: int) -> list[tuple[str, float]]:
     """Exact top-k of the index under its own metric, ascending by
-    (distance, id)."""
-    q = np.asarray(query_vector, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index.dim:
-        raise DimensionError(
-            f"query vector must have shape ({index.dim},), got {q.shape}")
-    return knn(q, index, k)
+    (distance, id).  A query of the wrong shape raises ``DimensionError``
+    and a non-finite one ``DataError``."""
+    return knn(query_vector, index, k)
 
 
 def write_embeddings(path: str, index: EmbeddingIndex) -> None:

@@ -104,14 +104,11 @@ class CandidateTable:
 
 def _histogram(scorer: BissScorer, image: Array) -> Array:
     """Normalized histogram feature for one (C, H, W) image in [0, 1]."""
-    if scorer.kind == SCORER_INTENSITY:
-        intensity = image.mean(axis=0)
-        hist, _ = np.histogram(intensity, bins=scorer.bins, range=(0.0, 1.0))
-        total = hist.sum()
-        return hist / total if total else hist.astype(np.float64)
+    planes = [image.mean(axis=0)] if scorer.kind == SCORER_INTENSITY \
+        else image
     parts = []
-    for channel in image:
-        hist, _ = np.histogram(channel, bins=scorer.bins, range=(0.0, 1.0))
+    for plane in planes:
+        hist, _ = np.histogram(plane, bins=scorer.bins, range=(0.0, 1.0))
         total = hist.sum()
         parts.append(hist / total if total else hist.astype(np.float64))
     return np.concatenate(parts)

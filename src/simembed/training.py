@@ -23,7 +23,7 @@ import numpy as np
 
 from . import net, sampling
 from .dataset import Dataset
-from .distance import EUCLIDEAN, DistanceMetric, knn, triplet_correct
+from .distance import EUCLIDEAN, DistanceMetric, knn_many, triplet_correct
 from .errors import ConfigError, DataError, NumericError
 from .losses import (AngularConfig, ContrastiveConfig, TripletSample,
                      batch_loss)
@@ -401,9 +401,7 @@ def topk_recall(checkpoint: net.Checkpoint,
                     f"ground-truth id {item_id!r} is not in the catalog")
     stack = np.stack([np.asarray(img, dtype=np.float32)
                       for img, _ in queries])
-    vectors = net.embed(checkpoint, stack)
-    hits = 0
-    for vector, (_, truth) in zip(vectors, queries):
-        top = {item_id for item_id, _ in knn(vector, catalog, k, metric)}
-        hits += any(t in top for t in truth)
+    ranked = knn_many(net.embed(checkpoint, stack), catalog, k, metric)
+    hits = sum(not {i for i, _ in top}.isdisjoint(truth)
+               for top, (_, truth) in zip(ranked, queries))
     return hits / len(queries)

@@ -187,6 +187,14 @@ class TestQuery:
         assert stdout.splitlines()[0].startswith("id")
         assert "distance" in stdout.splitlines()[0]
 
+    def test_k_below_one_fails_with_one_line(self, workdir, capsys):
+        rc = cli.main(["query", "--embeddings", workdir["embeddings"],
+                       "--id", "c0i1", "-k", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: k must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_id_fails_with_one_line(self, workdir, capsys):
         rc = cli.main(["query", "--embeddings", workdir["embeddings"],
                        "--id", "ghost"])
@@ -223,6 +231,26 @@ class TestEval:
         assert rc == 0
         assert "top1_recall=1.0000" in stdout
         assert "queries=12" in stdout
+
+    @pytest.mark.parametrize("line", ["ghost,c0i0", "c0i0,c0i1,ghost"])
+    def test_unknown_query_list_id_rejected(self, workdir, capsys, tmp_path,
+                                            line):
+        queries = tmp_path / "q.csv"
+        queries.write_text(f"c1i0,c1i1\n{line}\n")
+        rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
+                       "--queries", str(queries)])
+        assert rc == 2
+        assert "error: DataError: query list id 'ghost'" in \
+            capsys.readouterr().err
+
+    def test_k_below_one_fails_with_one_line(self, workdir, capsys,
+                                            tmp_path):
+        queries = tmp_path / "q.csv"
+        queries.write_text("c1i0,c1i1\n")
+        rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
+                       "--queries", str(queries), "-k", "0"])
+        assert rc == 2
+        assert "error: ConfigError" in capsys.readouterr().err
 
     def test_triplet_accuracy_line(self, workdir, capsys, tmp_path):
         trips = tmp_path / "t.csv"

@@ -118,6 +118,12 @@ class TestEmbed:
         with pytest.raises(DimensionError):
             net.embed(ckpt, np.zeros((1, 1, 7, 7), dtype=np.float32))
 
+    @pytest.mark.parametrize("embed", [net.embed, net.embed_with_grad])
+    def test_empty_batch_rejected(self, embed):
+        ckpt = net.build_network(tiny_config(), seed=0)
+        with pytest.raises(DimensionError, match="non-empty batch"):
+            embed(ckpt, np.zeros((0, 1, 8, 8), dtype=np.float32))
+
     def test_training_dropout_changes_output_but_not_inference(self, rng):
         ckpt = net.build_network(tiny_config(dropout=0.5), seed=0)
         x = rng.uniform(0, 1, (2, 1, 8, 8)).astype(np.float32)

@@ -111,6 +111,14 @@ class TestQueryTopk:
         with pytest.raises(DimensionError):
             query_topk(index, np.zeros(7), k=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, rng, bad):
+        index = build_index(random_records(rng, 5), DistanceMetric())
+        query = np.zeros(6)
+        query[2] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            query_topk(index, query, k=1)
+
     def test_distances_ascend(self, rng):
         index = build_index(random_records(rng, 1000), DistanceMetric())
         got = query_topk(index, rng.standard_normal(6), k=100)
