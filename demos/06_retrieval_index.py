@@ -3,7 +3,8 @@ Building and querying an embedding index
 ========================================
 
 Embeds a catalog of shape images with an untrained (but deterministic)
-network, freezes the vectors into an index, saves the index to its binary
+network, freezes the vectors and the catalog's ids and labels into an
+index, saves the index to its binary
 file format, and answers nearest-neighbor queries with the fractional
 metric.  Untrained embeddings already cluster a little because the network
 sees real pixel structure; training sharpens the effect (see demo 05).
@@ -20,12 +21,10 @@ from simembed.distance import DistanceMetric
 catalog_set = toydata.make_shape_dataset(300, seed=21)
 checkpoint = net.build_network(net.desk_scale_config(), seed=4)
 
-vectors = net.embed(checkpoint, catalog_set.images(catalog_set.ids))
-records = [retrieval.EmbeddingRecord(item_id,
-                                     catalog_set.get(item_id).class_label,
-                                     vec)
-           for item_id, vec in zip(catalog_set.ids, vectors)]
-index = retrieval.build_index(records, DistanceMetric(0.25))
+# the index takes the dataset's id and label columns as they are
+vectors = net.embed(checkpoint, catalog_set.images())
+index = retrieval.build_index(catalog_set.ids, catalog_set.labels, vectors,
+                              DistanceMetric(0.25))
 print(f"index: {index.size} records, dim {index.dim}, "
       f"metric k={index.metric.exponent}")
 

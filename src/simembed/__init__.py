@@ -11,9 +11,8 @@ from .losses import (AngularConfig, ContrastiveConfig, TripletSample,
 from .net import (BranchSpec, Checkpoint, ConvSpec, MultiScaleNetConfig,
                   build_network, desk_scale_config, embed, embed_with_grad,
                   load_checkpoint, save_checkpoint)
-from .retrieval import (EmbeddingIndex, EmbeddingRecord, build_index,
-                        query_topk, read_embeddings, recall_at_k,
-                        write_embeddings)
+from .retrieval import (EmbeddingIndex, build_index, query_topk,
+                        read_embeddings, recall_at_k, write_embeddings)
 from .sampling import (BissScorer, SamplerConfig, biss_score,
                        candidate_table, make_pair_batch, make_triplet_batch,
                        positive_candidates, sample_negatives)
@@ -26,7 +25,7 @@ __all__ = [
     "AngularConfig", "BissScorer", "BranchSpec", "Checkpoint", "ConfigError",
     "ContrastiveConfig", "ConvSpec", "DataError", "Dataset", "DatasetItem",
     "DimensionError", "DistanceMetric", "EUCLIDEAN", "EmbeddingIndex",
-    "EmbeddingRecord", "FormatError", "MANHATTAN", "MultiScaleNetConfig",
+    "FormatError", "MANHATTAN", "MultiScaleNetConfig",
     "NumericError", "SamplerConfig", "SimEmbedError", "TrainConfig",
     "TrainLogRow", "TripletSample", "angular_loss", "augment", "batch_loss",
     "biss_score", "build_index", "build_network", "candidate_table",

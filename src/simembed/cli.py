@@ -109,11 +109,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     checkpoint = net.load_checkpoint(args.checkpoint)
     dataset = data_io.read_dataset(args.data)
-    vectors = net.embed(checkpoint, dataset.images(dataset.ids))
-    records = [retrieval.EmbeddingRecord(item_id, item.class_label, vec)
-               for item_id, item, vec in
-               zip(dataset.ids, dataset.items, vectors)]
-    index = retrieval.build_index(records, cfg.metric)
+    index = retrieval.build_index(
+        dataset.ids, dataset.labels, net.embed(checkpoint, dataset.images()),
+        cfg.metric)
     retrieval.write_embeddings(args.output, index)
     print(f"records={index.size}")
     print(f"dim={index.dim}")

@@ -1,19 +1,32 @@
 """Framing shared by the dataset, checkpoint and embedding-index files.
 
 Each file opens with an 8-byte magic and a little-endian u32 version and
-names its entries by a u16 byte length plus UTF-8 bytes.  A short read is
-one ``FormatError`` naming the file and the field, and ``atomic_write``
-leaves neither a partial file nor its ``.tmp`` behind when a write fails.
+names its entries by a u16 byte length plus UTF-8 bytes.  After their
+headers, datasets and indexes hold the same records, written and walked
+only here, each row of the shape the header declares (C, H, W or D)::
+
+    id_len u16 | id utf-8 | label i32 | row float32[...]
+
+In memory they are three columns: an id tuple, int32 labels and one
+float32 row array.  A short read is one ``FormatError`` naming the file
+and the field, and ``atomic_write`` leaves neither a partial file nor its
+``.tmp`` behind when a write fails.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
-from typing import BinaryIO, Iterator
+from collections import Counter
+from typing import BinaryIO, Iterator, Sequence
 
-from .errors import DataError, FormatError
+import numpy as np
+
+from .errors import DataError, DimensionError, FormatError
+
+Array = np.ndarray
 
 
 def read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
@@ -49,6 +62,70 @@ def pack_name(name: str) -> bytes:
 def read_name(fh: BinaryIO, what: str) -> str:
     (length,) = struct.unpack("<H", read_exact(fh, 2, f"length of {what}"))
     return read_exact(fh, length, what).decode("utf-8")
+
+
+def record_columns(ids: Sequence[str], labels, count: int,
+                   what: str) -> tuple[tuple[str, ...], Array]:
+    """The id tuple and int32 labels of ``count`` records (``what``: item,
+    record); no ids, a repeated id or a label outside int32 is one
+    ``DataError``."""
+    ids, labels = tuple(ids), np.asarray(labels)
+    if not ids:
+        raise DataError(f"at least one {what} is needed")
+    if len(ids) != count or labels.shape != (count,):
+        raise DimensionError(
+            f"{len(ids)} ids and {labels.shape} labels for {count} {what}s")
+    bad = np.flatnonzero((labels < -2 ** 31) | (labels >= 2 ** 31))
+    if bad.size:
+        raise DataError(f"{what} {ids[bad[0]]!r}: label {labels[bad[0]]} "
+                        f"is outside int32")
+    if len(set(ids)) < count:
+        first = next(i for i, n in Counter(ids).items() if n > 1)
+        raise DataError(f"duplicate {what} id {first!r}")
+    return ids, labels.astype(np.int32)
+
+
+def write_records(fh: BinaryIO, ids: Sequence[str], labels: Array,
+                  rows: Array) -> None:
+    """One record per id; every id is encoded before the first is written,
+    so an overlong one refuses the whole call."""
+    names = [pack_name(item_id) for item_id in ids]
+    rows = np.ascontiguousarray(rows, dtype="<f4").reshape(len(names), -1)
+    for name, label, row in zip(names, labels.tolist(), rows):
+        fh.write(name + struct.pack("<i", label))
+        fh.write(row)
+
+
+def read_records(fh: BinaryIO, count: int, row_shape: tuple[int, ...],
+                 what: str) -> tuple[tuple[str, ...], Array, Array]:
+    """The ids, int32 labels and ``(count, *row_shape)`` float32 rows of
+    the ``count`` records that end the file.  The file must be able to
+    hold them before anything is allocated; each row is read straight into
+    its place."""
+    if count == 0:
+        raise FormatError(f"file declares zero {what}s")
+    if 0 in row_shape:
+        raise DimensionError(f"file declares {what} shape {row_shape}")
+    row_bytes = 4 * math.prod(row_shape)
+    room = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count * (2 + 4 + row_bytes) > room:  # id length, label, row
+        raise FormatError(f"{fh.name} truncated: {count} {what}s need "
+                          f"more than its {room} bytes")
+    ids = []
+    labels = np.empty(count, dtype=np.int32)
+    rows = np.empty((count, *row_shape), dtype="<f4")
+    raw = rows.reshape(count, -1).view(np.uint8)
+    read, readinto = fh.read, fh.readinto
+    for i in range(count):
+        id_len = int.from_bytes(read(2), "little")
+        head = read(id_len + 4)  # short if the length above was
+        if len(head) != id_len + 4 or readinto(raw[i]) != row_bytes:
+            raise FormatError(f"{fh.name} truncated in {what} {i}")
+        ids.append(head[:id_len].decode("utf-8"))
+        labels[i] = int.from_bytes(head[id_len:], "little", signed=True)
+    if fh.read(1):
+        raise FormatError(f"trailing bytes after the last {what}")
+    return tuple(ids), labels, rows
 
 
 @contextlib.contextmanager

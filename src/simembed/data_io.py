@@ -2,14 +2,13 @@
 
 Two public formats are parsed bit-exactly: the IDX image/label files used
 by MNIST-style datasets (big-endian headers, per the format convention) and
-CIFAR-10 binary batches (3073-byte records, channel-planar RGB).  The
-internal container uses little-endian integers and 32-bit floats
-throughout.  Pixels are always scaled as ``value / 255`` into float32.
+CIFAR-10 binary batches (3073-byte records, channel-planar RGB).  Pixels
+are always scaled as ``value / 255`` into float32.
 
-Internal container layout::
+The internal container is a header followed by the records of
+``container.py``, one per item, each row a (C, H, W) image::
 
-    magic "DSETV001" | version u32 | count u64 | C,H,W u32
-    per item: id_len u16 | id utf-8 | label i32 | C*H*W float32
+    magic "DSETV001" | version u32 | count u64 | C,H,W u32 | records
 
 All parsers either return a dataset satisfying the ``Dataset`` invariants
 or raise ``FormatError`` with the offending location; no partial datasets
@@ -20,17 +19,19 @@ from __future__ import annotations
 
 import gzip
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from .container import (atomic_write, pack_header, pack_name, read_exact,
-                        read_header, read_name)
-from .dataset import Dataset, DatasetItem
+from .container import (atomic_write, pack_header, read_exact, read_header,
+                        read_records, write_records)
+from .dataset import Dataset
 from .errors import DataError, FormatError
 from .losses import TripletSample
 
 DATASET_MAGIC = b"DSETV001"
 DATASET_VERSION = 1
+DATASET_HEADER = "<QIII"  # after the version: item count, C, H, W
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
@@ -84,39 +85,49 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes,
             f"{8 + count} (truncated at byte {len(label_bytes)})")
 
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
-    return _digit_dataset(pixels.reshape(count, 1, rows, cols),
+    return _digit_dataset([pixels.reshape(count, 1, rows, cols)],
                           np.frombuffer(label_bytes, np.uint8, offset=8),
-                          id_prefix, "item")
+                          "item", [(id_prefix, count)])
 
 
 def parse_cifar10_bin(batch_bytes: bytes,
                       id_prefix: str = "cifar-") -> Dataset:
     """Parse a CIFAR-10 binary batch: records of 1 label byte plus
     3x32x32 channel-planar pixel bytes."""
-    batch_bytes = _maybe_gunzip(batch_bytes)
-    if len(batch_bytes) == 0:
-        raise FormatError("empty CIFAR-10 payload")
-    if len(batch_bytes) % CIFAR_RECORD_BYTES:
-        raise FormatError(
-            f"CIFAR-10 payload of {len(batch_bytes)} bytes is not a "
-            f"multiple of {CIFAR_RECORD_BYTES}")
-    records = np.frombuffer(batch_bytes, dtype=np.uint8)
-    records = records.reshape(-1, CIFAR_RECORD_BYTES)
-    return _digit_dataset(records[:, 1:].reshape(-1, 3, 32, 32),
-                          records[:, 0], id_prefix, "record")
+    return _cifar_dataset([batch_bytes], [id_prefix])
 
 
-def _digit_dataset(pixels: np.ndarray, labels: np.ndarray, id_prefix: str,
-                   unit: str) -> Dataset:
-    """Items ``{id_prefix}{i:05d}`` of byte pixels / 255, labels 0-9."""
+def _cifar_dataset(payloads: list[bytes], id_prefixes: list[str]) -> Dataset:
+    """The records of every batch payload in order, ids numbered per
+    payload."""
+    batches = []
+    for payload in map(_maybe_gunzip, payloads):
+        if len(payload) == 0:
+            raise FormatError("empty CIFAR-10 payload")
+        if len(payload) % CIFAR_RECORD_BYTES:
+            raise FormatError(
+                f"CIFAR-10 payload of {len(payload)} bytes is not a "
+                f"multiple of {CIFAR_RECORD_BYTES}")
+        batches.append(np.frombuffer(payload, dtype=np.uint8)
+                       .reshape(-1, CIFAR_RECORD_BYTES))
+    return _digit_dataset([b[:, 1:].reshape(-1, 3, 32, 32) for b in batches],
+                          np.concatenate([b[:, 0] for b in batches]),
+                          "record", list(zip(id_prefixes, map(len, batches))))
+
+
+def _digit_dataset(pixels: list[np.ndarray], labels: np.ndarray, unit: str,
+                   id_runs: list[tuple[str, int]]) -> Dataset:
+    """Items of byte pixels / 255, one float32 array made from every part
+    of ``pixels`` in turn, labels 0-9, and ids ``{prefix}{i:05d}``
+    numbered from 0 in each ``(prefix, count)`` run."""
     bad = np.nonzero(labels > 9)[0]
     if bad.size:
         raise FormatError(
             f"label {labels[bad[0]]} out of range 0-9 at {unit} {bad[0]}")
-    images = pixels.astype(np.float32) / np.float32(255.0)
-    return Dataset(tuple(
-        DatasetItem(f"{id_prefix}{i:05d}", images[i], int(labels[i]))
-        for i in range(len(labels))))
+    images = np.concatenate(pixels, dtype=np.float32)
+    images /= np.float32(255.0)
+    return Dataset([f"{prefix}{i:05d}" for prefix, count in id_runs
+                    for i in range(count)], labels, images)
 
 
 def parse_triplet_list(text: str) -> list[TripletSample]:
@@ -142,60 +153,35 @@ def parse_triplet_list(text: str) -> list[TripletSample]:
 
 def write_dataset(path: str, dataset: Dataset) -> None:
     """Serialize ``dataset`` to the internal container format, atomically;
-    an id longer than 65535 UTF-8 bytes is refused before anything is
+    an id longer than 65535 UTF-8 bytes is refused before any record is
     written."""
-    names = [pack_name(item.id) for item in dataset.items]
     with atomic_write(path) as fh:
-        fh.write(pack_header(DATASET_MAGIC, DATASET_VERSION))
-        fh.write(struct.pack("<Q", len(dataset)))
-        fh.write(struct.pack("<III", *dataset.image_shape))
-        for name, item in zip(names, dataset.items):
-            fh.write(name)
-            fh.write(struct.pack("<i", item.class_label))
-            fh.write(np.ascontiguousarray(
-                item.image, dtype="<f4").tobytes())
+        fh.write(pack_header(DATASET_MAGIC, DATASET_VERSION) + struct.pack(
+            DATASET_HEADER, len(dataset), *dataset.image_shape))
+        write_records(fh, dataset.ids, dataset.labels, dataset.images())
 
 
 def read_dataset(path: str) -> Dataset:
     """Read a dataset container written by :func:`write_dataset`."""
     with open(path, "rb") as fh:
         read_header(fh, DATASET_MAGIC, DATASET_VERSION, "dataset")
-        (count,) = struct.unpack("<Q", read_exact(fh, 8, "item count"))
-        if count == 0:
-            raise FormatError("dataset file declares zero items")
-        c, h, w = struct.unpack("<III", read_exact(fh, 12, "image shape"))
-        pixels = c * h * w
-        items = []
-        for i in range(count):
-            item_id = read_name(fh, f"id of item {i}")
-            (label,) = struct.unpack(
-                "<i", read_exact(fh, 4, f"label of item {i}"))
-            raw = read_exact(fh, 4 * pixels, f"pixels of item {i}")
-            image = np.frombuffer(raw, dtype="<f4").reshape(c, h, w)
-            items.append(DatasetItem(item_id, image, label))
-        if fh.read(1):
-            raise FormatError("trailing bytes after final item")
-    return Dataset(tuple(items))
+        count, *shape = struct.unpack(
+            DATASET_HEADER, read_exact(fh, struct.calcsize(DATASET_HEADER),
+                                       "item count and image shape"))
+        return Dataset(*read_records(fh, count, tuple(shape), "item"))
 
 
 def load_idx_files(image_path: str, label_path: str,
                    id_prefix: str = "idx-") -> Dataset:
-    with open(image_path, "rb") as fh:
-        image_bytes = fh.read()
-    with open(label_path, "rb") as fh:
-        label_bytes = fh.read()
-    return parse_idx(image_bytes, label_bytes, id_prefix=id_prefix)
+    return parse_idx(Path(image_path).read_bytes(),
+                     Path(label_path).read_bytes(), id_prefix=id_prefix)
 
 
 def load_cifar10_files(paths: list[str],
                        id_prefix: str = "cifar-") -> Dataset:
-    """Concatenate one or more CIFAR-10 binary batches into one dataset."""
+    """Concatenate one or more CIFAR-10 binary batches into one dataset,
+    with ids ``{id_prefix}b{batch}-{record:05d}``."""
     if not paths:
         raise DataError("no CIFAR-10 batch files given")
-    items: list[DatasetItem] = []
-    for pi, path in enumerate(paths):
-        with open(path, "rb") as fh:
-            part = parse_cifar10_bin(fh.read(),
-                                     id_prefix=f"{id_prefix}b{pi}-")
-        items.extend(part.items)
-    return Dataset(tuple(items))
+    return _cifar_dataset([Path(path).read_bytes() for path in paths],
+                          [f"{id_prefix}b{pi}-" for pi in range(len(paths))])

@@ -1,12 +1,15 @@
-"""In-memory labeled image dataset."""
+"""In-memory labeled image dataset: the columns of the dataset file's
+records, an id tuple, int32 labels and one float32 (N, C, H, W) image
+array, both arrays read-only so that ``images()`` need not copy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .container import record_columns
 from .errors import DataError, DimensionError
 
 Array = np.ndarray
@@ -19,64 +22,63 @@ class DatasetItem:
     class_label: int
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of items with unique ids, indexed by class."""
+    """Items with unique ids, in order, indexed by class.  A C-ordered
+    float32 ``images`` is kept, not copied, behind a read-only view."""
 
-    items: tuple[DatasetItem, ...]
-    class_index: dict[int, tuple[str, ...]] = field(init=False, repr=False)
-    _by_id: dict[str, DatasetItem] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise DataError("dataset must contain at least one item")
-        by_id: dict[str, DatasetItem] = {}
-        shape = self.items[0].image.shape
+    def __init__(self, ids: Sequence[str], labels, images) -> None:
+        images = np.ascontiguousarray(images, dtype=np.float32).view()
+        self.ids, labels = record_columns(ids, labels, len(images), "item")
+        if images.ndim != 4:
+            raise DimensionError(
+                f"dataset images must be (N, C, H, W), got {images.shape}")
+        labels.flags.writeable = images.flags.writeable = False
+        self.labels: Array = labels
+        self._images = images
+        self.image_shape: tuple[int, int, int] = images.shape[1:]
+        self._row = {item_id: row for row, item_id in enumerate(self.ids)}
         classes: dict[int, list[str]] = {}
-        for item in self.items:
-            if item.id in by_id:
-                raise DataError(f"duplicate item id {item.id!r}")
-            if item.image.shape != shape:
-                raise DimensionError(
-                    f"item {item.id!r} has shape {item.image.shape}, "
-                    f"expected {shape}")
-            by_id[item.id] = item
-            classes.setdefault(item.class_label, []).append(item.id)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(
-            self, "class_index",
-            {label: tuple(ids) for label, ids in classes.items()})
+        for item_id, label in zip(self.ids, labels.tolist()):
+            classes.setdefault(label, []).append(item_id)
+        self.class_index = {label: tuple(members)
+                            for label, members in classes.items()}
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return self.items[0].image.shape
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(item.id for item in self.items)
+    def _rows(self, ids: Iterable[str]) -> list[int]:
+        try:
+            return [self._row[item_id] for item_id in ids]
+        except KeyError as exc:
+            raise KeyError(f"no item with id {exc.args[0]!r}") from None
 
     def get(self, item_id: str) -> DatasetItem:
-        try:
-            return self._by_id[item_id]
-        except KeyError:
-            raise KeyError(f"no item with id {item_id!r}") from None
+        (row,) = self._rows([item_id])
+        return DatasetItem(item_id, self._images[row], int(self.labels[row]))
 
     def images(self, ids: Sequence[str] | None = None) -> Array:
-        """Stack the images of ``ids`` (default: all items) into (N,C,H,W)."""
-        picked = self.items if ids is None else [self.get(i) for i in ids]
-        return np.stack([item.image for item in picked])
+        """All images (the stored array, not a copy), or a new (N,C,H,W)
+        stack of those of ``ids``."""
+        if ids is None:
+            return self._images
+        return self._images[self._rows(ids)]
 
     def subset(self, ids: Iterable[str]) -> "Dataset":
-        return Dataset(tuple(self.get(i) for i in ids))
+        ids = tuple(ids)
+        rows = self._rows(ids)
+        return Dataset(ids, self.labels[rows], self._images[rows])
 
 
 def make_dataset(entries: Iterable[tuple[str, Array, int]]) -> Dataset:
     """Build a dataset from ``(id, image, class_label)`` tuples, coercing
     images to float32."""
-    items = tuple(
-        DatasetItem(item_id, np.asarray(img, dtype=np.float32), int(label))
-        for item_id, img, label in entries)
-    return Dataset(items)
+    entries = list(entries)
+    if not entries:
+        raise DataError("dataset must contain at least one item")
+    shape = np.shape(entries[0][1])
+    for item_id, image, _ in entries:
+        if np.shape(image) != shape:
+            raise DimensionError(f"item {item_id!r} has shape "
+                                 f"{np.shape(image)}, expected {shape}")
+    ids, images, labels = zip(*entries)
+    return Dataset(ids, [int(label) for label in labels], np.stack(images))

@@ -4,7 +4,7 @@ Positive candidates for a query are its same-class nearest neighbors under
 a cheap similarity scorer: L1 distance between normalized intensity (or
 per-channel color) histograms.  :func:`candidate_table` ranks them once per
 dataset, for every item, and the batch makers draw row indices (positions
-in ``dataset.items``) from that table.  :func:`sample_negatives` mixes
+in ``dataset.ids``) from that table.  :func:`sample_negatives` mixes
 same-class items from outside the candidate set with items from other
 classes, 3:7 by default.  The batch makers draw one negative per query
 with that rule, and ``round(1 * 0.3) == 0``, so at the default fraction
@@ -86,7 +86,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """One dataset's rows (positions in ``dataset.items``) grouped for
+    """One dataset's rows (positions in ``dataset.ids``) grouped for
     sampling under ``cfg``: ``class_rows`` and ``other_rows`` map each class
     to its rows and to the rows outside it, ascending; ``queryable`` rows
     have a classmate; ``candidates[row]`` lists a row's positive candidates,
@@ -146,7 +146,7 @@ def candidate_table(dataset: Dataset, scorer: BissScorer,
     rank each row's classmates by (score, id) and keep the first
     ``cfg.n_candidates``."""
     ids = dataset.ids
-    labels = np.array([item.class_label for item in dataset.items])
+    labels = dataset.labels
     class_rows = {label: np.flatnonzero(labels == label)
                   for label in dataset.class_index}
     other_rows = {label: np.flatnonzero(labels != label)
@@ -155,8 +155,8 @@ def candidate_table(dataset: Dataset, scorer: BissScorer,
         [len(class_rows[label]) >= 2 for label in labels])
     candidates = None
     if cfg.strategy == STRATEGY_BISS:
-        hists = np.stack([_histogram(scorer, item.image)
-                          for item in dataset.items])
+        hists = np.stack([_histogram(scorer, image)
+                          for image in dataset.images()])
         id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
         found = [_NO_ROWS] * len(ids)
         for rows in class_rows.values():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, DatasetItem
+from .dataset import Dataset
 from .errors import ConfigError
 
 Array = np.ndarray
@@ -124,9 +124,8 @@ def make_shape_dataset(count: int, seed: int, size: int = 28,
             f"count must be >= {len(CLASS_NAMES)} for class coverage, "
             f"got {count}")
     rng = np.random.default_rng(seed)
-    items = []
-    for i in range(count):
-        label = i % len(CLASS_NAMES)
-        image = make_shape_image(label, size, rng, noise)
-        items.append(DatasetItem(f"{id_prefix}{i:05d}", image, label))
-    return Dataset(tuple(items))
+    labels = [i % len(CLASS_NAMES) for i in range(count)]
+    images = np.stack([make_shape_image(label, size, rng, noise)
+                       for label in labels])
+    return Dataset([f"{id_prefix}{i:05d}" for i in range(count)], labels,
+                   images)

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import net, sampling
+from .container import atomic_write
 from .dataset import Dataset
 from .distance import EUCLIDEAN, DistanceMetric, knn_many, triplet_correct
 from .errors import ConfigError, DataError, NumericError
@@ -102,12 +103,13 @@ LOG_HEADER = "epoch,train_loss,val_loss,triplet_acc,seconds"
 
 
 def write_log(path: str, rows: Sequence[TrainLogRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LOG_HEADER + "\n")
+    """Write the CSV log atomically, through ``<path>.tmp``."""
+    with atomic_write(path) as fh:
+        fh.write(f"{LOG_HEADER}\n".encode("utf-8"))
         for r in rows:
             fh.write(f"{r.epoch},{r.mean_train_loss:.6f},"
                      f"{r.validation_loss:.6f},{r.triplet_accuracy:.4f},"
-                     f"{r.elapsed_seconds:.3f}\n")
+                     f"{r.elapsed_seconds:.3f}\n".encode("utf-8"))
 
 
 def rmsprop_step(params: Mapping[str, Array], grads: Mapping[str, Array],
@@ -198,12 +200,10 @@ def _arms(dataset: Dataset, rows: Array, cfg: TrainConfig | None = None,
     """One (B, C, H, W) image stack per column of sample ``rows``.  Given
     ``rng``, every occurrence is augmented on its own, column by column,
     so self-pairs see two different views."""
-    arms = []
-    for column in rows.T:
-        images = [dataset.items[row].image for row in column]
-        if rng is not None and cfg.augmentation:
-            images = [augment(image, cfg, rng) for image in images]
-        arms.append(np.stack(images))
+    arms = [dataset.images()[column] for column in rows.T]
+    if rng is not None and cfg.augmentation:
+        arms = [np.stack([augment(image, cfg, rng) for image in arm])
+                for arm in arms]
     return arms
 
 
@@ -366,13 +366,11 @@ def triplet_accuracy(checkpoint: net.Checkpoint,
     """
     if not triplets:
         raise DataError("triplet_accuracy needs at least one triplet")
-    image_of = images.__getitem__ if not isinstance(images, Dataset) \
-        else lambda item_id: images.get(item_id).image
     row = {item_id: i for i, item_id in enumerate(dict.fromkeys(
         item_id for t in triplets
         for item_id in (t.anchor_id, t.positive_id, t.negative_id)))}
-    stack = np.stack([np.asarray(image_of(i), dtype=np.float32)
-                      for i in row])
+    stack = images.images(list(row)) if isinstance(images, Dataset) \
+        else np.stack([np.asarray(images[i], np.float32) for i in row])
     vectors = net.embed(checkpoint, stack)
     rows = np.array([(row[t.anchor_id], row[t.positive_id],
                       row[t.negative_id]) for t in triplets])

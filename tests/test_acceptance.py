@@ -13,13 +13,13 @@ import pytest
 
 from simembed import cli, data_io, net, ops, retrieval, sampling, toydata
 from simembed import training as tr
-from simembed.dataset import Dataset, DatasetItem
+from simembed.dataset import Dataset, make_dataset
 from simembed.distance import (DistanceMetric, EUCLIDEAN, lk_distance,
                                relative_contrast)
 from simembed.losses import (AngularConfig, ContrastiveConfig, TripletSample,
                              angular_loss, contrastive_loss,
                              squared_distance_with_grad)
-from simembed.retrieval import EmbeddingRecord, build_index, query_topk
+from simembed.retrieval import build_index, query_topk
 
 
 def report(capsys, num: int, passed: bool, detail: str) -> None:
@@ -320,12 +320,9 @@ def test_criterion_4_distance_concentration(capsys):
 
 
 def test_criterion_5_negative_composition(capsys):
-    items = []
-    for c in range(2):
-        for j in range(150):
-            img = np.full((1, 4, 4), c + j / 300, dtype=np.float32)
-            items.append(DatasetItem(f"c{c}i{j}", img, c))
-    dataset = Dataset(tuple(items))
+    dataset = make_dataset(
+        (f"c{c}i{j}", np.full((1, 4, 4), c + j / 300, dtype=np.float32), c)
+        for c in range(2) for j in range(150))
     cfg = sampling.SamplerConfig(in_class_fraction=0.3)
     all_exact = True
     for seed in range(50):
@@ -367,9 +364,7 @@ def test_criterion_6_end_to_end_toy_training(capsys):
                                       metric)
 
     vectors = net.embed(checkpoint, test_set.images(test_set.ids))
-    records = [EmbeddingRecord(i, test_set.get(i).class_label, v)
-               for i, v in zip(test_set.ids, vectors)]
-    index = build_index(records, metric)
+    index = build_index(test_set.ids, test_set.labels, vectors, metric)
     qrng = np.random.default_rng(888)
     aug_cfg = tr.TrainConfig(augmentation=frozenset({"hflip", "shift"}))
     queries = [(tr.augment(test_set.get(i).image, aug_cfg, qrng), [i])
@@ -438,13 +433,13 @@ def test_criterion_8_determinism_and_golden_parsers(tmp_path, capsys):
     parsed = data_io.parse_idx(gzip.compress(blob_i),
                                gzip.compress(blob_l))
     expected = pixels.astype(np.float32) / np.float32(255.0)
-    ok &= bool(np.array_equal(parsed.items[0].image[0], expected))
-    ok &= parsed.items[0].class_label == 4
+    ok &= bool(np.array_equal(parsed.get(parsed.ids[0]).image[0], expected))
+    ok &= parsed.get(parsed.ids[0]).class_label == 4
     record = bytes([3]) + bytes([128]) * 3072
     cifar = data_io.parse_cifar10_bin(record)
-    ok &= bool(np.all(cifar.items[0].image
+    ok &= bool(np.all(cifar.get(cifar.ids[0]).image
                       == np.float32(128) / np.float32(255)))
-    ok &= cifar.items[0].class_label == 3
+    ok &= cifar.get(cifar.ids[0]).class_label == 3
     notes.append("golden parsers exact")
 
     # format round trips are bit-exact
@@ -459,9 +454,8 @@ def test_criterion_8_determinism_and_golden_parsers(tmp_path, capsys):
     net.save_checkpoint(net.load_checkpoint(c1), c2)
     ok &= open(c1, "rb").read() == open(c2, "rb").read()
     vecs = net.embed(ckpt, ds.images(ds.ids[:10]))
-    index = build_index(
-        [EmbeddingRecord(i, ds.get(i).class_label, v)
-         for i, v in zip(ds.ids[:10], vecs)], DistanceMetric(0.25))
+    index = build_index(ds.ids[:10], ds.labels[:10], vecs,
+                        DistanceMetric(0.25))
     e1, e2 = str(tmp_path / "e1.emb"), str(tmp_path / "e2.emb")
     retrieval.write_embeddings(e1, index)
     retrieval.write_embeddings(e2, retrieval.read_embeddings(e1))
@@ -498,13 +492,12 @@ def test_criterion_9_retrieval_exactness(capsys):
     all_ok = True
     for exponent in (0.25, 1.0, 2.0):
         metric = DistanceMetric(exponent)
-        records = [EmbeddingRecord(f"r{i:03d}", i % 7, vectors[i])
-                   for i in range(200)]
-        index = build_index(records, metric)
+        ids = [f"r{i:03d}" for i in range(200)]
+        index = build_index(ids, np.arange(200) % 7, vectors, metric)
         query = rng.standard_normal(8)
         oracle = sorted(
-            ((lk_distance(query, r.vector, metric), r.id)
-             for r in records),
+            ((lk_distance(query, vector, metric), item_id)
+             for item_id, vector in zip(ids, vectors)),
             key=lambda pair: (pair[0], pair[1]))
         for k in (1, 5, 20, 200):
             got = query_topk(index, query, k)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simembed import cli, data_io
-from simembed.dataset import Dataset, DatasetItem
+from simembed.dataset import make_dataset
 
 TINY_CONFIG = {
     "net": {
@@ -31,12 +31,9 @@ TINY_CONFIG = {
 
 def make_grid_dataset(seed=0):
     rng = np.random.default_rng(seed)
-    items = []
-    for c in range(3):
-        for j in range(4):
-            img = rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
-            items.append(DatasetItem(f"c{c}i{j}", img, c))
-    return Dataset(tuple(items))
+    return make_dataset(
+        (f"c{c}i{j}", rng.uniform(0, 1, (1, 8, 8)).astype(np.float32), c)
+        for c in range(3) for j in range(4))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +90,7 @@ class TestIngest:
                          "--offset", "1", "--limit", "2"]) == 0
         assert "items=2" in capsys.readouterr().out
         ds = data_io.read_dataset(out)
-        assert [it.id for it in ds.items] == ["idx-00001", "idx-00002"]
+        assert ds.ids == ("idx-00001", "idx-00002")
 
     def test_existing_output_needs_force(self, tmp_path, capsys):
         ip, lp = self.write_idx(tmp_path)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from simembed import data_io
-from simembed.errors import DataError, FormatError
-from simembed.dataset import Dataset, DatasetItem
+from simembed.errors import DataError, DimensionError, FormatError
+from simembed.dataset import Dataset, make_dataset
 
 
 def idx_image_bytes(images):
@@ -36,10 +36,9 @@ class TestParseIdx:
     def test_golden_values(self, golden_idx):
         ds = data_io.parse_idx(*golden_idx)
         assert len(ds) == 3
-        assert [it.id for it in ds.items] == \
-            ["idx-00000", "idx-00001", "idx-00002"]
-        assert [it.class_label for it in ds.items] == [7, 0, 3]
-        first = ds.items[0].image
+        assert ds.ids == ("idx-00000", "idx-00001", "idx-00002")
+        assert ds.labels.tolist() == [7, 0, 3]
+        first = ds.images()[0]
         assert first.shape == (1, 2, 2)
         assert first.dtype == np.float32
         expected = np.array([[0, 1.0], [51 / 255, 102 / 255]],
@@ -48,20 +47,19 @@ class TestParseIdx:
 
     def test_all_zero_images_kept(self, golden_idx):
         ds = data_io.parse_idx(*golden_idx)
-        assert np.all(ds.items[2].image == 0)
+        assert np.all(ds.images()[2] == 0)
 
     def test_gzip_transparent(self, golden_idx):
         images, labels = golden_idx
         plain = data_io.parse_idx(images, labels)
         zipped = data_io.parse_idx(gzip.compress(images),
                                    gzip.compress(labels))
-        assert [it.id for it in plain.items] == [it.id for it in zipped.items]
-        for a, b in zip(plain.items, zipped.items):
-            assert np.array_equal(a.image, b.image)
+        assert plain.ids == zipped.ids
+        assert np.array_equal(plain.images(), zipped.images())
 
     def test_custom_id_prefix(self, golden_idx):
         ds = data_io.parse_idx(*golden_idx, id_prefix="fash-")
-        assert ds.items[0].id == "fash-00000"
+        assert ds.ids[0] == "fash-00000"
 
     def test_count_mismatch_rejected(self, golden_idx):
         images, _ = golden_idx
@@ -101,10 +99,10 @@ class TestParseCifar10:
         batch = self.make_batch([3, 9], [0, 255])
         ds = data_io.parse_cifar10_bin(batch)
         assert len(ds) == 2
-        assert [it.class_label for it in ds.items] == [3, 9]
-        assert ds.items[0].image.shape == (3, 32, 32)
-        assert np.all(ds.items[0].image == 0.0)
-        assert np.all(ds.items[1].image == 1.0)
+        assert ds.labels.tolist() == [3, 9]
+        assert ds.image_shape == (3, 32, 32)
+        assert np.all(ds.images()[0] == 0.0)
+        assert np.all(ds.images()[1] == 1.0)
 
     def test_label_9_is_valid_but_10_is_not(self):
         with pytest.raises(FormatError, match="range"):
@@ -123,7 +121,7 @@ class TestParseCifar10:
         batch = self.make_batch([2], [7])
         a = data_io.parse_cifar10_bin(batch)
         b = data_io.parse_cifar10_bin(gzip.compress(batch))
-        assert np.array_equal(a.items[0].image, b.items[0].image)
+        assert np.array_equal(a.images(), b.images())
 
 
 class TestParseTripletList:
@@ -153,11 +151,11 @@ class TestDatasetFile:
         a, b = str(tmp_path / "a.dset"), str(tmp_path / "b.dset")
         data_io.write_dataset(a, small_dataset)
         loaded = data_io.read_dataset(a)
-        assert len(loaded) == len(small_dataset)
-        for orig, got in zip(small_dataset.items, loaded.items):
-            assert got.id == orig.id
-            assert got.class_label == orig.class_label
-            assert np.array_equal(got.image, orig.image)
+        assert loaded.ids == small_dataset.ids
+        assert loaded.labels.dtype == np.int32
+        assert np.array_equal(loaded.labels, small_dataset.labels)
+        assert loaded.images().dtype == np.float32
+        assert np.array_equal(loaded.images(), small_dataset.images())
         data_io.write_dataset(b, loaded)
         assert open(a, "rb").read() == open(b, "rb").read()
 
@@ -178,35 +176,26 @@ class TestDatasetFile:
 
     def test_empty_dataset_refused(self, tmp_path):
         with pytest.raises(DataError):
-            data_io.write_dataset(str(tmp_path / "e.dset"), Dataset(()))
+            data_io.write_dataset(str(tmp_path / "e.dset"),
+                                  Dataset((), (), np.zeros((0, 1, 2, 2))))
 
     def test_overlong_id_refused_before_writing(self, tmp_path):
-        ds = Dataset((DatasetItem("x" * 0x10000, np.zeros((1, 2, 2)), 0),))
+        ds = Dataset(["x" * 0x10000], [0], np.zeros((1, 1, 2, 2)))
         with pytest.raises(DataError, match="too long"):
             data_io.write_dataset(str(tmp_path / "x.dset"), ds)
         assert os.listdir(tmp_path) == []
 
     def test_failed_write_leaves_no_file(self, tmp_path, small_dataset,
-                                         monkeypatch):
+                                         monkeypatch, disk_fills):
         path = str(tmp_path / "x.dset")
-        real = np.ascontiguousarray
-        calls = []
-
-        def failing(*args, **kwargs):  # the disk fills on the third image
-            calls.append(1)
-            if len(calls) == 3:
-                raise OSError("no space left on device")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "ascontiguousarray", failing)
+        disk_fills(600)  # the disk fills on the third 266-byte record
         with pytest.raises(OSError, match="no space"):
             data_io.write_dataset(path, small_dataset)
         assert os.listdir(tmp_path) == []
         monkeypatch.undo()
         data_io.write_dataset(path, small_dataset)
         before = open(path, "rb").read()
-        calls.clear()
-        monkeypatch.setattr(np, "ascontiguousarray", failing)
+        disk_fills(600)
         with pytest.raises(OSError):
             data_io.write_dataset(path, small_dataset)
         assert os.listdir(tmp_path) == ["x.dset"]
@@ -222,4 +211,141 @@ class TestLoadHelpers:
         lp.write_bytes(gzip.compress(labels))
         ds = data_io.load_idx_files(str(ip), str(lp))
         assert len(ds) == 3
-        assert ds.items[0].class_label == 7
+        assert ds.get("idx-00000").class_label == 7
+
+    def test_load_cifar10_files_numbers_ids_per_batch(self, tmp_path):
+        make_batch = TestParseCifar10().make_batch
+        first, second = tmp_path / "b0.bin", tmp_path / "b1.bin.gz"
+        first.write_bytes(make_batch([3, 9], [0, 255]))
+        second.write_bytes(gzip.compress(make_batch([5], [51])))
+        ds = data_io.load_cifar10_files([str(first), str(second)])
+        assert ds.ids == ("cifar-b0-00000", "cifar-b0-00001",
+                          "cifar-b1-00000")
+        assert ds.labels.tolist() == [3, 9, 5]
+        assert ds.image_shape == (3, 32, 32)
+        assert np.array_equal(ds.images()[:, 0, 0, 0],
+                              np.float32([0, 255, 51]) / np.float32(255))
+
+    def test_load_cifar10_files_checks_every_batch(self, tmp_path):
+        make_batch = TestParseCifar10().make_batch
+        padded, short = tmp_path / "padded.bin", tmp_path / "short.bin"
+        padded.write_bytes(make_batch([1], [0]) + b"\x00" * 10)
+        short.write_bytes(make_batch([1], [0])[10:])
+        with pytest.raises(FormatError, match="multiple"):
+            data_io.load_cifar10_files([str(padded), str(short)])
+        with pytest.raises(DataError):
+            data_io.load_cifar10_files([])
+
+
+def dset_bytes(records, shape, count=None):
+    """DSETV001 bytes for ``(id, label, image)`` records, built by hand so
+    that they can hold what ``write_dataset`` would refuse."""
+    count = len(records) if count is None else count
+    out = [b"DSETV001", struct.pack("<IQIII", 1, count, *shape)]
+    for item_id, label, image in records:
+        raw = item_id.encode("utf-8")
+        out += [struct.pack("<H", len(raw)), raw, struct.pack("<i", label),
+                np.asarray(image, dtype="<f4").tobytes()]
+    return b"".join(out)
+
+
+class TestDatasetHeader:
+    def test_count_beyond_file_size_rejected(self, tmp_path):
+        path = tmp_path / "short.dset"
+        path.write_bytes(dset_bytes([("a", 0, np.zeros((1, 2, 2)))],
+                                    (1, 2, 2), count=2 ** 40))
+        with pytest.raises(FormatError, match="truncated"):
+            data_io.read_dataset(str(path))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (1, 0, 4), (1, 4, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, shape):
+        path = tmp_path / "flat.dset"
+        path.write_bytes(dset_bytes([("a", 0, np.zeros(shape))], shape))
+        with pytest.raises(DimensionError):
+            data_io.read_dataset(str(path))
+
+    def test_zero_count_rejected(self, tmp_path):
+        path = tmp_path / "none.dset"
+        path.write_bytes(dset_bytes([], (1, 2, 2)))
+        with pytest.raises(FormatError, match="zero"):
+            data_io.read_dataset(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "pad.dset"
+        path.write_bytes(dset_bytes([("a", 0, np.zeros((1, 2, 2)))],
+                                    (1, 2, 2)) + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            data_io.read_dataset(str(path))
+
+    def test_mixed_length_unicode_ids_read_back(self, tmp_path):
+        images = np.arange(4 * 6, dtype=np.float32).reshape(4, 1, 2, 3) / 7
+        ids = ["", "skål-中文", "x" * 300, "b"]
+        records = [(i, label, image)
+                   for i, label, image in zip(ids, [3, -1, 2 ** 31 - 1, 0],
+                                              images)]
+        path = tmp_path / "mixed.dset"
+        path.write_bytes(dset_bytes(records, (1, 2, 3)))
+        ds = data_io.read_dataset(str(path))
+        assert ds.ids == tuple(ids)
+        assert ds.labels.tolist() == [3, -1, 2 ** 31 - 1, 0]
+        assert np.array_equal(ds.images(), images)
+        again = str(tmp_path / "again.dset")
+        data_io.write_dataset(again, ds)
+        assert open(again, "rb").read() == path.read_bytes()
+
+
+class TestDatasetColumns:
+    def test_arrays_are_read_only(self, tmp_path, small_dataset):
+        path = str(tmp_path / "x.dset")
+        data_io.write_dataset(path, small_dataset)
+        for ds in (small_dataset, data_io.read_dataset(path)):
+            with pytest.raises(ValueError):
+                ds.images()[0, 0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                ds.labels[0] = 1
+            with pytest.raises(ValueError):
+                ds.get(ds.ids[0]).image[0, 0, 0] = 1.0
+
+    def test_images_is_the_stored_array(self, small_dataset):
+        assert small_dataset.images() is small_dataset.images()
+        picked = small_dataset.images(["c1i2", "c0i0"])
+        assert np.array_equal(picked, small_dataset.images()[[6, 0]])
+        picked[0] = 0.0  # a stack of picked ids is the caller's own
+        assert small_dataset.images()[6].any()
+
+    def test_subset_keeps_rows(self, small_dataset):
+        part = small_dataset.subset(["c2i3", "c0i1"])
+        assert part.ids == ("c2i3", "c0i1")
+        assert part.labels.tolist() == [2, 0]
+        assert np.array_equal(part.images(), small_dataset.images()[[11, 1]])
+        assert part.class_index == {2: ("c2i3",), 0: ("c0i1",)}
+
+    @pytest.mark.parametrize("label", [2 ** 31, -2 ** 31 - 1, 2 ** 70])
+    def test_label_outside_int32_rejected(self, label):
+        image = np.zeros((1, 2, 2), dtype=np.float32)
+        with pytest.raises(DataError, match="int32"):
+            make_dataset([("a", image, 0), ("b", image, label)])
+        with pytest.raises(DataError, match="'b'.*int32"):
+            Dataset(["a", "b"], np.array([0, label], dtype=object),
+                    np.zeros((2, 1, 2, 2)))
+
+    def test_int32_label_limits_accepted(self, tmp_path):
+        ds = Dataset(["lo", "hi"], [-2 ** 31, 2 ** 31 - 1],
+                     np.zeros((2, 1, 2, 2)))
+        path = str(tmp_path / "x.dset")
+        data_io.write_dataset(path, ds)
+        assert data_io.read_dataset(path).labels.tolist() == \
+            [-2 ** 31, 2 ** 31 - 1]
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(DataError, match="duplicate item id 'a'"):
+            Dataset(["a", "b", "a"], [0, 1, 0], np.zeros((3, 1, 2, 2)))
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(DimensionError):
+            Dataset(["a", "b"], [0], np.zeros((2, 1, 2, 2)))
+        with pytest.raises(DimensionError):
+            Dataset(["a"], [0], np.zeros((1, 2, 2)))
+        with pytest.raises(DimensionError):
+            make_dataset([("a", np.zeros((1, 2, 2)), 0),
+                          ("b", np.zeros((1, 3, 2)), 0)])

@@ -10,7 +10,7 @@ from simembed.distance import (EUCLIDEAN, MANHATTAN, DistanceMetric,
                                lk_distance, pairwise_distances,
                                relative_contrast)
 from simembed.errors import DataError, DimensionError
-from simembed.retrieval import EmbeddingRecord, build_index, query_topk
+from simembed.retrieval import build_index, query_topk
 
 
 class TestMetric:
@@ -137,9 +137,8 @@ class TestRelativeContrast:
 
 def _random_index(rng, n=50, dim=4, k=2.0):
     vecs = rng.standard_normal((n, dim))
-    records = [EmbeddingRecord(f"r{i:03d}", i % 3, v)
-               for i, v in enumerate(vecs)]
-    return build_index(records, DistanceMetric(k))
+    return build_index([f"r{i:03d}" for i in range(n)], np.arange(n) % 3,
+                       vecs, DistanceMetric(k))
 
 
 def _tied_index(rng):
@@ -149,7 +148,7 @@ def _tied_index(rng):
     base = rng.standard_normal((3, 4))
     ids = [f"r{i:02d}" for i in range(12)][::-1]
     vecs = base[[0, 1, 2, 0, 1, 2, 0, 1, 0, 2, 1, 0]]
-    return build_index([EmbeddingRecord(i, 0, v) for i, v in zip(ids, vecs)],
+    return build_index(ids, np.zeros(12, dtype=np.int32), vecs,
                        DistanceMetric(0.25)), base
 
 

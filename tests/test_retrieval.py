@@ -7,13 +7,18 @@ import pytest
 from simembed import retrieval
 from simembed.distance import DistanceMetric, lk_distance
 from simembed.errors import DataError, DimensionError, FormatError
-from simembed.retrieval import EmbeddingRecord, build_index, query_topk
+from simembed.retrieval import build_index, query_topk
 
 
-def random_records(rng, n, dim=6, id_width=4):
+def random_columns(rng, n, dim=6, id_width=4):
+    """``(ids, labels, vectors)`` of ``n`` random records."""
     vectors = rng.standard_normal((n, dim)).astype(np.float32)
-    return [EmbeddingRecord(f"r{i:0{id_width}d}", i % 10, vectors[i])
-            for i in range(n)]
+    return [f"r{i:0{id_width}d}" for i in range(n)], np.arange(n) % 10, \
+        vectors
+
+
+def random_index(rng, n, metric=DistanceMetric()):
+    return build_index(*random_columns(rng, n), metric)
 
 
 def emb_bytes(rows, dim, exponent=2.0, count=None):
@@ -28,99 +33,103 @@ def emb_bytes(rows, dim, exponent=2.0, count=None):
     return b"".join(out)
 
 
-class TestRecord:
-    def test_vector_coerced_to_float32(self):
-        r = EmbeddingRecord("a", 0, np.arange(3, dtype=np.float64))
-        assert r.vector.dtype == np.float32
-
-    def test_non_finite_vector_rejected(self):
-        with pytest.raises(DataError):
-            EmbeddingRecord("a", 0, np.array([1.0, np.inf]))
-
-    def test_non_1d_vector_rejected(self):
-        with pytest.raises(DimensionError):
-            EmbeddingRecord("a", 0, np.zeros((2, 2)))
-
-
 class TestBuildIndex:
     def test_single_record(self, rng):
-        index = build_index(random_records(rng, 1), DistanceMetric())
+        index = random_index(rng, 1)
         assert index.size == 1
         assert index.dim == 6
         assert index.ids == ("r0000",)
 
+    def test_vectors_coerced_to_float32(self):
+        index = build_index(["a"], [0], np.arange(3, dtype=np.float64)[None],
+                            DistanceMetric())
+        assert index.vectors.dtype == np.float32
+
+    def test_non_finite_vector_rejected(self):
+        with pytest.raises(DataError, match="'b'.*non-finite"):
+            build_index(["a", "b"], [0, 0], [[1.0, 2.0], [1.0, np.inf]],
+                        DistanceMetric())
+
+    def test_non_matrix_vectors_rejected(self):
+        for shape in [(2,), (2, 2, 2), (2, 0)]:
+            with pytest.raises(DimensionError):
+                build_index(["a", "b"], [0, 0], np.zeros(shape),
+                            DistanceMetric())
+
     def test_duplicate_id_rejected(self, rng):
-        records = random_records(rng, 2)
-        records[1] = EmbeddingRecord("r0000", 1, records[1].vector)
+        ids, labels, vectors = random_columns(rng, 2)
         with pytest.raises(DataError, match="duplicate"):
-            build_index(records, DistanceMetric())
+            build_index(["r0000", "r0000"], labels, vectors,
+                        DistanceMetric())
 
     def test_dim_mismatch_rejected(self, rng):
-        records = random_records(rng, 2)
-        records.append(EmbeddingRecord("odd", 0, np.zeros(5,
-                                                          dtype=np.float32)))
+        ids, labels, vectors = random_columns(rng, 2)
         with pytest.raises(DimensionError):
-            build_index(records, DistanceMetric())
+            build_index(ids + ["odd"], np.append(labels, 0), vectors,
+                        DistanceMetric())
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            build_index([], DistanceMetric())
+            build_index([], [], np.zeros((0, 6)), DistanceMetric())
+
+    @pytest.mark.parametrize("label", [2 ** 31, -2 ** 31 - 1])
+    def test_label_outside_int32_rejected(self, label):
+        with pytest.raises(DataError, match="'b'.*int32"):
+            build_index(["a", "b"], [0, label], np.zeros((2, 3)),
+                        DistanceMetric())
 
     def test_vectors_matrix_matches_records(self, rng):
-        records = random_records(rng, 10)
-        index = build_index(records, DistanceMetric())
-        assert index.ids == tuple(r.id for r in records)
+        ids, labels, vectors = random_columns(rng, 10)
+        index = build_index(ids, labels, vectors, DistanceMetric())
+        assert index.ids == tuple(ids)
         assert index.labels.dtype == np.int32
-        assert index.labels.tolist() == [r.class_label for r in records]
+        assert index.labels.tolist() == labels.tolist()
         assert index.vectors.dtype == np.float32
-        assert np.array_equal(index.vectors,
-                              np.stack([r.vector for r in records]))
+        assert np.array_equal(index.vectors, vectors)
 
 
 class TestQueryTopk:
     def test_stored_vector_comes_back_at_distance_zero(self, rng):
-        records = random_records(rng, 50)
-        index = build_index(records, DistanceMetric())
-        got = query_topk(index, records[17].vector, k=3)
+        index = random_index(rng, 50)
+        got = query_topk(index, index.vectors[17], k=3)
         assert got[0] == ("r0017", 0.0)
 
     def test_matches_full_sort_oracle(self, rng):
-        records = random_records(rng, 200)
-        index = build_index(records, DistanceMetric(0.25))
+        index = random_index(rng, 200, DistanceMetric(0.25))
         query = rng.standard_normal(6)
         got = query_topk(index, query, k=20)
         brute = sorted(
-            ((lk_distance(query, r.vector, index.metric), r.id)
-             for r in records),
+            ((lk_distance(query, vector, index.metric), item_id)
+             for item_id, vector in zip(index.ids, index.vectors)),
             key=lambda pair: (pair[0], pair[1]))
         assert [(i, pytest.approx(d)) for d, i in brute[:20]] == \
             [(i, pytest.approx(d)) for i, d in got]
 
     def test_k_larger_than_index_clamps(self, rng):
-        index = build_index(random_records(rng, 5), DistanceMetric())
+        index = random_index(rng, 5)
         got = query_topk(index, np.zeros(6), k=50)
         assert len(got) == 5
 
     def test_k_zero_rejected(self, rng):
-        index = build_index(random_records(rng, 5), DistanceMetric())
+        index = random_index(rng, 5)
         with pytest.raises(ValueError):
             query_topk(index, np.zeros(6), k=0)
 
     def test_wrong_query_dim_rejected(self, rng):
-        index = build_index(random_records(rng, 5), DistanceMetric())
+        index = random_index(rng, 5)
         with pytest.raises(DimensionError):
             query_topk(index, np.zeros(7), k=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, rng, bad):
-        index = build_index(random_records(rng, 5), DistanceMetric())
+        index = random_index(rng, 5)
         query = np.zeros(6)
         query[2] = bad
         with pytest.raises(DataError, match="non-finite"):
             query_topk(index, query, k=1)
 
     def test_distances_ascend(self, rng):
-        index = build_index(random_records(rng, 1000), DistanceMetric())
+        index = random_index(rng, 1000)
         got = query_topk(index, rng.standard_normal(6), k=100)
         dists = [d for _, d in got]
         assert dists == sorted(dists)
@@ -129,22 +138,21 @@ class TestQueryTopk:
 
 class TestRecallAtK:
     def test_hit_and_miss(self, rng):
-        records = random_records(rng, 30)
-        index = build_index(records, DistanceMetric())
-        query = records[4].vector
+        index = random_index(rng, 30)
+        query = index.vectors[4]
         assert retrieval.recall_at_k(index, query, ["r0004"], k=1) == 1.0
         ranked = [i for i, _ in query_topk(index, query, k=index.size)]
         assert retrieval.recall_at_k(index, query, [ranked[-1]], k=1) == 0.0
 
     def test_empty_truth_rejected(self, rng):
-        index = build_index(random_records(rng, 5), DistanceMetric())
+        index = random_index(rng, 5)
         with pytest.raises(DataError):
             retrieval.recall_at_k(index, np.zeros(6), [], k=3)
 
 
 class TestEmbeddingFile:
     def test_round_trip_bitwise(self, tmp_path, rng):
-        index = build_index(random_records(rng, 25), DistanceMetric(0.25))
+        index = random_index(rng, 25, DistanceMetric(0.25))
         a, b = str(tmp_path / "a.emb"), str(tmp_path / "b.emb")
         retrieval.write_embeddings(a, index)
         loaded = retrieval.read_embeddings(a)
@@ -158,7 +166,7 @@ class TestEmbeddingFile:
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_round_trip_preserves_query_results(self, tmp_path, rng):
-        index = build_index(random_records(rng, 40), DistanceMetric(0.25))
+        index = random_index(rng, 40, DistanceMetric(0.25))
         path = str(tmp_path / "x.emb")
         retrieval.write_embeddings(path, index)
         loaded = retrieval.read_embeddings(path)
@@ -172,7 +180,7 @@ class TestEmbeddingFile:
             retrieval.read_embeddings(str(path))
 
     def test_truncation_rejected(self, tmp_path, rng):
-        index = build_index(random_records(rng, 10), DistanceMetric())
+        index = random_index(rng, 10)
         path = str(tmp_path / "ok.emb")
         retrieval.write_embeddings(path, index)
         blob = open(path, "rb").read()
@@ -183,7 +191,7 @@ class TestEmbeddingFile:
                 retrieval.read_embeddings(str(cut))
 
     def test_trailing_bytes_rejected(self, tmp_path, rng):
-        index = build_index(random_records(rng, 3), DistanceMetric())
+        index = random_index(rng, 3)
         path = str(tmp_path / "ok.emb")
         retrieval.write_embeddings(path, index)
         padded = tmp_path / "pad.emb"
@@ -193,9 +201,7 @@ class TestEmbeddingFile:
 
     def test_unicode_ids_survive(self, tmp_path, rng):
         vec = rng.standard_normal(4).astype(np.float32)
-        index = build_index(
-            [EmbeddingRecord("skål-中文", 2, vec)],
-            DistanceMetric())
+        index = build_index(["skål-中文"], [2], vec[None], DistanceMetric())
         path = str(tmp_path / "uni.emb")
         retrieval.write_embeddings(path, index)
         assert retrieval.read_embeddings(path).ids == \
@@ -211,6 +217,22 @@ class TestEmbeddingFile:
         assert index.labels.tolist() == [3, -1]
         assert index.vectors.tolist() == [[1.0, 2.0], [0.5, 0.0]]
         assert index.metric == DistanceMetric(0.25)
+
+    def test_mixed_length_unicode_ids_read_back(self, tmp_path):
+        ids = ["", "skål-中文", "y" * 300, "b"]
+        labels = [-2 ** 31, 7, 2 ** 31 - 1, 0]
+        vectors = np.arange(12, dtype=np.float32).reshape(4, 3) / 7
+        path = tmp_path / "mixed.emb"
+        path.write_bytes(emb_bytes(list(zip(ids, labels, vectors)), dim=3,
+                                   exponent=0.5))
+        index = retrieval.read_embeddings(str(path))
+        assert index.ids == tuple(ids)
+        assert index.labels.tolist() == labels
+        assert np.array_equal(index.vectors, vectors)
+        assert index.metric == DistanceMetric(0.5)
+        again = str(tmp_path / "again.emb")
+        retrieval.write_embeddings(again, index)
+        assert open(again, "rb").read() == path.read_bytes()
 
     def test_nan_vector_entry_rejected(self, tmp_path):
         path = tmp_path / "nan.emb"
@@ -241,7 +263,7 @@ class TestEmbeddingFile:
 
     def test_failed_write_leaves_no_file(self, tmp_path, rng):
         vec = rng.standard_normal(4).astype(np.float32)
-        index = build_index([EmbeddingRecord("x" * 0x10000, 0, vec)],
+        index = build_index(["x" * 0x10000], [0], vec[None],
                             DistanceMetric())
         with pytest.raises(DataError, match="too long"):
             retrieval.write_embeddings(str(tmp_path / "x.emb"), index)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simembed import sampling
-from simembed.dataset import Dataset, DatasetItem
+from simembed.dataset import make_dataset
 from simembed.errors import ConfigError, DataError
 from simembed.sampling import BissScorer, SamplerConfig
 
@@ -13,11 +13,9 @@ def flat_image(value, size=8):
 
 def dataset_of_flats(values_by_class):
     """{class_label: [pixel values]} -> Dataset of constant images."""
-    items = []
-    for label, values in values_by_class.items():
-        for j, v in enumerate(values):
-            items.append(DatasetItem(f"c{label}i{j}", flat_image(v), label))
-    return Dataset(tuple(items))
+    return make_dataset((f"c{label}i{j}", flat_image(v), label)
+                        for label, values in values_by_class.items()
+                        for j, v in enumerate(values))
 
 
 class TestBissScore:
@@ -73,24 +71,22 @@ class TestPositiveCandidates:
 
     def test_duplicate_image_ranks_first(self, rng):
         base = rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
-        items = [DatasetItem("q", base, 0),
-                 DatasetItem("twin", base.copy(), 0)]
+        items = [("q", base, 0), ("twin", base.copy(), 0)]
         for j in range(6):
-            items.append(DatasetItem(
-                f"other{j}",
-                rng.uniform(0, 1, (1, 8, 8)).astype(np.float32), 0))
-        items.append(DatasetItem("far", flat_image(1.0), 1))
-        ds = Dataset(tuple(items))
+            items.append((f"other{j}",
+                          rng.uniform(0, 1, (1, 8, 8)).astype(np.float32), 0))
+        items.append(("far", flat_image(1.0), 1))
+        ds = make_dataset(items)
         got = sampling.positive_candidates(
             BissScorer(), "q", ds, SamplerConfig(n_candidates=3))
         assert got[0] == "twin"
 
     def test_matches_full_sort_oracle(self, rng):
-        items = [DatasetItem(
-            f"a{j:02d}", rng.uniform(0, 1, (1, 8, 8)).astype(np.float32), 0)
-            for j in range(20)]
-        items.append(DatasetItem("b0", flat_image(0.5), 1))
-        ds = Dataset(tuple(items))
+        items = [(f"a{j:02d}",
+                  rng.uniform(0, 1, (1, 8, 8)).astype(np.float32), 0)
+                 for j in range(20)]
+        items.append(("b0", flat_image(0.5), 1))
+        ds = make_dataset(items)
         scorer = BissScorer()
         cfg = SamplerConfig(n_candidates=7)
         got = sampling.positive_candidates(scorer, "a00", ds, cfg)
@@ -122,9 +118,9 @@ def tie_dataset():
         for j in range(12):
             image = base.copy() if j % 4 == 0 else \
                 rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
-            items.append(DatasetItem(f"z{(7 * j) % 12:02d}-c{c}", image, c))
-    items.append(DatasetItem("alone", base.copy(), 9))
-    return Dataset(tuple(items))
+            items.append((f"z{(7 * j) % 12:02d}-c{c}", image, c))
+    items.append(("alone", base.copy(), 9))
+    return make_dataset(items)
 
 
 def table_ids(table, row):
@@ -138,7 +134,7 @@ class TestCandidateTable:
         scorer = BissScorer()
         table = sampling.candidate_table(ds, scorer,
                                          SamplerConfig(n_candidates=n))
-        for row, item in enumerate(ds.items):
+        for row, item in enumerate(map(ds.get, ds.ids)):
             scored = sorted(
                 (sampling.biss_score(scorer, item.image, ds.get(i).image), i)
                 for i in ds.class_index[item.class_label] if i != item.id)
@@ -165,8 +161,7 @@ class TestCandidateTable:
         assert list(table.class_rows[9]) == [len(ds) - 1]
         assert list(table.other_rows[9]) == list(range(len(ds) - 1))
         assert list(table.queryable) == list(range(len(ds) - 1))
-        assert [ds.items[r].class_label for r in table.class_rows[1]] \
-            == [1] * 12
+        assert ds.labels[table.class_rows[1]].tolist() == [1] * 12
 
     def test_random_baseline_candidates_are_classmates(self):
         ds = tie_dataset()
@@ -328,7 +323,7 @@ class TestMakeTripletBatch:
         rows = sampling.make_triplet_batch(table, batch_size,
                                            np.random.default_rng(seed))
         assert rows.shape == (batch_size, 3)
-        return [tuple(ds.items[r] for r in row) for row in rows]
+        return [tuple(ds.get(ds.ids[r]) for r in row) for row in rows]
 
     def test_class_constraints(self, small_dataset):
         trips = self.batch(small_dataset, SamplerConfig(n_candidates=3), 25,

@@ -1,14 +1,15 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simembed import net, toydata, training
+from simembed import data_io, net, toydata, training
 from simembed.distance import DistanceMetric
 from simembed.errors import ConfigError, DataError, NumericError
 from simembed.losses import AngularConfig, TripletSample
-from simembed.retrieval import EmbeddingRecord, build_index
+from simembed.retrieval import build_index
 from simembed.sampling import SamplerConfig
 from simembed.training import TrainConfig, TrainLogRow
 
@@ -226,12 +227,31 @@ class TestTrainLoop:
         assert math.isfinite(logs[0].mean_train_loss)
 
     def test_single_class_data_rejected(self, small_dataset):
-        from simembed.dataset import Dataset
-        one_class = Dataset(tuple(
-            item for item in small_dataset.items if item.class_label == 0))
+        one_class = small_dataset.subset(small_dataset.class_index[0])
         with pytest.raises(DataError):
             training.train(one_class, one_class, tiny_net_config(),
                            SamplerConfig(), quick_train_config())
+
+
+    def test_runs_on_a_read_only_dataset_from_a_file(self, tmp_path,
+                                                     small_dataset):
+        path = str(tmp_path / "x.dset")
+        data_io.write_dataset(path, small_dataset)
+        ds = data_io.read_dataset(path)
+        assert not ds.images().flags.writeable
+        cfg = quick_train_config(augmentation=frozenset(
+            {"hflip", "shift", "rotate"}))
+        from_file, _ = training.train(ds, ds, tiny_net_config(),
+                                      SamplerConfig(n_candidates=3), cfg)
+        in_memory, _ = training.train(small_dataset, small_dataset,
+                                      tiny_net_config(),
+                                      SamplerConfig(n_candidates=3), cfg)
+        for name, value in in_memory.parameters.items():
+            assert np.array_equal(from_file.parameters[name], value)
+        vectors = net.embed(from_file, ds.images())
+        assert vectors.shape == (len(ds), 6)
+        assert np.array_equal(vectors,
+                              net.embed(in_memory, small_dataset.images()))
 
 
 class TestInClassNegativePool:
@@ -366,9 +386,8 @@ class TestTopkRecall:
         images = [rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
                   for _ in range(n)]
         vectors = net.embed(ckpt, np.stack(images))
-        records = [EmbeddingRecord(f"item{i}", i, vectors[i])
-                   for i in range(n)]
-        index = build_index(records, DistanceMetric(2.0))
+        index = build_index([f"item{i}" for i in range(n)], np.arange(n),
+                            vectors, DistanceMetric(2.0))
         return ckpt, images, index
 
     def test_self_query_is_rank_one(self, rng):
@@ -410,3 +429,21 @@ class TestWriteLog:
         assert lines[0] == "epoch,train_loss,val_loss,triplet_acc,seconds"
         assert lines[1] == "1,0.500000,0.250000,0.7500,1.500"
         assert lines[2] == "2,0.250000,0.125000,0.8750,2.000"
+
+    def test_failed_write_keeps_old_log_and_leaves_no_tmp(
+            self, tmp_path, monkeypatch, disk_fills):
+        rows = [TrainLogRow(1, 0.5, 0.25, 0.75, 1.5),
+                TrainLogRow(2, 0.25, 0.125, 0.875, 2.0)]
+        path = str(tmp_path / "log.csv")
+        disk_fills(60)  # the header fits, the first row does not
+        with pytest.raises(OSError, match="no space"):
+            training.write_log(path, rows)
+        assert os.listdir(tmp_path) == []
+        monkeypatch.undo()
+        training.write_log(path, rows[:1])
+        before = open(path, "rb").read()
+        disk_fills(60)
+        with pytest.raises(OSError):
+            training.write_log(path, rows)
+        assert os.listdir(tmp_path) == ["log.csv"]
+        assert open(path, "rb").read() == before
