@@ -30,12 +30,17 @@ Array = np.ndarray
 
 
 def read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    data = fh.read(n)
+    """``n`` bytes; a length past the end of the file is refused unread."""
+    data = fh.read(min(n, os.fstat(fh.fileno()).st_size - fh.tell()))
     if len(data) != n:
         raise FormatError(
             f"{getattr(fh, 'name', 'file')} truncated while reading {what} "
             f"({len(data)}/{n} bytes)")
     return data
+
+
+def read_struct(fh: BinaryIO, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), what))
 
 
 def pack_header(magic: bytes, version: int) -> bytes:
@@ -46,7 +51,7 @@ def read_header(fh: BinaryIO, magic: bytes, version: int, what: str) -> None:
     found = fh.read(len(magic))
     if found != magic:
         raise FormatError(f"bad {what} magic {found!r}, expected {magic!r}")
-    (got,) = struct.unpack("<I", read_exact(fh, 4, f"{what} version"))
+    (got,) = read_struct(fh, "<I", f"{what} version")
     if got != version:
         raise FormatError(f"unsupported {what} version {got}")
 
@@ -60,8 +65,11 @@ def pack_name(name: str) -> bytes:
 
 
 def read_name(fh: BinaryIO, what: str) -> str:
-    (length,) = struct.unpack("<H", read_exact(fh, 2, f"length of {what}"))
-    return read_exact(fh, length, what).decode("utf-8")
+    (length,) = read_struct(fh, "<H", f"length of {what}")
+    try:
+        return read_exact(fh, length, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{fh.name}: {what} is not UTF-8") from exc
 
 
 def record_columns(ids: Sequence[str], labels, count: int,
@@ -116,13 +124,16 @@ def read_records(fh: BinaryIO, count: int, row_shape: tuple[int, ...],
     rows = np.empty((count, *row_shape), dtype="<f4")
     raw = rows.reshape(count, -1).view(np.uint8)
     read, readinto = fh.read, fh.readinto
-    for i in range(count):
-        id_len = int.from_bytes(read(2), "little")
-        head = read(id_len + 4)  # short if the length above was
-        if len(head) != id_len + 4 or readinto(raw[i]) != row_bytes:
-            raise FormatError(f"{fh.name} truncated in {what} {i}")
-        ids.append(head[:id_len].decode("utf-8"))
-        labels[i] = int.from_bytes(head[id_len:], "little", signed=True)
+    try:
+        for i in range(count):
+            id_len = int.from_bytes(read(2), "little")
+            head = read(id_len + 4)  # short if the length above was
+            if len(head) != id_len + 4 or readinto(raw[i]) != row_bytes:
+                raise FormatError(f"{fh.name} truncated in {what} {i}")
+            ids.append(head[:id_len].decode("utf-8"))
+            labels[i] = int.from_bytes(head[id_len:], "little", signed=True)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{fh.name}: id of {what} {i} is not UTF-8") from exc
     if fh.read(1):
         raise FormatError(f"trailing bytes after the last {what}")
     return tuple(ids), labels, rows

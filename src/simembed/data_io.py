@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (atomic_write, pack_header, read_exact, read_header,
-                        read_records, write_records)
+from .container import (atomic_write, pack_header, read_header,
+                        read_records, read_struct, write_records)
 from .dataset import Dataset
 from .errors import DataError, FormatError
 from .losses import TripletSample
@@ -38,9 +38,7 @@ CIFAR_RECORD_BYTES = 3073
 
 
 def _maybe_gunzip(payload: bytes) -> bytes:
-    if payload[:2] == b"\x1f\x8b":
-        return gzip.decompress(payload)
-    return payload
+    return gzip.decompress(payload) if payload[:2] == b"\x1f\x8b" else payload
 
 
 def parse_idx(image_bytes: bytes, label_bytes: bytes,
@@ -165,9 +163,8 @@ def read_dataset(path: str) -> Dataset:
     """Read a dataset container written by :func:`write_dataset`."""
     with open(path, "rb") as fh:
         read_header(fh, DATASET_MAGIC, DATASET_VERSION, "dataset")
-        count, *shape = struct.unpack(
-            DATASET_HEADER, read_exact(fh, struct.calcsize(DATASET_HEADER),
-                                       "item count and image shape"))
+        count, *shape = read_struct(fh, DATASET_HEADER,
+                                    "item count and image shape")
         return Dataset(*read_records(fh, count, tuple(shape), "item"))
 
 

@@ -20,6 +20,7 @@ send every arm of a pair or triplet through one thinned network.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import ops
 from .container import (atomic_write, pack_header, pack_name, read_exact,
-                        read_header, read_name)
+                        read_header, read_name, read_struct)
 from .errors import ConfigError, DimensionError, FormatError
 
 Array = np.ndarray
@@ -333,14 +334,11 @@ def embed(checkpoint: Checkpoint, images: Array,
     ``embed_with_grad(checkpoint, chunk)[0]`` bit for bit and repeated
     calls agree bitwise.
     """
+    if chunk_size < 1:
+        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
     return np.concatenate(
         [_forward(checkpoint, images[start:start + chunk_size])[-1].output
          for start in range(0, len(images) or 1, chunk_size)], axis=0)
-
-
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
 
 
 def _config_from_dict(doc: dict) -> MultiScaleNetConfig:
@@ -361,11 +359,11 @@ def _config_from_dict(doc: dict) -> MultiScaleNetConfig:
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the checkpoint; parameters are stored as little-endian
     float32, so a float32 checkpoint round-trips bit-exactly."""
-    header = _canonical_json({
+    header = json.dumps({
         "config": asdict(checkpoint.config),
         "rng_seed": checkpoint.rng_seed,
         "epoch": checkpoint.epoch,
-    })
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
@@ -382,24 +380,19 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint and validate it against its own config."""
     with open(path, "rb") as fh:
         read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
-        (header_len,) = struct.unpack(
-            "<Q", read_exact(fh, 8, "header length"))
+        (header_len,) = read_struct(fh, "<Q", "header length")
         try:
             header = json.loads(read_exact(fh, header_len, "header"))
             config = _config_from_dict(header["config"])
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise FormatError(f"bad checkpoint header: {exc}") from exc
-        (count,) = struct.unpack(
-            "<Q", read_exact(fh, 8, "parameter count"))
+        (count,) = read_struct(fh, "<Q", "parameter count")
         params: dict[str, Array] = {}
         for i in range(count):
             name = read_name(fh, f"name of block {i}")
-            (rank,) = struct.unpack(
-                "<I", read_exact(fh, 4, f"rank of block {i}"))
-            shape = struct.unpack(
-                f"<{rank}Q", read_exact(fh, 8 * rank, f"dims of block {i}"))
-            size = int(np.prod(shape)) if shape else 1
-            raw = read_exact(fh, 4 * size, f"data of block {i}")
+            (rank,) = read_struct(fh, "<I", f"rank of block {i}")
+            shape = read_struct(fh, f"<{rank}Q", f"dims of block {i}")
+            raw = read_exact(fh, 4 * math.prod(shape), f"data of block {i}")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(
                 shape).copy()
         if fh.read(1):

@@ -44,6 +44,11 @@ def conv2d(x: Array, kernels: Array, bias: Array, stride: int = 1,
     Output spatial size is ``floor((H + 2*padding - kh) / stride) + 1`` (and
     likewise for width).  No kernel flip: this is the standard deep-learning
     convolution convention.
+
+    Lowered to im2col GEMMs: one ``np.dot`` each for the output and
+    ``dkernels`` and one ``matmul`` for every tap of ``dx``.  They copy and
+    ``dot`` as ``np.einsum``'s tensordot path did, over the same reduction
+    axis in the same order, so values and layouts are the einsum form's.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise DimensionError(
@@ -73,25 +78,28 @@ def conv2d(x: Array, kernels: Array, bias: Array, stride: int = 1,
     # windows: (N, C, H', W', kh, kw), a strided view of xp
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride,
                                                          ::stride]
-    out = np.einsum("nchwkl,fckl->nfhw", win, kernels, optimize=True)
+    h_out, w_out = win.shape[2], win.shape[3]
+    flat_kernels = kernels.reshape(f, c * kh * kw)
+
+    def columns() -> Array:  # a fresh copy: grad rebuilds, never keeps it
+        return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
+
+    out = np.dot(flat_kernels, columns()).reshape(
+        f, n, h_out, w_out).transpose(1, 0, 2, 3)
     out += bias[None, :, None, None]
-    h_out, w_out = out.shape[2], out.shape[3]
 
     def grad(upstream: Array) -> tuple[Array, Array, Array]:
         dbias = upstream.sum(axis=(0, 2, 3))
-        dkernels = np.einsum("nfhw,nchwkl->fckl", upstream, win,
-                             optimize=True)
+        dkernels = np.dot(columns(), upstream.transpose(0, 2, 3, 1).reshape(
+            n * h_out * w_out, f)).reshape(c, kh, kw, f).transpose(3, 0, 1, 2)
+        taps = np.matmul(flat_kernels.T, upstream.reshape(
+            n, f, h_out * w_out)).reshape(n, c, kh, kw, h_out, w_out)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                piece = np.einsum("nfhw,fc->nchw", upstream,
-                                  kernels[:, :, i, j], optimize=True)
                 dxp[:, :, i:i + stride * h_out:stride,
-                    j:j + stride * w_out:stride] += piece
-        if padding:
-            dx = dxp[:, :, padding:padding + h, padding:padding + w]
-        else:
-            dx = dxp
+                    j:j + stride * w_out:stride] += taps[:, :, i, j]
+        dx = dxp[:, :, padding:padding + h, padding:padding + w]
         return dx, dkernels, dbias
 
     return OpGrad(out, grad)

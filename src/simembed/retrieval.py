@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import (atomic_write, pack_header, read_exact, read_header,
+from .container import (atomic_write, pack_header, read_header, read_struct,
                         read_records, record_columns, write_records)
 from .distance import DistanceMetric, knn
 from .errors import DataError, DimensionError
@@ -86,9 +86,7 @@ def read_embeddings(path: str) -> EmbeddingIndex:
     padded or foreign files, non-finite vectors and duplicate ids."""
     with open(path, "rb") as fh:
         read_header(fh, EMBED_MAGIC, EMBED_VERSION, "embedding file")
-        exponent, dim, count = struct.unpack(
-            EMBED_HEADER, read_exact(fh, struct.calcsize(EMBED_HEADER),
-                                     "header"))
+        exponent, dim, count = read_struct(fh, EMBED_HEADER, "header")
         ids, labels, vectors = read_records(fh, count, (dim,), "record")
     return build_index(ids, labels, vectors, DistanceMetric(exponent))
 

@@ -268,8 +268,7 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
 
     logs: list[TrainLogRow] = []
     best_params = copy.deepcopy(params)
-    best_val = math.inf
-    best_epoch = 0
+    best_val, best_epoch = math.inf, 0
     lr = train_cfg.learning_rate
     aborted = False
 
@@ -284,8 +283,7 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
                     checkpoint, params, state, dataset_train, train_table,
                     train_cfg, epoch_rng, lr)
             except NumericError:
-                aborted = True
-                break
+                step_loss = math.nan
             if not math.isfinite(step_loss):
                 aborted = True
                 break
@@ -304,9 +302,8 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         logs.append(TrainLogRow(epoch, float(np.mean(losses_seen)),
                                 val_loss, acc, elapsed))
         if val_loss < best_val:
-            best_val = val_loss
+            best_val, best_epoch = val_loss, epoch
             best_params = copy.deepcopy(params)
-            best_epoch = epoch
         lr *= train_cfg.lr_decay
         if aborted:
             break
@@ -331,14 +328,10 @@ def _train_step(checkpoint: net.Checkpoint, params: dict, state: dict,
     # a mask per arm the positive term mostly measures mask noise, which
     # the net lowers by collapsing the embedding.
     mask_seed = int(rng.integers(2 ** 63))
-    outputs = []
-    backwards = []
-    for stack in stacks:
-        out, back = net.embed_with_grad(
-            checkpoint, stack, training=True,
-            rng=np.random.default_rng(mask_seed))
-        outputs.append(out)
-        backwards.append(back)
+    outputs, backwards = zip(*(
+        net.embed_with_grad(checkpoint, stack, training=True,
+                            rng=np.random.default_rng(mask_seed))
+        for stack in stacks))
     loss, row_grads = batch_loss(np.concatenate(outputs), labels,
                                  _arm_rows(outputs), train_cfg.loss,
                                  train_cfg.loss_metric)

@@ -146,6 +146,22 @@ class TestEmbed:
         assert "dim=6" in stdout
         assert "metric_k=0.25" in stdout
 
+    def test_oversized_checkpoint_length_fails_with_one_line(
+            self, workdir, capsys, tmp_path):
+        blob = bytearray(open(workdir["checkpoint"], "rb").read())
+        struct.pack_into("<Q", blob, 12, 2 ** 40)  # the header length
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        rc = cli.main(["embed", "--checkpoint", str(bad),
+                       "--data", workdir["dataset"],
+                       "--output", str(tmp_path / "out.emb"),
+                       "--config", workdir["config"]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: FormatError: bad checkpoint header:")
+        assert "truncated" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_repeat_embeds_are_byte_identical(self, workdir, tmp_path):
         a, b = str(tmp_path / "a.emb"), str(tmp_path / "b.emb")
         for out in (a, b):
@@ -190,6 +206,19 @@ class TestQuery:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: k must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_utf8_id_in_index_fails_with_one_line(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "latin.emb"
+        path.write_bytes(b"EMBIDX01" + struct.pack("<IdIQ", 1, 2.0, 2, 1)
+                         + struct.pack("<H", 2) + b"\xff\xfe"
+                         + struct.pack("<i2f", 0, 1.0, 2.0))
+        rc = cli.main(["query", "--embeddings", str(path), "--id", "x"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: FormatError:")
+        assert "id of record 0 is not UTF-8" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_unknown_id_fails_with_one_line(self, workdir, capsys):

@@ -239,11 +239,12 @@ class TestLoadHelpers:
 
 def dset_bytes(records, shape, count=None):
     """DSETV001 bytes for ``(id, label, image)`` records, built by hand so
-    that they can hold what ``write_dataset`` would refuse."""
+    that they can hold what ``write_dataset`` would refuse; an id given as
+    bytes is written as it is."""
     count = len(records) if count is None else count
     out = [b"DSETV001", struct.pack("<IQIII", 1, count, *shape)]
     for item_id, label, image in records:
-        raw = item_id.encode("utf-8")
+        raw = item_id if isinstance(item_id, bytes) else item_id.encode()
         out += [struct.pack("<H", len(raw)), raw, struct.pack("<i", label),
                 np.asarray(image, dtype="<f4").tobytes()]
     return b"".join(out)
@@ -262,6 +263,15 @@ class TestDatasetHeader:
         path = tmp_path / "flat.dset"
         path.write_bytes(dset_bytes([("a", 0, np.zeros(shape))], shape))
         with pytest.raises(DimensionError):
+            data_io.read_dataset(str(path))
+
+    def test_non_utf8_id_rejected(self, tmp_path):
+        path = tmp_path / "latin.dset"
+        image = np.zeros((1, 2, 2))
+        path.write_bytes(dset_bytes([("a", 0, image), (b"\xe9", 1, image)],
+                                    (1, 2, 2)))
+        with pytest.raises(FormatError,
+                           match=r"latin\.dset: id of item 1 is not UTF-8"):
             data_io.read_dataset(str(path))
 
     def test_zero_count_rejected(self, tmp_path):

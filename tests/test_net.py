@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -124,6 +125,13 @@ class TestEmbed:
         with pytest.raises(DimensionError, match="non-empty batch"):
             embed(ckpt, np.zeros((0, 1, 8, 8), dtype=np.float32))
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_rejected(self, rng, chunk_size):
+        ckpt = net.build_network(tiny_config(), seed=0)
+        x = rng.uniform(0, 1, (3, 1, 8, 8)).astype(np.float32)
+        with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
+            net.embed(ckpt, x, chunk_size=chunk_size)
+
     def test_training_dropout_changes_output_but_not_inference(self, rng):
         ckpt = net.build_network(tiny_config(dropout=0.5), seed=0)
         x = rng.uniform(0, 1, (2, 1, 8, 8)).astype(np.float32)
@@ -206,6 +214,19 @@ class TestEmbed:
         assert worst < 1e-3, worst
 
 
+def checkpoint_fields(blob):
+    """(offset, struct format) of the length fields of a saved checkpoint:
+    the header length, the parameter count and the first block's name
+    length, rank and first dim."""
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    count_at = 20 + header_len
+    (name_len,) = struct.unpack_from("<H", blob, count_at + 8)
+    rank_at = count_at + 10 + name_len
+    return {"header length": (12, "<Q"), "parameter count": (count_at, "<Q"),
+            "name length": (count_at + 8, "<H"), "rank": (rank_at, "<I"),
+            "dims": (rank_at + 4, "<Q")}
+
+
 class TestCheckpointFile:
     def test_round_trip_bitwise(self, tmp_path):
         ckpt = net.build_network(tiny_config(), seed=5)
@@ -252,6 +273,36 @@ class TestCheckpointFile:
         padded.write_bytes(blob + b"x")
         with pytest.raises(FormatError):
             net.load_checkpoint(str(padded))
+
+    @pytest.mark.parametrize("field, value", [
+        ("header length", 2 ** 40), ("parameter count", 2 ** 60),
+        ("name length", 0xFFFF), ("rank", 2 ** 32 - 1), ("rank", 2 ** 28),
+        ("dims", 2 ** 33)])
+    def test_length_beyond_the_file_rejected(self, tmp_path, field, value):
+        # each would otherwise ask for gigabytes before reading them
+        ckpt = net.build_network(tiny_config(), seed=5)
+        path = str(tmp_path / "model.ckpt")
+        net.save_checkpoint(ckpt, path)
+        blob = bytearray(open(path, "rb").read())
+        offset, fmt = checkpoint_fields(blob)[field]
+        struct.pack_into(fmt, blob, offset, value)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="truncated"):
+            net.load_checkpoint(str(bad))
+
+    def test_non_utf8_block_name_rejected(self, tmp_path):
+        ckpt = net.build_network(tiny_config(), seed=5)
+        path = str(tmp_path / "model.ckpt")
+        net.save_checkpoint(ckpt, path)
+        blob = bytearray(open(path, "rb").read())
+        offset, _ = checkpoint_fields(blob)["name length"]
+        blob[offset + 2] = 0xFF
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError,
+                           match=r"bad\.ckpt: name of block 0 is not UTF-8"):
+            net.load_checkpoint(str(bad))
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         ckpt = net.build_network(tiny_config(), seed=5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from simembed import ops
 from simembed.errors import ConfigError, DimensionError
@@ -68,6 +69,114 @@ class TestConv2d:
         report = fd(lambda *a: ops.conv2d(*a, stride=2, padding=0),
                     [x, k, b])
         assert report.passed, report
+
+
+def einsum_conv2d(x, kernels, bias, stride=1, padding=0):
+    """Frozen copy of the earlier conv2d: one einsum for the output, one
+    for dkernels and one per kernel tap for dx."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernels.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                    (padding, padding))) if padding else x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride,
+                                                         ::stride]
+    out = np.einsum("nchwkl,fckl->nfhw", win, kernels, optimize=True)
+    out += bias[None, :, None, None]
+    h_out, w_out = out.shape[2], out.shape[3]
+
+    def grad(upstream):
+        dbias = upstream.sum(axis=(0, 2, 3))
+        dkernels = np.einsum("nfhw,nchwkl->fckl", upstream, win,
+                             optimize=True)
+        dxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                piece = np.einsum("nfhw,fc->nchw", upstream,
+                                  kernels[:, :, i, j], optimize=True)
+                dxp[:, :, i:i + stride * h_out:stride,
+                    j:j + stride * w_out:stride] += piece
+        dx = dxp[:, :, padding:padding + h, padding:padding + w] \
+            if padding else dxp
+        return dx, dkernels, dbias
+
+    return out, grad
+
+
+def laid_out_fnhw(a):
+    """``a`` with its memory laid out (C, N, H, W), as a conv output is."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+# Every conv of the desk-scale net on 1x28x28 input: (C, H, W, F, padding)
+# of its input, its filter count and its padding; kernels are 3x3.
+DESK_CONV_LAYERS = [(1, 28, 28, 8, 1), (8, 14, 14, 16, 1), (16, 7, 7, 32, 0),
+                    (32, 5, 5, 32, 0), (1, 14, 14, 8, 1), (8, 7, 7, 16, 0),
+                    (1, 7, 7, 8, 0), (8, 5, 5, 16, 0)]
+
+
+class TestConv2dMatchesEinsumOracle:
+    """The im2col conv equals the frozen einsum conv: byte for byte with
+    the same strides at every desk-scale layer, and within rounding on
+    random shapes, where einsum may pick another contraction path."""
+
+    @staticmethod
+    def results(conv, x, kernels, bias, upstream, stride, padding):
+        r = conv(x, kernels, bias, stride, padding)
+        out, grad = (r.output, r.grad) if isinstance(r, ops.OpGrad) else r
+        return (out, *grad(upstream))
+
+    @pytest.mark.parametrize("upstream_layout", ["C", "FNHW"])
+    @pytest.mark.parametrize("input_layout", ["C", "FNHW"])
+    @pytest.mark.parametrize("batch", [32, 256])
+    @pytest.mark.parametrize("layer", DESK_CONV_LAYERS)
+    def test_desk_layers_byte_equal(self, layer, batch, input_layout,
+                                    upstream_layout):
+        c, h, w, f, padding = layer
+        rng = np.random.default_rng([c, h, f, batch])
+        x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
+        if input_layout == "FNHW":
+            x = laid_out_fnhw(x)
+        kernels = (rng.standard_normal((f, c, 3, 3)) / 3).astype(np.float32)
+        bias = rng.standard_normal(f).astype(np.float32)
+        h_out, w_out = h + 2 * padding - 2, w + 2 * padding - 2
+        upstream = rng.standard_normal(
+            (batch, f, h_out, w_out)).astype(np.float32)
+        if upstream_layout == "FNHW":
+            upstream = laid_out_fnhw(upstream)
+        args = (x, kernels, bias, upstream, 1, padding)
+        names = ("output", "dx", "dkernels", "dbias")
+        for name, got, want in zip(names, self.results(ops.conv2d, *args),
+                                   self.results(einsum_conv2d, *args)):
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert got.strides == want.strides, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_random_shapes_agree(self):
+        rng = np.random.default_rng(2006)
+        for _ in range(200):
+            dtype = rng.choice([np.float32, np.float64])
+            n, c, f = rng.integers(1, 5, size=3)
+            kh, kw = rng.integers(1, 4, size=2)
+            stride, padding = rng.integers(1, 4), rng.integers(0, 3)
+            h = rng.integers(max(1, kh - 2 * padding), 9)
+            w = rng.integers(max(1, kw - 2 * padding), 9)
+            x = rng.standard_normal((n, c, h, w)).astype(dtype)
+            if rng.random() < 0.5:
+                x = laid_out_fnhw(x)
+            kernels = rng.standard_normal((f, c, kh, kw)).astype(dtype)
+            bias = rng.standard_normal(f).astype(dtype)
+            h_out = (h + 2 * padding - kh) // stride + 1
+            w_out = (w + 2 * padding - kw) // stride + 1
+            upstream = rng.standard_normal(
+                (n, f, h_out, w_out)).astype(dtype)
+            args = (x, kernels, bias, upstream, stride, padding)
+            rtol = 1e-6 if dtype == np.float32 else 1e-12
+            for got, want in zip(self.results(ops.conv2d, *args),
+                                 self.results(einsum_conv2d, *args)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=rtol,
+                                           atol=rtol * np.abs(want).max())
 
 
 class TestRelu:

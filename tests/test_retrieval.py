@@ -23,11 +23,12 @@ def random_index(rng, n, metric=DistanceMetric()):
 
 def emb_bytes(rows, dim, exponent=2.0, count=None):
     """EMBIDX01 bytes for ``(id, label, vector)`` rows, built by hand so
-    that they can hold what ``build_index`` would refuse."""
+    that they can hold what ``build_index`` would refuse; an id given as
+    bytes is written as it is."""
     count = len(rows) if count is None else count
     out = [b"EMBIDX01", struct.pack("<IdIQ", 1, exponent, dim, count)]
     for item_id, label, vector in rows:
-        raw = item_id.encode("utf-8")
+        raw = item_id if isinstance(item_id, bytes) else item_id.encode()
         out += [struct.pack("<H", len(raw)), raw, struct.pack("<i", label),
                 np.asarray(vector, dtype="<f4").tobytes()]
     return b"".join(out)
@@ -259,6 +260,13 @@ class TestEmbeddingFile:
         path.write_bytes(emb_bytes([("a", 0, [1.0, 2.0])], dim=2,
                                    count=2 ** 40))
         with pytest.raises(FormatError, match="truncated"):
+            retrieval.read_embeddings(str(path))
+
+    def test_non_utf8_id_rejected(self, tmp_path):
+        path = tmp_path / "latin.emb"
+        path.write_bytes(emb_bytes([(b"\xff\xfe", 0, [1.0, 2.0])], dim=2))
+        with pytest.raises(FormatError,
+                           match=r"latin\.emb: id of record 0 is not UTF-8"):
             retrieval.read_embeddings(str(path))
 
     def test_failed_write_leaves_no_file(self, tmp_path, rng):
