@@ -38,7 +38,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
 query_id = catalog_set.ids[42]
 query_class = catalog_set.get(query_id).class_label
-row = index.ids.index(query_id)
+(row,) = retrieval.rows_of(index, [query_id])
 results = retrieval.query_topk(index, index.vectors[row], k=8)
 
 print(f"\nquery {query_id} (class {query_class}), top 8:")
@@ -51,5 +51,5 @@ for item_id, dist in results:
 print(f"\n{hits}/8 retrieved items share the query's class "
       f"(the query itself comes back first at D=0)")
 
-recall = retrieval.recall_at_k(index, index.vectors[row], [query_id], k=1)
+recall = retrieval.topk_recall(index, index.vectors[[row]], [[query_id]], k=1)
 print(f"recall@1 of the stored vector against itself: {recall}")

@@ -12,7 +12,7 @@ from .net import (BranchSpec, Checkpoint, ConvSpec, MultiScaleNetConfig,
                   build_network, desk_scale_config, embed, embed_with_grad,
                   load_checkpoint, save_checkpoint)
 from .retrieval import (EmbeddingIndex, build_index, query_topk,
-                        read_embeddings, recall_at_k, write_embeddings)
+                        read_embeddings, write_embeddings)
 from .sampling import (BissScorer, SamplerConfig, biss_score,
                        candidate_table, make_pair_batch, make_triplet_batch,
                        positive_candidates, sample_negatives)
@@ -32,7 +32,7 @@ __all__ = [
     "contrastive_loss", "desk_scale_config", "embed", "embed_with_grad", "knn",
     "knn_many", "lk_distance", "load_checkpoint", "make_dataset",
     "make_pair_batch", "make_triplet_batch", "pairwise_distances",
-    "positive_candidates", "query_topk", "read_embeddings", "recall_at_k",
+    "positive_candidates", "query_topk", "read_embeddings",
     "relative_contrast", "rmsprop_step", "sample_negatives",
     "save_checkpoint", "topk_recall", "train", "triplet_accuracy",
     "write_embeddings",

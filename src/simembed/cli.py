@@ -22,8 +22,7 @@ from . import data_io, net, retrieval, sampling
 from . import training as train_mod
 from .config import RunConfig, load_run_config
 from .dataset import Dataset
-from .distance import (DistanceMetric, knn_many, relative_contrast,
-                       triplet_correct)
+from .distance import DistanceMetric, relative_contrast
 from .errors import ConfigError, DataError, SimEmbedError
 
 
@@ -63,6 +62,9 @@ def _slice(dataset: Dataset, offset: int, limit: int | None) -> Dataset:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     _check_output(args.output, args.force)
+    for flag, value in (("--offset", args.offset), ("--limit", args.limit)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     if args.format == "idx":
         if not args.images or not args.labels:
             raise ConfigError("idx ingest needs --images and --labels")
@@ -131,12 +133,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         checkpoint = net.load_checkpoint(args.checkpoint)
         vector = net.embed(checkpoint, image[None])[0]
     else:
-        try:
-            row = index.ids.index(args.id)
-        except ValueError:
-            raise DataError(
-                f"id {args.id!r} is not in the embedding file") from None
-        vector = index.vectors[row]
+        vector = index.vectors[retrieval.rows_of(index, [args.id])[0]]
     results = retrieval.query_topk(index, vector, args.k)
     if args.pretty:
         width = max(len(i) for i, _ in results)
@@ -149,62 +146,27 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_query_list(text: str) -> list[tuple[str, list[str]]]:
-    """Lines of ``query_id,truth_id[,truth_id...]``; '#' comments."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) < 2 or not all(parts):
-            raise DataError(
-                f"line {lineno}: expected query_id,truth_id[,...], "
-                f"got {raw!r}")
-        out.append((parts[0], parts[1:]))
-    if not out:
-        raise DataError("query list contains no usable lines")
-    return out
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
+    if not (args.triplets or args.queries):
+        raise ConfigError("eval needs --triplets and/or --queries")
     index = retrieval.read_embeddings(args.embeddings)
     if args.metric_k is not None:
         index = replace(index, metric=DistanceMetric(args.metric_k))
-    row = {item_id: i for i, item_id in enumerate(index.ids)}
-    printed = False
     if args.triplets:
         with open(args.triplets, "r", encoding="utf-8") as fh:
             triplets = data_io.parse_triplet_list(fh.read())
-        if not triplets:
-            raise DataError("triplet list contains no usable lines")
-        try:
-            rows = np.array([(row[t.anchor_id], row[t.positive_id],
-                              row[t.negative_id]) for t in triplets])
-        except KeyError as exc:
-            raise DataError(
-                f"triplet id {exc.args[0]!r} not in embeddings") from None
-        correct = triplet_correct(index.vectors, *rows.T, index.metric)
-        acc = int(correct.sum()) / len(triplets)
+        acc = retrieval.triplet_accuracy(index, triplets)
         print(f"triplet_accuracy={acc:.4f}")
         print(f"triplets={len(triplets)}")
-        printed = True
     if args.queries:
         with open(args.queries, "r", encoding="utf-8") as fh:
-            queries = _parse_query_list(fh.read())
-        unknown = [i for q, truth in queries for i in (q, *truth)
-                   if i not in row]
-        if unknown:
-            raise DataError(f"query list id {unknown[0]!r} not in embeddings")
-        ranked = knn_many(index.vectors[[row[q] for q, _ in queries]],
-                          index, args.k)
-        hits = sum(not {i for i, _ in top}.isdisjoint(truth)
-                   for top, (_, truth) in zip(ranked, queries))
-        print(f"top{args.k}_recall={hits / len(queries):.4f}")
-        print(f"queries={len(queries)}")
-        printed = True
-    if not printed:
-        raise ConfigError("eval needs --triplets and/or --queries")
+            query_ids, truth_ids = zip(*data_io.parse_query_list(fh.read()))
+        ids = [*query_ids, *(i for truth in truth_ids for i in truth)]
+        rows = retrieval.rows_of(index, ids, "query list id")
+        recall = retrieval.topk_recall(
+            index, index.vectors[rows[:len(query_ids)]], truth_ids, args.k)
+        print(f"top{args.k}_recall={recall:.4f}")
+        print(f"queries={len(query_ids)}")
     return 0
 
 
@@ -220,15 +182,17 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def cmd_diag_contrast(args: argparse.Namespace) -> int:
-    dims = [int(d) for d in _parse_float_list(args.dims, "--dims")]
+    dims = _parse_float_list(args.dims, "--dims")
     exponents = _parse_float_list(args.k, "--k")
+    if not all(dim.is_integer() and dim >= 1 for dim in dims):
+        raise ConfigError(f"--dims must be integers >= 1, got {args.dims!r}")
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = args.seed if args.seed is not None else 0
     print("dimension,k,contrast_mean,contrast_std")
-    for dim in dims:
-        if dim < 1:
-            raise ConfigError(f"dimension must be >= 1, got {dim}")
+    for dim in map(int, dims):
         for k in exponents:
             metric = DistanceMetric(k)
             values = []

@@ -128,16 +128,20 @@ def _digit_dataset(pixels: list[np.ndarray], labels: np.ndarray, unit: str,
                     for i in range(count)], labels, images)
 
 
+def _list_lines(text: str):
+    """(number, line, stripped comma fields) of each non-blank, non-# line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, [p.strip() for p in line.split(",")]
+
+
 def parse_triplet_list(text: str) -> list[TripletSample]:
     """Parse ``anchor_id,positive_id,negative_id`` lines; ``#`` comments and
     blank lines are skipped.  Raises ``FormatError`` with the line number on
     any malformed line."""
     triplets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
+    for lineno, raw, parts in _list_lines(text):
         if len(parts) != 3 or not all(parts):
             raise FormatError(
                 f"line {lineno}: expected 'anchor,positive,negative', "
@@ -147,6 +151,22 @@ def parse_triplet_list(text: str) -> list[TripletSample]:
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
     return triplets
+
+
+def parse_query_list(text: str) -> list[tuple[str, list[str]]]:
+    """Parse ``query_id,truth_id[,...]`` lines into ``(query_id, truth_ids)``
+    pairs, skipping blanks and ``#`` comments.  Raises ``DataError`` with
+    the line number on a malformed line, or if no line is usable."""
+    queries = []
+    for lineno, raw, parts in _list_lines(text):
+        if len(parts) < 2 or not all(parts):
+            raise DataError(
+                f"line {lineno}: expected query_id,truth_id[,...], "
+                f"got {raw!r}")
+        queries.append((parts[0], parts[1:]))
+    if not queries:
+        raise DataError("query list contains no usable lines")
+    return queries
 
 
 def write_dataset(path: str, dataset: Dataset) -> None:

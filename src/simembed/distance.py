@@ -129,16 +129,15 @@ def relative_contrast(points: Array, reference: Array,
     return (dmax - dmin) / dmin
 
 
-def knn_many(queries: Array, index: "EmbeddingIndex", k: int,
-             metric: DistanceMetric | None = None,
-             ) -> list[list[tuple[str, float]]]:
-    """Exact brute-force top-k of ``index`` for each row of ``queries
-    (Q, D)``, each ascending by ``(distance, id)`` and clamped to the index
-    size; a non-finite query raises ``DataError``.
+def knn_many(queries: Array, index: "EmbeddingIndex",
+             k: int) -> list[list[tuple[str, float]]]:
+    """Exact brute-force top-k of ``index`` under its metric for each row
+    of ``queries (Q, D)``, each ascending by ``(distance, id)`` and clamped
+    to the index size; a non-finite query raises ``DataError``.
 
     ``np.argpartition`` finds the k-th smallest distance; only the rows at
     or below it are sorted, so ties at the k boundary break on the id as a
-    full sort would.  ``metric`` defaults to the index's own.
+    full sort would.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
@@ -150,11 +149,10 @@ def knn_many(queries: Array, index: "EmbeddingIndex", k: int,
         raise ConfigError(f"k must be >= 1, got {k}")
     if index.size == 0:
         raise DataError("knn on an empty index")
-    metric = metric if metric is not None else index.metric
     k = min(k, index.size)
     ranked = []
     for query in queries:
-        dists = distances_to(index.vectors, query, metric)
+        dists = distances_to(index.vectors, query, index.metric)
         kth = dists[np.argpartition(dists, k - 1)[k - 1]]
         survivors = np.flatnonzero(~(dists > kth))  # keeps NaN, unlike <=
         order = sorted(survivors, key=lambda i: (dists[i], index.ids[i]))
@@ -162,10 +160,10 @@ def knn_many(queries: Array, index: "EmbeddingIndex", k: int,
     return ranked
 
 
-def knn(query: Array, index: "EmbeddingIndex", k: int,
-        metric: DistanceMetric | None = None) -> list[tuple[str, float]]:
+def knn(query: Array, index: "EmbeddingIndex",
+        k: int) -> list[tuple[str, float]]:
     """``knn_many`` of one ``query (D,)``."""
-    return knn_many(np.asarray(query)[None], index, k, metric)[0]
+    return knn_many(np.asarray(query)[None], index, k)[0]
 
 
 def triplet_correct(vectors: Array, anchors: Array, positives: Array,

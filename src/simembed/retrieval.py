@@ -10,6 +10,9 @@ smallest with ``np.argpartition`` and re-sort only the survivors by
 metric (including its exponent) is a property of the index and travels
 with the file, so an index built under one exponent cannot be silently
 queried under another.
+
+The package's one evaluation path is here too: ``rows_of``,
+``triplet_accuracy`` and ``topk_recall``, under the index's metric.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import numpy as np
 
 from .container import (atomic_write, pack_header, read_header, read_struct,
                         read_records, record_columns, write_records)
-from .distance import DistanceMetric, knn
+from .distance import DistanceMetric, knn, knn_many, triplet_correct
 from .errors import DataError, DimensionError
+from .losses import TripletSample
 
 Array = np.ndarray
 
@@ -91,10 +95,39 @@ def read_embeddings(path: str) -> EmbeddingIndex:
     return build_index(ids, labels, vectors, DistanceMetric(exponent))
 
 
-def recall_at_k(index: EmbeddingIndex, query_vector: Array,
-                ground_truth_ids: Sequence[str], k: int) -> float:
-    """1.0 if any ground-truth id lands in the top-k, else 0.0."""
-    if not ground_truth_ids:
-        raise DataError("recall needs at least one ground-truth id")
-    top = {item_id for item_id, _ in query_topk(index, query_vector, k)}
-    return 1.0 if any(t in top for t in ground_truth_ids) else 0.0
+def rows_of(index: EmbeddingIndex, ids: Sequence[str],
+            what: str = "id") -> Array:
+    """The index row of each of ``ids``, in order; the first id not in the
+    index raises ``DataError``, naming it as a ``what``."""
+    row = {item_id: i for i, item_id in enumerate(index.ids)}
+    try:
+        return np.array([row[item_id] for item_id in ids], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"{what} {exc.args[0]!r} not in embeddings") from None
+
+
+def triplet_accuracy(index: EmbeddingIndex,
+                     triplets: Sequence[TripletSample]) -> float:
+    """Share of id triplets whose positive is strictly nearer the anchor
+    than the negative, under the index's metric; ties count as wrong."""
+    if not triplets:
+        raise DataError("triplet accuracy needs at least one triplet")
+    rows = rows_of(index, [i for t in triplets for i in (
+        t.anchor_id, t.positive_id, t.negative_id)], "triplet id")
+    correct = triplet_correct(index.vectors, *rows.reshape(-1, 3).T,
+                              index.metric)
+    return int(correct.sum()) / len(triplets)
+
+
+def topk_recall(index: EmbeddingIndex, query_vectors: Array,
+                truth_ids: Sequence[Sequence[str]], k: int) -> float:
+    """Share of the rows of ``query_vectors (Q, D)`` whose top k hold any
+    of that query's ``truth_ids``, a non-empty list of indexed ids."""
+    if not truth_ids or not all(truth_ids):
+        raise DataError("top-k recall needs at least one query, and each "
+                        "query at least one ground-truth id")
+    rows_of(index, [i for t in truth_ids for i in t], "ground-truth id")
+    ranked = knn_many(query_vectors, index, k)
+    hits = sum(not {i for i, _ in top}.isdisjoint(truth)
+               for top, truth in zip(ranked, truth_ids, strict=True))
+    return hits / len(truth_ids)

@@ -1,4 +1,4 @@
-"""Optimization loop, data augmentation, and evaluation metrics.
+"""Optimization loop, data augmentation, and the evaluation of a checkpoint.
 
 ``train`` builds one candidate table per dataset when it starts and draws
 every batch from it as rows of dataset positions.  Training is siamese:
@@ -9,6 +9,9 @@ triplet) loss produces per-row embedding gradients, and the arms'
 parameter gradients are summed before one RMSProp step.  Runs are
 bit-reproducible for a fixed seed on one thread.  A NaN/Inf loss aborts
 the run and returns the last good checkpoint.
+
+``triplet_accuracy`` and ``topk_recall`` embed images with a checkpoint
+and measure them with the functions of those names in ``retrieval``.
 """
 
 from __future__ import annotations
@@ -16,19 +19,18 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import net, sampling
+from . import net, retrieval, sampling
 from .container import atomic_write
 from .dataset import Dataset
-from .distance import EUCLIDEAN, DistanceMetric, knn_many, triplet_correct
+from .distance import EUCLIDEAN, DistanceMetric
 from .errors import ConfigError, DataError, NumericError
 from .losses import (AngularConfig, ContrastiveConfig, TripletSample,
                      batch_loss)
-from .retrieval import EmbeddingIndex
 
 Array = np.ndarray
 
@@ -350,49 +352,31 @@ def _train_step(checkpoint: net.Checkpoint, params: dict, state: dict,
 
 
 def triplet_accuracy(checkpoint: net.Checkpoint,
-                     triplets: Sequence[TripletSample], images,
+                     triplets: Sequence[TripletSample], dataset: Dataset,
                      metric: DistanceMetric = EUCLIDEAN) -> float:
-    """Fraction of triplets whose positive embeds strictly closer to the
-    anchor than the negative; ties count as incorrect.
-
-    ``images`` is a ``Dataset`` or a mapping from id to (C, H, W) image.
-    """
+    """``retrieval.triplet_accuracy`` of the triplets' images in
+    ``dataset``, embedded by ``checkpoint``, under ``metric``."""
     if not triplets:
         raise DataError("triplet_accuracy needs at least one triplet")
-    row = {item_id: i for i, item_id in enumerate(dict.fromkeys(
+    images = dataset.subset(dict.fromkeys(
         item_id for t in triplets
-        for item_id in (t.anchor_id, t.positive_id, t.negative_id)))}
-    stack = images.images(list(row)) if isinstance(images, Dataset) \
-        else np.stack([np.asarray(images[i], np.float32) for i in row])
-    vectors = net.embed(checkpoint, stack)
-    rows = np.array([(row[t.anchor_id], row[t.positive_id],
-                      row[t.negative_id]) for t in triplets])
-    correct = triplet_correct(vectors, *rows.T, metric)
-    return int(correct.sum()) / len(triplets)
+        for item_id in (t.anchor_id, t.positive_id, t.negative_id)))
+    index = retrieval.build_index(images.ids, images.labels,
+                                  net.embed(checkpoint, images.images()),
+                                  metric)
+    return retrieval.triplet_accuracy(index, triplets)
 
 
 def topk_recall(checkpoint: net.Checkpoint,
                 queries: Sequence[tuple[Array, Sequence[str]]],
-                catalog: EmbeddingIndex, k: int = 20,
+                catalog: retrieval.EmbeddingIndex, k: int = 20,
                 metric: DistanceMetric | None = None) -> float:
-    """Fraction of queries whose any ground-truth id appears in the top-k.
-
-    Each query is an ``(image, ground_truth_ids)`` pair; every ground-truth
-    id must exist in the catalog.  ``metric`` defaults to the catalog's.
-    """
+    """``retrieval.topk_recall`` of ``(image, ground_truth_ids)`` queries
+    embedded by ``checkpoint``; ``metric`` defaults to the catalog's."""
     if not queries:
         raise DataError("topk_recall needs at least one query")
-    catalog_ids = set(catalog.ids)
-    for _, truth in queries:
-        if not truth:
-            raise DataError("every query needs at least one ground truth id")
-        for item_id in truth:
-            if item_id not in catalog_ids:
-                raise DataError(
-                    f"ground-truth id {item_id!r} is not in the catalog")
-    stack = np.stack([np.asarray(img, dtype=np.float32)
-                      for img, _ in queries])
-    ranked = knn_many(net.embed(checkpoint, stack), catalog, k, metric)
-    hits = sum(not {i for i, _ in top}.isdisjoint(truth)
-               for top, (_, truth) in zip(ranked, queries))
-    return hits / len(queries)
+    if metric is not None:
+        catalog = replace(catalog, metric=metric)
+    images, truth_ids = zip(*queries)
+    vectors = net.embed(checkpoint, np.stack(images).astype(np.float32))
+    return retrieval.topk_recall(catalog, vectors, truth_ids, k)

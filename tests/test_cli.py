@@ -5,8 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from simembed import cli, data_io
+from dataclasses import replace
+
+from simembed import cli, data_io, retrieval
 from simembed.dataset import make_dataset
+from simembed.distance import DistanceMetric
 
 TINY_CONFIG = {
     "net": {
@@ -91,6 +94,20 @@ class TestIngest:
         assert "items=2" in capsys.readouterr().out
         ds = data_io.read_dataset(out)
         assert ds.ids == ("idx-00001", "idx-00002")
+
+    @pytest.mark.parametrize("flag, value", [("--limit", "-1"),
+                                             ("--offset", "-3")])
+    def test_negative_offset_or_limit_rejected(self, tmp_path, capsys, flag,
+                                               value):
+        ip, lp = self.write_idx(tmp_path, n=10)
+        out = tmp_path / "out.dset"
+        rc = cli.main(["ingest", "--format", "idx", "--images", ip,
+                       "--labels", lp, "--output", str(out), flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: ConfigError: {flag} must be >= 0, " \
+                               f"got {value}\n"
+        assert not out.exists()
 
     def test_existing_output_needs_force(self, tmp_path, capsys):
         ip, lp = self.write_idx(tmp_path)
@@ -303,6 +320,50 @@ class TestEval:
         assert rc == 2
         assert "error: DataError" in capsys.readouterr().err
 
+    def test_malformed_query_line_names_it(self, workdir, capsys, tmp_path):
+        queries = tmp_path / "q.csv"
+        queries.write_text("# query,truth\nc1i0,c1i1\nc0i0\n")
+        rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
+                       "--queries", str(queries)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: DataError: line 3: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    def test_query_list_without_usable_lines_rejected(self, workdir, capsys,
+                                                      tmp_path):
+        queries = tmp_path / "q.csv"
+        queries.write_text("# nothing here\n\n   \n")
+        rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
+                       "--queries", str(queries)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == \
+            "error: DataError: query list contains no usable lines\n"
+
+    def test_metric_k_overrides_the_index_metric(self, workdir, capsys,
+                                                 tmp_path):
+        trips, queries = tmp_path / "t.csv", tmp_path / "q.csv"
+        trips.write_text("c0i0,c0i1,c2i0\nc1i0,c1i1,c0i3\nc2i2,c2i3,c1i1\n")
+        queries.write_text("c0i0,c0i1,c0i2\nc1i3,c1i0\nc2i1,c0i0\n")
+        rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
+                       "--triplets", str(trips), "--queries", str(queries),
+                       "-k", "2", "--metric-k", "2"])
+        assert rc == 0
+        index = replace(retrieval.read_embeddings(workdir["embeddings"]),
+                        metric=DistanceMetric(2.0))
+        query_ids, truth_ids = zip(*data_io.parse_query_list(
+            queries.read_text()))
+        acc = retrieval.triplet_accuracy(
+            index, data_io.parse_triplet_list(trips.read_text()))
+        recall = retrieval.topk_recall(
+            index, index.vectors[retrieval.rows_of(index, query_ids)],
+            truth_ids, 2)
+        assert capsys.readouterr().out == (
+            f"triplet_accuracy={acc:.4f}\ntriplets=3\n"
+            f"top2_recall={recall:.4f}\nqueries=3\n")
+
     def test_unknown_triplet_id_rejected(self, workdir, capsys, tmp_path):
         trips = tmp_path / "t.csv"
         trips.write_text("ghost,c0i1,c2i0\n")
@@ -335,6 +396,24 @@ class TestDiagContrast:
         first = capsys.readouterr().out
         cli.main(argv)
         assert capsys.readouterr().out == first
+
+    def test_trials_below_one_rejected(self, capsys):
+        rc = cli.main(["diag-contrast", "--dims", "2", "--k", "1.0",
+                       "--trials", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: ConfigError: --trials must be >= 1, " \
+                               "got 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("dims", ["2.7", "2,0"])
+    def test_dimension_not_a_positive_integer_rejected(self, capsys, dims):
+        rc = cli.main(["diag-contrast", "--dims", dims, "--k", "1.0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(
+            "error: ConfigError: --dims must be integers >= 1")
+        assert captured.out == ""
 
     def test_bad_k_list_rejected(self, capsys):
         rc = cli.main(["diag-contrast", "--dims", "2", "--k", "abc"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,9 +199,9 @@ class TestKnnMany:
             for top in (1, 10, 300, 1000):
                 want = [distance.knn(q, index, top) for q in queries]
                 assert distance.knn_many(queries, index, top) == want
-            metric = DistanceMetric(1.0)
-            assert distance.knn_many(queries, index, 5, metric) == [
-                distance.knn(q, index, 5, metric) for q in queries]
+            index = replace(index, metric=DistanceMetric(1.0))
+            assert distance.knn_many(queries, index, 5) == [
+                distance.knn(q, index, 5) for q in queries]
 
     def test_boundary_ties_equal_knn(self, rng):
         index, base = _tied_index(rng)

@@ -7,6 +7,7 @@ import pytest
 from simembed import retrieval
 from simembed.distance import DistanceMetric, lk_distance
 from simembed.errors import DataError, DimensionError, FormatError
+from simembed.losses import TripletSample
 from simembed.retrieval import build_index, query_topk
 
 
@@ -137,18 +138,70 @@ class TestQueryTopk:
         assert len({i for i, _ in got}) == 100
 
 
-class TestRecallAtK:
+class TestRowsOf:
+    def test_rows_in_the_order_asked(self, rng):
+        index = random_index(rng, 12)
+        rows = retrieval.rows_of(index, ["r0007", "r0000", "r0007"])
+        assert rows.tolist() == [7, 0, 7]
+
+    def test_unknown_id_names_it(self, rng):
+        index = random_index(rng, 5)
+        with pytest.raises(DataError, match="query id 'ghost' not in"):
+            retrieval.rows_of(index, ["r0001", "ghost"], "query id")
+
+
+class TestTripletAccuracy:
+    def index(self):
+        # a at the origin, p and t 1 away from it, n 2 away
+        vectors = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0]]
+        return build_index(["a", "p", "n", "t"], [0, 0, 1, 1], vectors,
+                           DistanceMetric(2.0))
+
+    def test_counts_strictly_nearer_positives(self):
+        trips = [TripletSample("a", "p", "n"), TripletSample("a", "n", "p"),
+                 TripletSample("a", "p", "t")]  # the last one is a tie
+        assert retrieval.triplet_accuracy(self.index(), trips) == 1 / 3
+
+    @pytest.mark.parametrize("exponent, want", [(2.0, 1.0), (1.0, 0.0),
+                                                 (0.5, 0.0)])
+    def test_uses_the_index_metric(self, exponent, want):
+        # p is nearer a than n only under L2: sqrt(2) < 1.5 < 2 < 4
+        index = build_index(["a", "p", "n"], [0, 0, 1],
+                            [[0.0, 0.0], [1.0, 1.0], [1.5, 0.0]],
+                            DistanceMetric(exponent))
+        trips = [TripletSample("a", "p", "n")]
+        assert retrieval.triplet_accuracy(index, trips) == want
+
+    def test_unknown_id_and_empty_list_rejected(self):
+        with pytest.raises(DataError, match="triplet id 'ghost'"):
+            retrieval.triplet_accuracy(self.index(),
+                                       [TripletSample("a", "p", "ghost")])
+        with pytest.raises(DataError):
+            retrieval.triplet_accuracy(self.index(), [])
+
+
+class TestTopkRecall:
     def test_hit_and_miss(self, rng):
         index = random_index(rng, 30)
-        query = index.vectors[4]
-        assert retrieval.recall_at_k(index, query, ["r0004"], k=1) == 1.0
-        ranked = [i for i, _ in query_topk(index, query, k=index.size)]
-        assert retrieval.recall_at_k(index, query, [ranked[-1]], k=1) == 0.0
+        query = index.vectors[[4]]
+        assert retrieval.topk_recall(index, query, [["r0004"]], k=1) == 1.0
+        ranked = [i for i, _ in query_topk(index, query[0], k=index.size)]
+        assert retrieval.topk_recall(index, query, [[ranked[-1]]],
+                                     k=1) == 0.0
+        assert retrieval.topk_recall(index, index.vectors[[4, 4]],
+                                     [["r0004"], [ranked[-1]]], k=1) == 0.5
 
     def test_empty_truth_rejected(self, rng):
         index = random_index(rng, 5)
         with pytest.raises(DataError):
-            retrieval.recall_at_k(index, np.zeros(6), [], k=3)
+            retrieval.topk_recall(index, np.zeros((1, 6)), [[]], k=3)
+        with pytest.raises(DataError):
+            retrieval.topk_recall(index, np.zeros((0, 6)), [], k=3)
+
+    def test_unknown_truth_id_rejected(self, rng):
+        index = random_index(rng, 5)
+        with pytest.raises(DataError, match="ground-truth id 'ghost'"):
+            retrieval.topk_recall(index, np.zeros((1, 6)), [["ghost"]], k=3)
 
 
 class TestEmbeddingFile:

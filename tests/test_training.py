@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from simembed import data_io, net, toydata, training
+from simembed.dataset import make_dataset
 from simembed.distance import DistanceMetric
 from simembed.errors import ConfigError, DataError, NumericError
 from simembed.losses import AngularConfig, TripletSample
@@ -326,6 +327,12 @@ def test_no_seed_stalls_at_the_collapsed_loss_after_epoch_3():
     assert not stalled, epoch3_losses
 
 
+def as_dataset(images):
+    """A one-class dataset of an id -> image mapping."""
+    return make_dataset((item_id, image, 0)
+                        for item_id, image in images.items())
+
+
 class TestTripletAccuracy:
     def checkpoint(self):
         return net.build_network(tiny_net_config(), seed=0)
@@ -338,7 +345,8 @@ class TestTripletAccuracy:
         }
         images["p"] = images["a"].copy()
         trips = [TripletSample("a", "p", "n")]
-        assert training.triplet_accuracy(ckpt, trips, images) == 1.0
+        assert training.triplet_accuracy(ckpt, trips,
+                                         as_dataset(images)) == 1.0
 
     def test_tie_counts_as_incorrect(self, rng):
         ckpt = self.checkpoint()
@@ -346,7 +354,8 @@ class TestTripletAccuracy:
         img_o = rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
         images = {"a": img_a, "p": img_o, "n": img_o.copy()}
         trips = [TripletSample("a", "p", "n")]
-        assert training.triplet_accuracy(ckpt, trips, images) == 0.0
+        assert training.triplet_accuracy(ckpt, trips,
+                                         as_dataset(images)) == 0.0
 
     def test_fraction_counts_mixed_outcomes(self, rng):
         ckpt = self.checkpoint()
@@ -366,7 +375,8 @@ class TestTripletAccuracy:
             images[f"tp{i}"] = o
             images[f"tn{i}"] = o.copy()
             trips.append(TripletSample(f"ta{i}", f"tp{i}", f"tn{i}"))
-        assert training.triplet_accuracy(ckpt, trips, images) == 0.5
+        assert training.triplet_accuracy(ckpt, trips,
+                                         as_dataset(images)) == 0.5
 
     def test_accepts_dataset_argument(self, small_dataset):
         ckpt = self.checkpoint()
@@ -375,9 +385,9 @@ class TestTripletAccuracy:
         acc = training.triplet_accuracy(ckpt, trips, small_dataset)
         assert acc in (0.0, 1.0)
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, small_dataset):
         with pytest.raises(DataError):
-            training.triplet_accuracy(self.checkpoint(), [], {})
+            training.triplet_accuracy(self.checkpoint(), [], small_dataset)
 
 
 class TestTopkRecall:
