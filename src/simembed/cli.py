@@ -191,6 +191,8 @@ def cmd_diag_contrast(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     print("dimension,k,contrast_mean,contrast_std")
     for dim in map(int, dims):
         for k in exponents:
@@ -324,8 +326,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(f"error: {kind}: {msg}")
     except FileNotFoundError as exc:
         return _fail(f"error: FileNotFound: {exc.filename}")
-    except KeyError as exc:
-        return _fail(f"error: KeyError: {exc}")
 
 
 if __name__ == "__main__":

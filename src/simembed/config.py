@@ -1,16 +1,34 @@
-"""Run configuration: one JSON document covering net, sampler, train, and
-metric settings.
+"""Run configuration: one JSON document with ``net``, ``sampler``,
+``train`` and ``metric`` sections.
 
-Every field is optional and falls back to the module defaults.  Unknown
-keys are rejected before any work starts, and the error names every
-offending key (dotted paths), not just the first one found.
+Each section is built from the class it configures: the keys it allows,
+their JSON types and which of them are required come from the class's own
+fields and type hints, and missing optional keys keep the class defaults.
+Three cases are spelled out here: ``train.loss`` picks its class by its
+``kind`` tag, ``sampler.scorer`` lands in ``RunConfig.scorer``, and a
+``net`` section without ``branches`` is ``desk_scale_config`` of its
+other keys.  A checkpoint header's net config is read by the same
+:func:`parse_net_config`.
+
+Types are strict: an int field takes a JSON integer, a float field an
+integer or a finite number, a bool field only ``true`` or ``false``, and a
+tuple or frozenset field a list (``input_shape`` exactly 3 items).  Unknown
+keys are collected over the whole document and reported together as
+sorted dotted paths (``net.branches[0].conv_layers[1].oops``).  Any other
+fault (a wrong type, a missing required key, a value the class refuses)
+raises one ``ConfigError`` naming its path.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+import math
+import types
+import typing
+from dataclasses import dataclass, field, is_dataclass
+from typing import Any, Callable, Mapping
 
 from . import net
 from .distance import DistanceMetric
@@ -19,28 +37,10 @@ from .losses import AngularConfig, ContrastiveConfig
 from .sampling import BissScorer, SamplerConfig
 from .training import TrainConfig
 
-_TOP_KEYS = {"net", "sampler", "train", "metric"}
-_NET_KEYS = {"input_shape", "final_embed_dim", "dropout_rate", "branches"}
-_BRANCH_KEYS = {"input_downsample_factor", "conv_layers",
-                "branch_embed_dim"}
-_CONV_KEYS = {"filters", "kernel", "stride", "padding", "pool_after"}
-_SAMPLER_KEYS = {"n_candidates", "in_class_fraction", "rng_seed",
-                 "strategy", "self_pair_fraction", "scorer"}
-_SCORER_CASTS = {"kind": str, "bins": int}
-_TRAIN_CASTS = {
-    **dict.fromkeys(("learning_rate", "rms_decay", "epsilon",
-                     "loss_metric_exponent", "weight_decay", "lr_decay",
-                     "pos_fraction"), float),
-    **dict.fromkeys(("epochs", "batch_size", "seed", "val_pairs",
-                     "val_triplets"), int),
-    "augmentation": lambda names: frozenset(str(a) for a in names)}
-_TRAIN_KEYS = {"loss", "batches_per_epoch", *_TRAIN_CASTS}
-_LOSSES = {
-    "contrastive": (ContrastiveConfig,
-                    {"margin": float, "hinge_variant": str}),
-    "angular": (AngularConfig,
-                {"alpha_degrees": float, "formula_variant": str})}
-_METRIC_KEYS = {"exponent"}
+_SECTIONS = ("net", "sampler", "train", "metric")
+_LOSS_KINDS = {"contrastive": ContrastiveConfig, "angular": AngularConfig}
+_SCALARS = {int: "an integer", float: "a finite number",
+            bool: "true or false", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -53,126 +53,116 @@ class RunConfig:
     scorer: BissScorer = field(default_factory=BissScorer)
 
 
-def _collect_unknown(section: Mapping[str, Any], allowed: set[str],
-                     prefix: str, offenders: list[str]) -> None:
-    for key in section:
-        if key not in allowed:
-            offenders.append(f"{prefix}{key}")
+@functools.cache
+def _schema(make: Callable) -> tuple[dict[str, Any], frozenset[str]]:
+    """The type hint of each parameter of ``make`` (a config class, or a
+    function returning one) and the names of those without a default."""
+    hints = typing.get_type_hints(make)
+    params = inspect.signature(make).parameters.values()
+    return ({p.name: hints[p.name] for p in params},
+            frozenset(p.name for p in params if p.default is p.empty))
 
 
-def _typed(section: Mapping[str, Any],
-           casts: Mapping[str, Any]) -> dict[str, Any]:
-    """The keys of ``casts`` that ``section`` sets, each passed through its
-    cast."""
-    return {key: cast(section[key]) for key, cast in casts.items()
-            if key in section}
-
-
-def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
+def _mapping(value: Any, path: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
-        raise ConfigError(f"{where} must be a JSON object, "
-                          f"got {type(value).__name__}")
+        raise ConfigError(f"{path} must be a JSON object, got {value!r}")
     return value
 
 
-def _parse_net(section: Mapping[str, Any],
-               offenders: list[str]) -> net.MultiScaleNetConfig:
-    _collect_unknown(section, _NET_KEYS, "net.", offenders)
-    input_shape = tuple(section.get("input_shape", (1, 28, 28)))
-    final_dim = int(section.get("final_embed_dim", 64))
-    if "branches" not in section:
-        cfg = net.desk_scale_config(input_shape=input_shape,
-                                    final_embed_dim=final_dim)
-        if "dropout_rate" in section:
-            cfg = replace(cfg, dropout_rate=float(section["dropout_rate"]))
-        return cfg
-    branches = []
-    for bi, branch in enumerate(section["branches"]):
-        branch = _require_mapping(branch, f"net.branches[{bi}]")
-        _collect_unknown(branch, _BRANCH_KEYS, f"net.branches[{bi}].",
-                         offenders)
-        convs = []
-        for ci, conv in enumerate(branch.get("conv_layers", ())):
-            conv = _require_mapping(
-                conv, f"net.branches[{bi}].conv_layers[{ci}]")
-            _collect_unknown(
-                conv, _CONV_KEYS,
-                f"net.branches[{bi}].conv_layers[{ci}].", offenders)
-            convs.append(net.ConvSpec(
-                filters=int(conv["filters"]),
-                kernel=int(conv["kernel"]),
-                stride=int(conv.get("stride", 1)),
-                padding=int(conv.get("padding", 0)),
-                pool_after=bool(conv.get("pool_after", False))))
-        branches.append(net.BranchSpec(
-            input_downsample_factor=int(
-                branch.get("input_downsample_factor", 1)),
-            conv_layers=tuple(convs),
-            branch_embed_dim=int(branch["branch_embed_dim"])))
+def _build(make: Callable, section: Any, path: str,
+           offenders: list[str]) -> Any:
+    """``make(**section)``, each value read as its parameter's type hint.
+
+    Unknown keys go to ``offenders``.  Once there is one, nothing more is
+    checked for required keys or constructed, and None is returned: a
+    missing key or a refusal could stem from the misspelt key, which the
+    caller reports instead.
+    """
+    section = _mapping(section, path)
+    hints, required = _schema(make)
+    offenders.extend(f"{path}.{key}" for key in section if key not in hints)
+    kwargs = {key: _value(hint, section[key], f"{path}.{key}", offenders)
+              for key, hint in hints.items() if key in section}
     if offenders:
-        # config invalid anyway; skip construction that may also throw
-        return net.desk_scale_config()
-    return net.MultiScaleNetConfig(
-        branches=tuple(branches), final_embed_dim=final_dim,
-        input_shape=input_shape,
-        dropout_rate=float(section.get("dropout_rate", 0.25)))
+        return None
+    missing = sorted(required - kwargs.keys())
+    if missing:
+        raise ConfigError("missing required config keys: " + ", ".join(
+            f"{path}.{key}" for key in missing))
+    try:
+        return make(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_scorer(section: Mapping[str, Any],
-                  offenders: list[str]) -> BissScorer:
-    _collect_unknown(section, set(_SCORER_CASTS), "sampler.scorer.",
-                     offenders)
-    return BissScorer(**({} if offenders
-                         else _typed(section, _SCORER_CASTS)))
+def _value(hint: Any, value: Any, path: str, offenders: list[str]) -> Any:
+    """``value`` read as type ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        arms = [arm for arm in args if arm is not type(None)]
+        if len(arms) > 1:  # the loss, the one union of config classes
+            return _loss(value, path, offenders)
+        return _value(arms[0], value, path, offenders)
+    if is_dataclass(hint):
+        return _build(hint, value, path, offenders)
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ConfigError(f"{path} must have exactly {len(args)} "
+                                  f"items, got {len(value)}")
+        else:
+            args = args[:1] * len(value)
+        return origin(_value(arg, item, f"{path}[{i}]", offenders)
+                      for i, (arg, item) in enumerate(zip(args, value)))
+    if hint is float:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    elif type(value) is hint:
+        return value
+    raise ConfigError(f"{path} must be {_SCALARS[hint]}, got {value!r}")
 
 
-def _parse_sampler(section: Mapping[str, Any], offenders: list[str]
-                   ) -> tuple[SamplerConfig, BissScorer]:
-    _collect_unknown(section, _SAMPLER_KEYS, "sampler.", offenders)
-    scorer = BissScorer()
-    if "scorer" in section:
-        scorer = _parse_scorer(
-            _require_mapping(section["scorer"], "sampler.scorer"),
-            offenders)
+def _loss(section: Any, path: str, offenders: list[str]
+          ) -> ContrastiveConfig | AngularConfig | None:
+    section = dict(_mapping(section, path))
+    kind = section.pop("kind", "contrastive")
+    if not (isinstance(kind, str) and kind in _LOSS_KINDS):
+        raise ConfigError(f"{path}.kind must be one of "
+                          f"{', '.join(map(repr, _LOSS_KINDS))}, got {kind!r}")
+    return _build(_LOSS_KINDS[kind], section, path, offenders)
+
+
+def _net(section: Any, offenders: list[str]
+         ) -> net.MultiScaleNetConfig | None:
+    section = _mapping(section, "net")
+    make = net.MultiScaleNetConfig if "branches" in section \
+        else net.desk_scale_config
+    return _build(make, section, "net", offenders)
+
+
+def _refuse_unknown(offenders: list[str]) -> None:
     if offenders:
-        return SamplerConfig(), scorer
-    kwargs = {k: section[k] for k in
-              ("n_candidates", "in_class_fraction", "rng_seed", "strategy",
-               "self_pair_fraction") if k in section}
-    return SamplerConfig(**kwargs), scorer
+        raise ConfigError(
+            "unknown config keys: " + ", ".join(sorted(offenders)))
 
 
-def _parse_loss(section: Mapping[str, Any], offenders: list[str]
-                ) -> ContrastiveConfig | AngularConfig:
-    kind = section.get("kind", "contrastive")
-    if kind not in ("contrastive", "angular"):
-        raise ConfigError("train.loss.kind must be 'contrastive' or "
-                          f"'angular', got {kind!r}")
-    make, casts = _LOSSES[kind]
-    _collect_unknown(section, {"kind", *casts}, "train.loss.", offenders)
-    return make(**({} if offenders else _typed(section, casts)))
-
-
-def _parse_train(section: Mapping[str, Any],
-                 offenders: list[str]) -> TrainConfig:
-    _collect_unknown(section, _TRAIN_KEYS, "train.", offenders)
-    loss = ContrastiveConfig()
-    if "loss" in section:
-        loss = _parse_loss(_require_mapping(section["loss"], "train.loss"),
-                           offenders)
-    if offenders:
-        return TrainConfig()
-    kwargs = {"loss": loss, **_typed(section, _TRAIN_CASTS)}
-    if section.get("batches_per_epoch") is not None:
-        kwargs["batches_per_epoch"] = int(section["batches_per_epoch"])
-    return TrainConfig(**kwargs)
+def parse_net_config(section: Any) -> net.MultiScaleNetConfig:
+    """The net section of a run config or of a checkpoint header."""
+    offenders: list[str] = []
+    cfg = _net(section, offenders)
+    _refuse_unknown(offenders)
+    return cfg
 
 
 def parse_run_config(document: str | Mapping[str, Any]) -> RunConfig:
     """Parse a JSON document (or an already-decoded mapping).
 
     Raises ``ConfigError`` listing every unknown key if any section
-    contains one.
+    contains one, or naming the path of any other fault.
     """
     if isinstance(document, str):
         try:
@@ -181,36 +171,20 @@ def parse_run_config(document: str | Mapping[str, Any]) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     else:
         decoded = document
-    decoded = _require_mapping(decoded, "config root")
-
-    offenders: list[str] = []
-    _collect_unknown(decoded, _TOP_KEYS, "", offenders)
-
-    net_cfg = net.desk_scale_config()
-    if "net" in decoded:
-        net_cfg = _parse_net(_require_mapping(decoded["net"], "net"),
-                             offenders)
-    sampler_cfg, scorer = SamplerConfig(), BissScorer()
-    if "sampler" in decoded:
-        sampler_cfg, scorer = _parse_sampler(
-            _require_mapping(decoded["sampler"], "sampler"), offenders)
-    train_cfg = TrainConfig()
-    if "train" in decoded:
-        train_cfg = _parse_train(
-            _require_mapping(decoded["train"], "train"), offenders)
-    metric = DistanceMetric()
-    if "metric" in decoded:
-        metric_section = _require_mapping(decoded["metric"], "metric")
-        _collect_unknown(metric_section, _METRIC_KEYS, "metric.",
-                         offenders)
-        if not offenders and "exponent" in metric_section:
-            metric = DistanceMetric(float(metric_section["exponent"]))
-
-    if offenders:
-        raise ConfigError(
-            "unknown config keys: " + ", ".join(sorted(offenders)))
-    return RunConfig(net=net_cfg, sampler=sampler_cfg, train=train_cfg,
-                     metric=metric, scorer=scorer)
+    root = _mapping(decoded, "config root")
+    offenders = [str(key) for key in root if key not in _SECTIONS]
+    sampler = dict(_mapping(root.get("sampler", {}), "sampler"))
+    scorer = _build(BissScorer, sampler.pop("scorer", {}), "sampler.scorer",
+                    offenders)
+    sections = {
+        "net": _net(root.get("net", {}), offenders),
+        "sampler": _build(SamplerConfig, sampler, "sampler", offenders),
+        "train": _build(TrainConfig, root.get("train", {}), "train",
+                        offenders),
+        "metric": _build(DistanceMetric, root.get("metric", {}), "metric",
+                         offenders)}
+    _refuse_unknown(offenders)
+    return RunConfig(**sections, scorer=scorer)
 
 
 def load_run_config(path: str) -> RunConfig:

@@ -50,7 +50,7 @@ class Dataset:
         try:
             return [self._row[item_id] for item_id in ids]
         except KeyError as exc:
-            raise KeyError(f"no item with id {exc.args[0]!r}") from None
+            raise DataError(f"no item with id {exc.args[0]!r}") from None
 
     def get(self, item_id: str) -> DatasetItem:
         (row,) = self._rows([item_id])

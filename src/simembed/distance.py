@@ -32,7 +32,7 @@ class DistanceMetric:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.exponent) and self.exponent > 0):
-            raise ValueError(
+            raise ConfigError(
                 f"metric exponent must be finite and > 0, "
                 f"got {self.exponent}")
 

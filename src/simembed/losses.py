@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import EUCLIDEAN, DistanceMetric
-from .errors import DataError, DimensionError, NumericError
+from .errors import ConfigError, DataError, DimensionError, NumericError
 
 Array = np.ndarray
 
@@ -57,9 +57,10 @@ class ContrastiveConfig:
 
     def __post_init__(self) -> None:
         if self.margin <= 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
+            raise ConfigError(f"margin must be > 0, got {self.margin}")
         if self.hinge_variant not in (HINGE_AS_WRITTEN, HINGE_SQUARED):
-            raise ValueError(f"unknown hinge variant {self.hinge_variant!r}")
+            raise ConfigError(
+                f"unknown hinge variant {self.hinge_variant!r}")
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,11 @@ class AngularConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha_degrees < 90:
-            raise ValueError(
+            raise ConfigError(
                 f"alpha must be in (0, 90) degrees, got {self.alpha_degrees}")
         if self.formula_variant not in (ANGULAR_NEGATIVE_TO_CENTER,
                                         ANGULAR_AS_WRITTEN):
-            raise ValueError(
+            raise ConfigError(
                 f"unknown formula variant {self.formula_variant!r}")
 
     @property

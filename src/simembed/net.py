@@ -341,21 +341,6 @@ def embed(checkpoint: Checkpoint, images: Array,
          for start in range(0, len(images) or 1, chunk_size)], axis=0)
 
 
-def _config_from_dict(doc: dict) -> MultiScaleNetConfig:
-    branches = tuple(
-        BranchSpec(
-            b["input_downsample_factor"],
-            tuple(ConvSpec(c["filters"], c["kernel"], c["stride"],
-                           c["padding"], c["pool_after"])
-                  for c in b["conv_layers"]),
-            b["branch_embed_dim"],
-        )
-        for b in doc["branches"])
-    return MultiScaleNetConfig(branches, doc["final_embed_dim"],
-                               tuple(doc["input_shape"]),
-                               doc["dropout_rate"])
-
-
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the checkpoint; parameters are stored as little-endian
     float32, so a float32 checkpoint round-trips bit-exactly."""
@@ -378,13 +363,15 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint and validate it against its own config."""
+    from .config import parse_net_config  # config imports this module
     with open(path, "rb") as fh:
         read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
         (header_len,) = read_struct(fh, "<Q", "header length")
         try:
             header = json.loads(read_exact(fh, header_len, "header"))
-            config = _config_from_dict(header["config"])
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            config = parse_net_config(header["config"])
+            rng_seed, epoch = header["rng_seed"], header["epoch"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad checkpoint header: {exc}") from exc
         (count,) = read_struct(fh, "<Q", "parameter count")
         params: dict[str, Array] = {}
@@ -410,5 +397,4 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise FormatError(
                 f"parameter {name!r} has shape {params[name].shape}, "
                 f"config implies {shape}")
-    return Checkpoint(config, params, rng_seed=header["rng_seed"],
-                      epoch=header["epoch"])
+    return Checkpoint(config, params, rng_seed=rng_seed, epoch=epoch)

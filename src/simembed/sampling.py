@@ -72,6 +72,8 @@ class SamplerConfig:
         if self.n_candidates < 1:
             raise ConfigError(
                 f"n_candidates must be >= 1, got {self.n_candidates}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0 <= self.in_class_fraction <= 1:
             raise ConfigError(
                 f"in_class_fraction must be in [0, 1], got "
@@ -226,7 +228,7 @@ def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
     Returns ``(id, in_class)`` tuples, in-class entries first.  Raises
     ``DataError`` naming the shortfall when a pool is too small.
     """
-    dataset.get(query_id)  # KeyError naming an unknown id
+    dataset.get(query_id)  # DataError naming an unknown id
     # the random-baseline table groups the rows and ranks nothing
     table = candidate_table(dataset, BissScorer(),
                             replace(cfg, strategy=STRATEGY_RANDOM))

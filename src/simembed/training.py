@@ -86,6 +86,17 @@ class TrainConfig:
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(
                 f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
+            raise ConfigError(f"batches_per_epoch must be None or >= 1, "
+                              f"got {self.batches_per_epoch}")
+        if self.val_pairs < 2:
+            raise ConfigError(f"val_pairs must be >= 2, got {self.val_pairs}")
+        if self.val_triplets < 1:
+            raise ConfigError(
+                f"val_triplets must be >= 1, got {self.val_triplets}")
+        self.loss_metric  # refuses a bad exponent before training starts
 
     @property
     def loss_metric(self) -> DistanceMetric:

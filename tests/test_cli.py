@@ -1,3 +1,4 @@
+import copy
 import gzip
 import json
 import struct
@@ -30,6 +31,18 @@ TINY_CONFIG = {
     "train": {"learning_rate": 0.001, "epochs": 1, "batch_size": 4,
               "batches_per_epoch": 2, "val_pairs": 8, "val_triplets": 8},
 }
+
+
+def fails_with_one_line(capsys, rc, kind):
+    """Assert that a command exited 2 with exactly one ``error: <kind>: ...``
+    line on stderr and no traceback; return the captured output."""
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {kind}: ")
+    assert captured.err.endswith("\n")
+    return captured
 
 
 def make_grid_dataset(seed=0):
@@ -103,8 +116,7 @@ class TestIngest:
         out = tmp_path / "out.dset"
         rc = cli.main(["ingest", "--format", "idx", "--images", ip,
                        "--labels", lp, "--output", str(out), flag, value])
-        captured = capsys.readouterr()
-        assert rc == 2
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
         assert captured.err == f"error: ConfigError: {flag} must be >= 0, " \
                                f"got {value}\n"
         assert not out.exists()
@@ -115,8 +127,7 @@ class TestIngest:
         out.write_bytes(b"occupied")
         rc = cli.main(["ingest", "--format", "idx", "--images", ip,
                        "--labels", lp, "--output", str(out)])
-        captured = capsys.readouterr()
-        assert rc == 2
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
         assert captured.err.startswith("error:")
         assert "\n" not in captured.err.strip()
         assert out.read_bytes() == b"occupied"
@@ -129,8 +140,8 @@ class TestIngest:
                        "--images", str(tmp_path / "no.gz"),
                        "--labels", str(tmp_path / "nope.gz"),
                        "--output", str(tmp_path / "o.dset")])
-        assert rc == 2
-        assert "error: FileNotFound" in capsys.readouterr().err
+        captured = fails_with_one_line(capsys, rc, "FileNotFound")
+        assert "error: FileNotFound" in captured.err
 
 
 class TestTrain:
@@ -149,6 +160,46 @@ class TestTrain:
         lines = open(log_path).read().strip().split("\n")
         assert lines[0] == "epoch,train_loss,val_loss,triplet_acc,seconds"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("path, value", [
+        (("train", "epochs"), "x"),
+        (("sampler", "n_candidates"), "5"),
+        (("sampler", "n_candidates"), 2.7),
+        (("net", "branches", 0, "conv_layers", 0), {"kernel": 3}),
+        (("net", "input_shape"), 5),
+        (("net", "branches"), 5),
+        (("net", "branches", 0, "conv_layers"), 3),
+        (("train", "loss"), {"margin": -1}),
+        (("train", "loss"), {"kind": "angular", "alpha_degrees": 100}),
+        (("metric", "exponent"), 0),
+        (("metric", "exponent"), "x"),
+        (("sampler", "scorer"), {"bins": "x"}),
+        (("train", "batches_per_epoch"), 0),
+    ])
+    def test_malformed_config_value_fails_with_one_line(
+            self, workdir, capsys, tmp_path, path, value):
+        doc = copy.deepcopy(TINY_CONFIG)
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node.setdefault(step, {}) if isinstance(step, str) \
+                else node[step]
+        node[key] = value
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "m.ckpt"
+        rc = cli.main(["train", "--train-data", workdir["dataset"],
+                       "--output", str(out), "--config", str(config_path)])
+        fails_with_one_line(capsys, rc, "ConfigError")
+        assert not out.exists()
+
+    def test_negative_seed_fails_with_one_line(self, workdir, capsys,
+                                               tmp_path):
+        rc = cli.main(["train", "--train-data", workdir["dataset"],
+                       "--output", str(tmp_path / "m.ckpt"),
+                       "--config", workdir["config"], "--seed", "-3"])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert "seed must be >= 0, got -3" in err
 
 
 class TestEmbed:
@@ -173,11 +224,21 @@ class TestEmbed:
                        "--data", workdir["dataset"],
                        "--output", str(tmp_path / "out.emb"),
                        "--config", workdir["config"]])
-        err = capsys.readouterr().err
-        assert rc == 2
+        err = fails_with_one_line(capsys, rc, "FormatError").err
         assert err.startswith("error: FormatError: bad checkpoint header:")
         assert "truncated" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_metric_k_not_positive_fails_with_one_line(
+            self, workdir, capsys, tmp_path, k):
+        out = tmp_path / "out.emb"
+        rc = cli.main(["embed", "--checkpoint", workdir["checkpoint"],
+                       "--data", workdir["dataset"], "--output", str(out),
+                       "--metric-k", k])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert "metric exponent must be finite and > 0" in err
+        assert not out.exists()
 
     def test_repeat_embeds_are_byte_identical(self, workdir, tmp_path):
         a, b = str(tmp_path / "a.emb"), str(tmp_path / "b.emb")
@@ -220,8 +281,7 @@ class TestQuery:
     def test_k_below_one_fails_with_one_line(self, workdir, capsys):
         rc = cli.main(["query", "--embeddings", workdir["embeddings"],
                        "--id", "c0i1", "-k", "0"])
-        assert rc == 2
-        err = capsys.readouterr().err
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
         assert err.startswith("error: ConfigError: k must be >= 1")
         assert len(err.strip().splitlines()) == 1
 
@@ -232,8 +292,7 @@ class TestQuery:
                          + struct.pack("<H", 2) + b"\xff\xfe"
                          + struct.pack("<i2f", 0, 1.0, 2.0))
         rc = cli.main(["query", "--embeddings", str(path), "--id", "x"])
-        err = capsys.readouterr().err
-        assert rc == 2
+        err = fails_with_one_line(capsys, rc, "FormatError").err
         assert err.startswith("error: FormatError:")
         assert "id of record 0 is not UTF-8" in err
         assert len(err.strip().splitlines()) == 1
@@ -241,9 +300,25 @@ class TestQuery:
     def test_unknown_id_fails_with_one_line(self, workdir, capsys):
         rc = cli.main(["query", "--embeddings", workdir["embeddings"],
                        "--id", "ghost"])
-        captured = capsys.readouterr()
-        assert rc == 2
+        captured = fails_with_one_line(capsys, rc, "DataError")
         assert captured.err.startswith("error: DataError:")
+
+    def test_unknown_id_in_query_data_fails_with_one_line(self, workdir,
+                                                          capsys):
+        rc = cli.main(["query", "--embeddings", workdir["embeddings"],
+                       "--id", "ghost", "--data", workdir["dataset"],
+                       "--checkpoint", workdir["checkpoint"]])
+        err = fails_with_one_line(capsys, rc, "DataError").err
+        assert err == "error: DataError: no item with id 'ghost'\n"
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_metric_k_not_positive_fails_with_one_line(self, workdir,
+                                                       capsys, k):
+        rc = cli.main(["query", "--embeddings", workdir["embeddings"],
+                       "--id", "c1i2", "--metric-k", k])
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
+        assert "metric exponent must be finite and > 0" in captured.err
+        assert captured.out == ""
 
     def test_metric_k_override_changes_distances(self, workdir, capsys):
         cli.main(["query", "--embeddings", workdir["embeddings"],
@@ -282,9 +357,8 @@ class TestEval:
         queries.write_text(f"c1i0,c1i1\n{line}\n")
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
                        "--queries", str(queries)])
-        assert rc == 2
         assert "error: DataError: query list id 'ghost'" in \
-            capsys.readouterr().err
+            fails_with_one_line(capsys, rc, "DataError").err
 
     def test_k_below_one_fails_with_one_line(self, workdir, capsys,
                                             tmp_path):
@@ -292,8 +366,8 @@ class TestEval:
         queries.write_text("c1i0,c1i1\n")
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
                        "--queries", str(queries), "-k", "0"])
-        assert rc == 2
-        assert "error: ConfigError" in capsys.readouterr().err
+        assert "error: ConfigError" in \
+            fails_with_one_line(capsys, rc, "ConfigError").err
 
     def test_triplet_accuracy_line(self, workdir, capsys, tmp_path):
         trips = tmp_path / "t.csv"
@@ -309,24 +383,23 @@ class TestEval:
 
     def test_needs_at_least_one_mode(self, workdir, capsys):
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"]])
-        assert rc == 2
-        assert "error: ConfigError" in capsys.readouterr().err
+        assert "error: ConfigError" in \
+            fails_with_one_line(capsys, rc, "ConfigError").err
 
     def test_empty_triplet_list_rejected(self, workdir, capsys, tmp_path):
         trips = tmp_path / "t.csv"
         trips.write_text("# no triplets\n")
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
                        "--triplets", str(trips)])
-        assert rc == 2
-        assert "error: DataError" in capsys.readouterr().err
+        assert "error: DataError" in \
+            fails_with_one_line(capsys, rc, "DataError").err
 
     def test_malformed_query_line_names_it(self, workdir, capsys, tmp_path):
         queries = tmp_path / "q.csv"
         queries.write_text("# query,truth\nc1i0,c1i1\nc0i0\n")
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
                        "--queries", str(queries)])
-        captured = capsys.readouterr()
-        assert rc == 2
+        captured = fails_with_one_line(capsys, rc, "DataError")
         assert captured.err.startswith("error: DataError: line 3: ")
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
@@ -337,8 +410,7 @@ class TestEval:
         queries.write_text("# nothing here\n\n   \n")
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
                        "--queries", str(queries)])
-        captured = capsys.readouterr()
-        assert rc == 2
+        captured = fails_with_one_line(capsys, rc, "DataError")
         assert captured.err == \
             "error: DataError: query list contains no usable lines\n"
 
@@ -369,8 +441,19 @@ class TestEval:
         trips.write_text("ghost,c0i1,c2i0\n")
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
                        "--triplets", str(trips)])
-        assert rc == 2
-        assert "error: DataError" in capsys.readouterr().err
+        assert "error: DataError" in \
+            fails_with_one_line(capsys, rc, "DataError").err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_metric_k_not_positive_fails_with_one_line(self, workdir, capsys,
+                                                       tmp_path, k):
+        trips = tmp_path / "t.csv"
+        trips.write_text("c0i0,c0i1,c2i0\n")
+        rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
+                       "--triplets", str(trips), "--metric-k", k])
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
+        assert "metric exponent must be finite and > 0" in captured.err
+        assert captured.out == ""
 
 
 class TestDiagContrast:
@@ -400,8 +483,7 @@ class TestDiagContrast:
     def test_trials_below_one_rejected(self, capsys):
         rc = cli.main(["diag-contrast", "--dims", "2", "--k", "1.0",
                        "--trials", "0"])
-        captured = capsys.readouterr()
-        assert rc == 2
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
         assert captured.err == "error: ConfigError: --trials must be >= 1, " \
                                "got 0\n"
         assert captured.out == ""
@@ -409,16 +491,23 @@ class TestDiagContrast:
     @pytest.mark.parametrize("dims", ["2.7", "2,0"])
     def test_dimension_not_a_positive_integer_rejected(self, capsys, dims):
         rc = cli.main(["diag-contrast", "--dims", dims, "--k", "1.0"])
-        captured = capsys.readouterr()
-        assert rc == 2
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
         assert captured.err.startswith(
             "error: ConfigError: --dims must be integers >= 1")
         assert captured.out == ""
 
     def test_bad_k_list_rejected(self, capsys):
         rc = cli.main(["diag-contrast", "--dims", "2", "--k", "abc"])
-        assert rc == 2
-        assert "error: ConfigError" in capsys.readouterr().err
+        assert "error: ConfigError" in \
+            fails_with_one_line(capsys, rc, "ConfigError").err
+
+    def test_negative_seed_rejected(self, capsys):
+        rc = cli.main(["diag-contrast", "--dims", "2", "--k", "1.0",
+                       "--seed", "-3"])
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
+        assert captured.err == "error: ConfigError: --seed must be >= 0, " \
+                               "got -3\n"
+        assert captured.out == ""
 
 
 class TestSamplePairs:

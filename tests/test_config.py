@@ -1,10 +1,28 @@
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
-from simembed import config
+from simembed import config, net
+from simembed.distance import DistanceMetric
 from simembed.errors import ConfigError
 from simembed.losses import AngularConfig, ContrastiveConfig
+from simembed.sampling import BissScorer, SamplerConfig
+from simembed.training import TrainConfig
+
+
+def branch_net(conv=None, **overrides):
+    """A net section with explicit branches; ``conv`` replaces the first
+    branch's only conv layer."""
+    conv = {"filters": 2, "kernel": 3, "padding": 1} if conv is None else conv
+    section = {"input_shape": [1, 8, 8], "final_embed_dim": 6,
+               "branches": [
+                   {"input_downsample_factor": 1, "conv_layers": [conv],
+                    "branch_embed_dim": 8},
+                   {"input_downsample_factor": 2,
+                    "conv_layers": [{"filters": 2, "kernel": 3}],
+                    "branch_embed_dim": 4}]}
+    return {"net": {**section, **overrides}}
 
 
 class TestDefaults:
@@ -71,6 +89,47 @@ class TestOverrides:
         assert len(run.net.branches) == 2
         assert run.net.branches[0].conv_layers[0].pool_after is True
 
+    def test_net_without_branches_is_desk_scale(self):
+        run = config.parse_run_config(json.dumps({"net": {
+            "input_shape": [3, 32, 32], "final_embed_dim": 16,
+            "dropout_rate": 0.1}}))
+        assert run.net == net.desk_scale_config((3, 32, 32), 16, 0.1)
+
+    def test_non_default_config_round_trips(self):
+        run = config.RunConfig(
+            net=net.MultiScaleNetConfig(
+                branches=(
+                    net.BranchSpec(1, (net.ConvSpec(3, 3, stride=2,
+                                                    padding=1,
+                                                    pool_after=True),
+                                       net.ConvSpec(4, 1)), 5),
+                    net.BranchSpec(2, (net.ConvSpec(2, 3),), 3)),
+                final_embed_dim=7, input_shape=(3, 16, 16),
+                dropout_rate=0.5),
+            sampler=SamplerConfig(n_candidates=7, in_class_fraction=0.6,
+                                  rng_seed=3, strategy="random_baseline",
+                                  self_pair_fraction=0.2),
+            train=TrainConfig(learning_rate=0.01, rms_decay=0.5,
+                              epsilon=1e-6, epochs=4, batch_size=8,
+                              loss=AngularConfig(30.0, "as_written"),
+                              loss_metric_exponent=1.0,
+                              augmentation=frozenset({"hflip", "rotate"}),
+                              weight_decay=0.1, seed=9, lr_decay=0.5,
+                              pos_fraction=0.25, batches_per_epoch=5,
+                              val_pairs=16, val_triplets=12),
+            metric=DistanceMetric(0.5),
+            scorer=BissScorer("color_histogram", 8))
+        defaults = config.RunConfig()
+        for section in fields(config.RunConfig):  # every field is set
+            for name in asdict(getattr(run, section.name)):
+                assert getattr(getattr(run, section.name), name) != \
+                    getattr(getattr(defaults, section.name), name), name
+        doc = asdict(run)
+        doc["train"]["loss"]["kind"] = "angular"
+        doc["sampler"]["scorer"] = doc.pop("scorer")
+        assert config.parse_run_config(json.dumps(doc, default=sorted)) \
+            == run
+
     def test_scorer_section_nested_in_sampler(self):
         run = config.parse_run_config(json.dumps({
             "sampler": {"scorer": {"kind": "color_histogram",
@@ -135,3 +194,90 @@ class TestMalformedInput:
         path.write_text('{"train": {"epochs": 2}}')
         run = config.load_run_config(str(path))
         assert run.train.epochs == 2
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("doc, message", [
+        ({"train": {"epochs": "x"}}, "train.epochs must be an integer"),
+        ({"train": {"epochs": "3"}}, "train.epochs must be an integer"),
+        ({"train": {"epochs": 2.7}}, "train.epochs must be an integer"),
+        ({"train": {"epochs": True}}, "train.epochs must be an integer"),
+        ({"sampler": {"n_candidates": "5"}},
+         "sampler.n_candidates must be an integer"),
+        ({"sampler": {"n_candidates": 2.7}},
+         "sampler.n_candidates must be an integer"),
+        ({"sampler": {"scorer": {"bins": "x"}}},
+         "sampler.scorer.bins must be an integer"),
+        ({"train": {"learning_rate": "0.1"}},
+         "train.learning_rate must be a finite number"),
+        ({"train": {"learning_rate": True}},
+         "train.learning_rate must be a finite number"),
+        ({"metric": {"exponent": "x"}}, "metric.exponent must be a finite"),
+        ({"net": {"dropout_rate": float("nan")}},
+         "net.dropout_rate must be a finite number"),
+        ({"sampler": {"strategy": 1}}, "sampler.strategy must be a string"),
+        (branch_net({"filters": 2, "kernel": 3, "pool_after": 1}),
+         "net.branches[0].conv_layers[0].pool_after must be true or false"),
+        ({"train": {"augmentation": "hflip"}},
+         "train.augmentation must be a list"),
+        ({"train": {"augmentation": ["hflip", 3]}},
+         "train.augmentation[1] must be a string"),
+        ({"net": {"input_shape": 5}}, "net.input_shape must be a list"),
+        ({"net": {"input_shape": [1, 28]}},
+         "net.input_shape must have exactly 3 items, got 2"),
+        (branch_net(input_shape=[1, 8, 8, 1]),
+         "net.input_shape must have exactly 3 items, got 4"),
+        (branch_net(branches=5), "net.branches must be a list"),
+        (branch_net(branches=[5]), "net.branches[0] must be a JSON object"),
+        (branch_net(branches=[{"input_downsample_factor": 1,
+                               "conv_layers": 3, "branch_embed_dim": 4}]),
+         "net.branches[0].conv_layers must be a list"),
+        ({"train": {"loss": 5}}, "train.loss must be a JSON object"),
+        ({"sampler": {"scorer": [16]}},
+         "sampler.scorer must be a JSON object"),
+    ])
+    def test_wrong_type_names_its_path(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            config.parse_run_config(json.dumps(doc))
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("doc, paths", [
+        (branch_net({"kernel": 3}), "net.branches[0].conv_layers[0].filters"),
+        (branch_net({"filters": 2}), "net.branches[0].conv_layers[0].kernel"),
+        (branch_net({}), "net.branches[0].conv_layers[0].filters, "
+                         "net.branches[0].conv_layers[0].kernel"),
+        (branch_net(branches=[{"conv_layers": [{"filters": 2, "kernel": 3}],
+                               "branch_embed_dim": 4}]),
+         "net.branches[0].input_downsample_factor"),
+        ({"net": {"branches": []}}, "net.final_embed_dim, net.input_shape"),
+    ])
+    def test_missing_required_key_names_its_path(self, doc, paths):
+        with pytest.raises(ConfigError,
+                           match="missing required config keys: ") as err:
+            config.parse_run_config(json.dumps(doc))
+        assert str(err.value).endswith(paths)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"train": {"loss": {"margin": -1}}},
+         "train.loss: margin must be > 0"),
+        ({"train": {"loss": {"hinge_variant": "cubic"}}},
+         "train.loss: unknown hinge variant"),
+        ({"train": {"loss": {"kind": "angular", "alpha_degrees": 100}}},
+         "train.loss: alpha must be in (0, 90) degrees"),
+        ({"metric": {"exponent": 0}}, "metric: metric exponent must be"),
+        ({"train": {"batches_per_epoch": 0}},
+         "train: batches_per_epoch must be None or >= 1"),
+        ({"sampler": {"rng_seed": -2}}, "sampler: rng_seed must be >= 0"),
+        ({"net": {"input_shape": [1, 30, 30]}},
+         "net: desk-scale config needs H, W divisible by 4"),
+        (branch_net({"filters": 0, "kernel": 3}),
+         "net.branches[0].conv_layers[0]: conv spec fields must be"),
+    ])
+    def test_refused_value_names_its_section(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            config.parse_run_config(json.dumps(doc))
+        assert str(err.value).startswith(message)
+
+    def test_null_batches_per_epoch_keeps_the_default(self):
+        run = config.parse_run_config('{"train": {"batches_per_epoch": null}}')
+        assert run.train.batches_per_epoch is None

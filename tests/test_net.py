@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 
@@ -227,6 +228,17 @@ def checkpoint_fields(blob):
             "dims": (rank_at + 4, "<Q")}
 
 
+def with_header(blob, edit):
+    """``blob`` with its JSON header passed through ``edit`` and its
+    header length field rewritten to match."""
+    (header_len,) = struct.unpack_from("<Q", blob, 12)
+    header = json.loads(blob[20:20 + header_len])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    return (blob[:12] + struct.pack("<Q", len(text)) + text
+            + blob[20 + header_len:])
+
+
 class TestCheckpointFile:
     def test_round_trip_bitwise(self, tmp_path):
         ckpt = net.build_network(tiny_config(), seed=5)
@@ -303,6 +315,31 @@ class TestCheckpointFile:
         with pytest.raises(FormatError,
                            match=r"bad\.ckpt: name of block 0 is not UTF-8"):
             net.load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["config"].update(bogus=1),
+         "unknown config keys: net.bogus"),
+        (lambda h: h["config"]["branches"][0]["conv_layers"][0].update(
+            oops=2), "unknown config keys: net.branches[0].conv_layers[0]"
+                     ".oops"),
+        (lambda h: h["config"].update(final_embed_dim="6"),
+         "net.final_embed_dim must be an integer"),
+        (lambda h: h["config"]["branches"][0]["conv_layers"][0].update(
+            pool_after=1), "net.branches[0].conv_layers[0].pool_after must "
+                           "be true or false"),
+        (lambda h: h["config"].update(input_shape=[8, 8]),
+         "net.input_shape must have exactly 3 items"),
+        (lambda h: h.pop("rng_seed"), "'rng_seed'"),
+    ])
+    def test_bad_header_rejected(self, tmp_path, edit, message):
+        ckpt = net.build_network(tiny_config(), seed=5)
+        path = str(tmp_path / "model.ckpt")
+        net.save_checkpoint(ckpt, path)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(open(path, "rb").read(), edit))
+        with pytest.raises(FormatError) as err:
+            net.load_checkpoint(str(bad))
+        assert str(err.value).startswith(f"bad checkpoint header: {message}")
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         ckpt = net.build_network(tiny_config(), seed=5)

@@ -56,6 +56,10 @@ class TestBissScore:
         with pytest.raises(ConfigError):
             BissScorer(kind="nope")
 
+    def test_negative_rng_seed_rejected(self):
+        with pytest.raises(ConfigError, match="rng_seed must be >= 0"):
+            SamplerConfig(rng_seed=-2)
+
     def test_embedding_kind_rejected_as_unknown(self):
         with pytest.raises(ConfigError, match="unknown scorer kind"):
             BissScorer(kind="embedding")
@@ -103,7 +107,7 @@ class TestPositiveCandidates:
                 BissScorer(), "c0i0", ds, SamplerConfig())
 
     def test_unknown_query_rejected(self, small_dataset):
-        with pytest.raises(KeyError):
+        with pytest.raises(DataError):
             sampling.positive_candidates(BissScorer(), "nope", small_dataset,
                                          SamplerConfig())
 

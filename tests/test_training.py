@@ -114,6 +114,22 @@ class TestRmsprop:
                                                  rel=1e-9)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("batches_per_epoch", 0, "batches_per_epoch must be None or >= 1"),
+        ("val_pairs", 1, "val_pairs must be >= 2"),
+        ("val_triplets", 0, "val_triplets must be >= 1"),
+        ("seed", -3, "seed must be >= 0"),
+        ("loss_metric_exponent", 0.0, "metric exponent must be finite"),
+    ])
+    def test_refused_when_built(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_smallest_accepted_values(self):
+        TrainConfig(batches_per_epoch=1, val_pairs=2, val_triplets=1, seed=0)
+
+
 class TestAugment:
     def test_no_augmentations_is_identity(self, rng):
         cfg = TrainConfig(augmentation=frozenset())
