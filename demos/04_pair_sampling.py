@@ -33,8 +33,8 @@ for other in classmates:
     print(f"  score vs {other}: {s:.4f}")
 
 cfg = sampling.SamplerConfig(n_candidates=5, in_class_fraction=0.3,
-                             rng_seed=0)
-candidates = sampling.positive_candidates(scorer, query_id, dataset, cfg)
+                             rng_seed=0, scorer=scorer)
+candidates = sampling.positive_candidates(query_id, dataset, cfg)
 print(f"\ntop-{cfg.n_candidates} positive candidates: {candidates}")
 
 rng = np.random.default_rng(0)
@@ -48,7 +48,7 @@ for neg_id, in_class in negatives:
 
 # a full batch: the table ranks every item's candidates once, and batches
 # are rows of dataset positions; label 0 = similar, label 1 = dissimilar
-table = sampling.candidate_table(dataset, scorer, cfg)
+table = sampling.candidate_table(dataset, cfg)
 rows, labels = sampling.make_pair_batch(table, batch_size=8,
                                         pos_fraction=0.5,
                                         rng=np.random.default_rng(1))

@@ -2,10 +2,14 @@
 distance-concentration diagnostic and the pair sampler.
 
 Every command exits 0 on success and nonzero with a single
-``error: <Kind>: <message>`` line on standard error otherwise.  All
-randomness is controlled by ``--seed``; rerunning a command with identical
-inputs and seed produces byte-identical artifacts.  Output files are never
-overwritten unless ``--force`` is given.
+``error: <Kind>: <message>`` line on standard error otherwise.  Each
+subcommand accepts only the options it reads.  The commands that draw
+random numbers (``train``, ``sample-pairs``, ``diag-contrast``) take their
+seed from ``--seed``; rerunning a command with identical inputs and seed
+produces byte-identical artifacts.  The commands that write a file
+(``ingest``, ``train``, ``embed``) never overwrite one unless ``--force``
+is given.  ``train``, ``embed`` and ``sample-pairs`` read the JSON run
+config named by ``--config``.
 """
 
 from __future__ import annotations
@@ -37,14 +41,16 @@ def _check_output(path: str, force: bool) -> None:
             f"output {path!r} exists; pass --force to overwrite")
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg,
-                      train=replace(cfg.train, seed=args.seed),
-                      sampler=replace(cfg.sampler, rng_seed=args.seed))
-    if getattr(args, "metric_k", None) is not None:
-        cfg = replace(cfg, metric=DistanceMetric(args.metric_k))
+def _load_config(path: str | None, seed: int | None = None,
+                 metric_k: float | None = None) -> RunConfig:
+    """The run config at ``path`` (defaults without one), with ``seed``
+    replacing every RNG seed in it and ``metric_k`` its metric."""
+    cfg = load_run_config(path) if path else RunConfig()
+    if seed is not None:
+        cfg = replace(cfg, train=replace(cfg.train, seed=seed),
+                      sampler=replace(cfg.sampler, rng_seed=seed))
+    if metric_k is not None:
+        cfg = replace(cfg, metric=DistanceMetric(metric_k))
     return cfg
 
 
@@ -87,13 +93,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     _check_output(args.output, args.force)
     if args.log:
         _check_output(args.log, args.force)
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, seed=args.seed)
     train_set = data_io.read_dataset(args.train_data)
     val_set = data_io.read_dataset(args.val_data) if args.val_data \
         else train_set
     checkpoint, logs = train_mod.train(train_set, val_set, cfg.net,
-                                       cfg.sampler, cfg.train,
-                                       scorer=cfg.scorer)
+                                       cfg.sampler, cfg.train)
     net.save_checkpoint(checkpoint, args.output)
     if args.log:
         train_mod.write_log(args.log, logs)
@@ -108,7 +113,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     _check_output(args.output, args.force)
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, metric_k=args.metric_k)
     checkpoint = net.load_checkpoint(args.checkpoint)
     dataset = data_io.read_dataset(args.data)
     index = retrieval.build_index(
@@ -190,16 +195,15 @@ def cmd_diag_contrast(args: argparse.Namespace) -> int:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     print("dimension,k,contrast_mean,contrast_std")
     for dim in map(int, dims):
         for k in exponents:
             metric = DistanceMetric(k)
             values = []
             for trial in range(args.trials):
-                rng = np.random.default_rng([seed, dim, trial])
+                rng = np.random.default_rng([args.seed, dim, trial])
                 points = rng.uniform(0.0, 1.0, (args.points, dim))
                 reference = rng.uniform(0.0, 1.0, dim)
                 values.append(relative_contrast(points, reference, metric))
@@ -210,12 +214,14 @@ def cmd_diag_contrast(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_pairs(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    if args.count < 2:
+        raise ConfigError(f"--count must be >= 2, got {args.count}")
+    cfg = _load_config(args.config, seed=args.seed)
     dataset = data_io.read_dataset(args.data)
     rng = np.random.default_rng(cfg.sampler.rng_seed)
-    table = sampling.candidate_table(dataset, cfg.scorer, cfg.sampler)
+    table = sampling.candidate_table(dataset, cfg.sampler)
     rows, labels = sampling.make_pair_batch(table, args.count,
-                                            args.pos_fraction, rng)
+                                            cfg.train.pos_fraction, rng)
     for (query, candidate), label in zip(rows, labels):
         print(f"{table.ids[query]},{table.ids[candidate]},{label}")
     return 0
@@ -227,21 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train image embeddings, index them, and run "
                     "similarity queries.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, metric: bool = False) -> None:
-        p.add_argument("--seed", type=int, default=None,
-                       help="override every RNG seed in the run")
-        p.add_argument("--config", default=None,
-                       help="JSON run-config path")
-        p.add_argument("--force", action="store_true",
-                       help="overwrite existing output files")
-        if metric:
-            p.add_argument("--metric-k", type=float, default=None,
-                           help="distance exponent override")
+    seed = {"type": int, "default": None,
+            "help": "override every RNG seed in the run"}
+    config = {"default": None, "help": "JSON run-config path"}
+    force = {"action": "store_true", "help": "overwrite existing output files"}
+    metric_k = {"type": float, "default": None,
+                "help": "distance exponent override"}
 
     p = sub.add_parser("ingest", help="parse a public dataset format into "
                                       "the internal container")
-    common(p)
+    p.add_argument("--force", **force)
     p.add_argument("--format", required=True, choices=["idx", "cifar10"])
     p.add_argument("--images", help="IDX image file (idx format)")
     p.add_argument("--labels", help="IDX label file (idx format)")
@@ -255,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train an embedding network")
-    common(p)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--config", **config)
+    p.add_argument("--force", **force)
     p.add_argument("--train-data", required=True)
     p.add_argument("--val-data", default=None)
     p.add_argument("--output", required=True, help="checkpoint path")
@@ -263,14 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("embed", help="embed a dataset into an index file")
-    common(p, metric=True)
+    p.add_argument("--config", **config)
+    p.add_argument("--force", **force)
+    p.add_argument("--metric-k", **metric_k)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("query", help="top-k similarity query")
-    common(p, metric=True)
+    p.add_argument("--metric-k", **metric_k)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--id", required=True, help="query item id")
     p.add_argument("--data", default=None,
@@ -283,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("eval", help="triplet accuracy and/or top-k recall")
-    common(p, metric=True)
+    p.add_argument("--metric-k", **metric_k)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--triplets", default=None,
                    help="triplet list file (anchor,positive,negative)")
@@ -295,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diag-contrast",
                        help="relative-contrast table over dimensions "
                             "and exponents")
-    common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random points")
     p.add_argument("--dims", required=True,
                    help="comma-separated dimensions, e.g. 2,10,100")
     p.add_argument("--k", required=True,
@@ -306,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-pairs",
                        help="emit training pairs as text lines")
-    common(p)
+    p.add_argument("--seed", **seed)
+    p.add_argument("--config", **config)
     p.add_argument("--data", required=True)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--pos-fraction", type=float, default=0.5)
     p.set_defaults(func=cmd_sample_pairs)
 
     return parser

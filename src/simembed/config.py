@@ -4,9 +4,10 @@
 Each section is built from the class it configures: the keys it allows,
 their JSON types and which of them are required come from the class's own
 fields and type hints, and missing optional keys keep the class defaults.
-Three cases are spelled out here: ``train.loss`` picks its class by its
-``kind`` tag, ``sampler.scorer`` lands in ``RunConfig.scorer``, and a
-``net`` section without ``branches`` is ``desk_scale_config`` of its
+A field that is itself a config class is a nested object built the same
+way: ``sampler.scorer`` is ``SamplerConfig.scorer``.  Two cases are
+spelled out here: ``train.loss`` picks its class by its ``kind`` tag, and
+a ``net`` section without ``branches`` is ``desk_scale_config`` of its
 other keys.  A checkpoint header's net config is read by the same
 :func:`parse_net_config`.
 
@@ -34,7 +35,7 @@ from . import net
 from .distance import DistanceMetric
 from .errors import ConfigError
 from .losses import AngularConfig, ContrastiveConfig
-from .sampling import BissScorer, SamplerConfig
+from .sampling import SamplerConfig
 from .training import TrainConfig
 
 _SECTIONS = ("net", "sampler", "train", "metric")
@@ -50,7 +51,6 @@ class RunConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     metric: DistanceMetric = field(default_factory=DistanceMetric)
-    scorer: BissScorer = field(default_factory=BissScorer)
 
 
 @functools.cache
@@ -173,18 +173,16 @@ def parse_run_config(document: str | Mapping[str, Any]) -> RunConfig:
         decoded = document
     root = _mapping(decoded, "config root")
     offenders = [str(key) for key in root if key not in _SECTIONS]
-    sampler = dict(_mapping(root.get("sampler", {}), "sampler"))
-    scorer = _build(BissScorer, sampler.pop("scorer", {}), "sampler.scorer",
-                    offenders)
     sections = {
         "net": _net(root.get("net", {}), offenders),
-        "sampler": _build(SamplerConfig, sampler, "sampler", offenders),
+        "sampler": _build(SamplerConfig, root.get("sampler", {}), "sampler",
+                          offenders),
         "train": _build(TrainConfig, root.get("train", {}), "train",
                         offenders),
         "metric": _build(DistanceMetric, root.get("metric", {}), "metric",
                          offenders)}
     _refuse_unknown(offenders)
-    return RunConfig(**sections, scorer=scorer)
+    return RunConfig(**sections)
 
 
 def load_run_config(path: str) -> RunConfig:

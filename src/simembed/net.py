@@ -10,11 +10,11 @@ comparable.
 
 Default sizing keeps an 8:2:1 ratio between the deep branch and the two
 shallow ones (64:16:8 at desk scale with a 64-dim final embedding).
-Dropout, when enabled, is applied to the merged branch vector during
-training only.  The mask is drawn from the ``rng`` handed to
-:func:`embed_with_grad`, so two calls with equally seeded generators and
-equal row counts apply the same mask; siamese training relies on this to
-send every arm of a pair or triplet through one thinned network.
+Dropout, when enabled, is applied to the merged branch vector only when
+:func:`embed_with_grad` is handed an ``rng``, as training does.  The mask
+is drawn from that generator, so two calls with equally seeded generators
+and equal row counts apply the same mask; siamese training relies on this
+to send every arm of a pair or triplet through one thinned network.
 """
 
 from __future__ import annotations
@@ -298,19 +298,15 @@ def _forward(checkpoint: Checkpoint, images: Array,
 
 
 def embed_with_grad(checkpoint: Checkpoint, images: Array,
-                    training: bool = False,
                     rng: np.random.Generator | None = None,
                     ) -> tuple[Array, BackwardFn]:
     """Embed ``images (N,C,H,W)`` and return a backward closure mapping the
     upstream embedding gradient to gradients per parameter name.
 
-    With ``training=True`` the dropout mask, one ``(N, merged)`` draw, comes
-    from ``rng`` (a generator seeded from the checkpoint if omitted)."""
-    if training and rng is None:
-        rng = np.random.default_rng(checkpoint.rng_seed)
+    Given ``rng`` (training), dropout applies a mask drawn from it, one
+    ``(N, merged)`` draw; without it no dropout is applied."""
     tapes: list[list] = [[] for _ in checkpoint.config.branches]
-    merge, *dropout, head, norm = _forward(checkpoint, images, tapes,
-                                           rng if training else None)
+    merge, *dropout, head, norm = _forward(checkpoint, images, tapes, rng)
 
     def backward(upstream: Array) -> dict[str, Array]:
         grads: dict[str, Array] = {}

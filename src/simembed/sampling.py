@@ -13,7 +13,8 @@ strategy replaces the scorer with uniform same-class / cross-class draws
 for ablation runs.
 
 All sampling is driven by an explicit ``numpy.random.Generator``; batches
-are a deterministic function of (dataset, scorer, config, seed).
+are a deterministic function of (dataset, config, seed); the scorer is
+part of the config.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class SamplerConfig:
     strategy: str = STRATEGY_BISS
     self_pair_fraction: float = 0.0  # share of positives taken as
     # augmented views of the query itself
+    scorer: BissScorer = BissScorer()
 
     def __post_init__(self) -> None:
         if self.n_candidates < 1:
@@ -125,10 +127,10 @@ def biss_score(scorer: BissScorer, a: Array, b: Array) -> float:
     return float(np.abs(_histogram(scorer, a) - _histogram(scorer, b)).sum())
 
 
-def positive_candidates(scorer: BissScorer, query_id: str, dataset: Dataset,
+def positive_candidates(query_id: str, dataset: Dataset,
                         cfg: SamplerConfig) -> list[str]:
     """Up to ``cfg.n_candidates`` same-class ids nearest to the query under
-    the scorer, ascending score with ties broken by ascending id; the query
+    ``cfg.scorer``, ascending score with ties broken by ascending id; the query
     itself is excluded."""
     query = dataset.get(query_id)
     classmates = dataset.class_index[query.class_label]
@@ -136,17 +138,16 @@ def positive_candidates(scorer: BissScorer, query_id: str, dataset: Dataset,
         raise DataError(
             f"item {query_id!r} is alone in class {query.class_label}; "
             f"no positive candidates exist")
-    table = candidate_table(dataset.subset(classmates), scorer,
+    table = candidate_table(dataset.subset(classmates),
                             replace(cfg, strategy=STRATEGY_BISS))
     return [classmates[row]
             for row in table.candidates[classmates.index(query_id)]]
 
 
-def candidate_table(dataset: Dataset, scorer: BissScorer,
-                    cfg: SamplerConfig) -> CandidateTable:
+def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
     """Group ``dataset``'s rows by class and, under the ``biss`` strategy,
-    rank each row's classmates by (score, id) and keep the first
-    ``cfg.n_candidates``."""
+    rank each row's classmates by (``cfg.scorer`` score, id) and keep the
+    first ``cfg.n_candidates``."""
     ids = dataset.ids
     labels = dataset.labels
     class_rows = {label: np.flatnonzero(labels == label)
@@ -157,7 +158,7 @@ def candidate_table(dataset: Dataset, scorer: BissScorer,
         [len(class_rows[label]) >= 2 for label in labels])
     candidates = None
     if cfg.strategy == STRATEGY_BISS:
-        hists = np.stack([_histogram(scorer, image)
+        hists = np.stack([_histogram(cfg.scorer, image)
                           for image in dataset.images()])
         id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
         found = [_NO_ROWS] * len(ids)
@@ -230,8 +231,7 @@ def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
     """
     dataset.get(query_id)  # DataError naming an unknown id
     # the random-baseline table groups the rows and ranks nothing
-    table = candidate_table(dataset, BissScorer(),
-                            replace(cfg, strategy=STRATEGY_RANDOM))
+    table = candidate_table(dataset, replace(cfg, strategy=STRATEGY_RANDOM))
     row_of = {item_id: row for row, item_id in enumerate(table.ids)}
     picked_in, picked_out = _negative_rows(
         table, row_of[query_id], count, rng,

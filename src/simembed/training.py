@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -236,7 +236,6 @@ def _batch(table: sampling.CandidateTable, cfg: TrainConfig, size: int,
 def train(dataset_train: Dataset, dataset_val: Dataset,
           net_cfg: net.MultiScaleNetConfig,
           sampler_cfg: sampling.SamplerConfig, train_cfg: TrainConfig,
-          scorer: sampling.BissScorer | None = None,
           ) -> tuple[net.Checkpoint, list[TrainLogRow]]:
     """Run the full optimization loop and keep the best-validation model.
 
@@ -246,8 +245,6 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     """
     if len(dataset_train.class_index) < 2:
         raise DataError("training data needs at least two classes")
-    if scorer is None:
-        scorer = sampling.BissScorer()
     smallest = min(len(ids) for data in (dataset_train, dataset_val)
                    for ids in data.class_index.values())
     if (sampler_cfg.strategy == sampling.STRATEGY_BISS
@@ -262,9 +259,8 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     checkpoint = net.build_network(net_cfg, seed=train_cfg.seed)
     params = checkpoint.parameters
     state = {name: np.zeros_like(value) for name, value in params.items()}
-    train_table = sampling.candidate_table(dataset_train, scorer,
-                                           sampler_cfg)
-    val_table = sampling.candidate_table(dataset_val, scorer, sampler_cfg)
+    train_table = sampling.candidate_table(dataset_train, sampler_cfg)
+    val_table = sampling.candidate_table(dataset_val, sampler_cfg)
 
     # fixed validation batches, sampled once, never augmented
     val_rng = np.random.default_rng([train_cfg.seed, sampler_cfg.rng_seed,
@@ -342,7 +338,7 @@ def _train_step(checkpoint: net.Checkpoint, params: dict, state: dict,
     # the net lowers by collapsing the embedding.
     mask_seed = int(rng.integers(2 ** 63))
     outputs, backwards = zip(*(
-        net.embed_with_grad(checkpoint, stack, training=True,
+        net.embed_with_grad(checkpoint, stack,
                             rng=np.random.default_rng(mask_seed))
         for stack in stacks))
     loss, row_grads = batch_loss(np.concatenate(outputs), labels,
@@ -380,14 +376,11 @@ def triplet_accuracy(checkpoint: net.Checkpoint,
 
 def topk_recall(checkpoint: net.Checkpoint,
                 queries: Sequence[tuple[Array, Sequence[str]]],
-                catalog: retrieval.EmbeddingIndex, k: int = 20,
-                metric: DistanceMetric | None = None) -> float:
+                catalog: retrieval.EmbeddingIndex, k: int = 20) -> float:
     """``retrieval.topk_recall`` of ``(image, ground_truth_ids)`` queries
-    embedded by ``checkpoint``; ``metric`` defaults to the catalog's."""
+    embedded by ``checkpoint``, under the catalog's metric."""
     if not queries:
         raise DataError("topk_recall needs at least one query")
-    if metric is not None:
-        catalog = replace(catalog, metric=metric)
     images, truth_ids = zip(*queries)
     vectors = net.embed(checkpoint, np.stack(images).astype(np.float32))
     return retrieval.topk_recall(catalog, vectors, truth_ids, k)

@@ -1,6 +1,9 @@
+import argparse
 import copy
 import gzip
 import json
+import os
+import re
 import struct
 
 import numpy as np
@@ -513,7 +516,7 @@ class TestDiagContrast:
 class TestSamplePairs:
     def test_line_format_and_count(self, workdir, capsys):
         rc = cli.main(["sample-pairs", "--data", workdir["dataset"],
-                       "--count", "10", "--pos-fraction", "0.5",
+                       "--count", "10",
                        "--config", workdir["config"], "--seed", "4"])
         stdout = capsys.readouterr().out
         assert rc == 0
@@ -527,8 +530,87 @@ class TestSamplePairs:
             labels.append(int(label))
         assert labels.count(0) == 5 and labels.count(1) == 5
 
+    def test_positive_share_comes_from_the_run_config(self, workdir, capsys,
+                                                      tmp_path):
+        doc = copy.deepcopy(TINY_CONFIG)
+        doc["train"]["pos_fraction"] = 0.25
+        config_path = tmp_path / "quarter.json"
+        config_path.write_text(json.dumps(doc))
+        rc = cli.main(["sample-pairs", "--data", workdir["dataset"],
+                       "--count", "8", "--config", str(config_path)])
+        labels = [line.rsplit(",", 1)[1]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert rc == 0
+        assert labels == ["0"] * 2 + ["1"] * 6
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_two_fails_with_one_line(self, workdir, capsys,
+                                                 count):
+        rc = cli.main(["sample-pairs", "--data", workdir["dataset"],
+                       "--count", count])
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
+        assert captured.err == \
+            f"error: ConfigError: --count must be >= 2, got {count}\n"
+        assert captured.out == ""
+
 
 class TestCommonFlags:
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+# Every required option of each subcommand, with a value.
+REQUIRED = {
+    "ingest": ["--format", "idx", "--output", "x.dset"],
+    "embed": ["--checkpoint", "m.ckpt", "--data", "x.dset",
+              "--output", "x.emb"],
+    "query": ["--embeddings", "x.emb", "--id", "x"],
+    "eval": ["--embeddings", "x.emb"],
+    "diag-contrast": ["--dims", "2", "--k", "1"],
+    "sample-pairs": ["--data", "x.dset"],
+}
+
+
+def readme_options():
+    """The README's per-subcommand option table, as {subcommand: options}."""
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if re.fullmatch(r"\|\s*subcommand\s*\|\s*options\s*\|", line))
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, options = line.strip("|").split("|")
+        table[command.strip().strip("`")] = re.findall(r"`([^`]+)`", options)
+    return table
+
+
+class TestOptions:
+    def test_each_subcommand_takes_the_options_readme_lists(self):
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        parsed = {name: [option for action in sub._actions
+                         for option in action.option_strings
+                         if option not in ("-h", "--help")]
+                  for name, sub in commands.choices.items()}
+        assert parsed == readme_options()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("ingest", "--seed"), ("ingest", "--config"), ("embed", "--seed"),
+        ("query", "--seed"), ("query", "--config"), ("query", "--force"),
+        ("eval", "--seed"), ("eval", "--config"), ("eval", "--force"),
+        ("diag-contrast", "--config"), ("diag-contrast", "--force"),
+        ("sample-pairs", "--force"), ("sample-pairs", "--pos-fraction"),
+    ])
+    def test_option_the_command_does_not_read_is_refused(self, capsys,
+                                                         command, flag):
+        value = [] if flag == "--force" else ["1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *REQUIRED[command], flag, *value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

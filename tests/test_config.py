@@ -35,7 +35,7 @@ class TestDefaults:
         assert run.train.learning_rate == 1e-4
         assert isinstance(run.train.loss, ContrastiveConfig)
         assert run.metric.exponent == 0.25
-        assert run.scorer.kind == "intensity_histogram"
+        assert run.sampler.scorer.kind == "intensity_histogram"
 
     def test_accepts_decoded_mapping(self):
         assert config.parse_run_config({}) == config.parse_run_config("{}")
@@ -108,7 +108,8 @@ class TestOverrides:
                 dropout_rate=0.5),
             sampler=SamplerConfig(n_candidates=7, in_class_fraction=0.6,
                                   rng_seed=3, strategy="random_baseline",
-                                  self_pair_fraction=0.2),
+                                  self_pair_fraction=0.2,
+                                  scorer=BissScorer("color_histogram", 8)),
             train=TrainConfig(learning_rate=0.01, rms_decay=0.5,
                               epsilon=1e-6, epochs=4, batch_size=8,
                               loss=AngularConfig(30.0, "as_written"),
@@ -117,8 +118,7 @@ class TestOverrides:
                               weight_decay=0.1, seed=9, lr_decay=0.5,
                               pos_fraction=0.25, batches_per_epoch=5,
                               val_pairs=16, val_triplets=12),
-            metric=DistanceMetric(0.5),
-            scorer=BissScorer("color_histogram", 8))
+            metric=DistanceMetric(0.5))
         defaults = config.RunConfig()
         for section in fields(config.RunConfig):  # every field is set
             for name in asdict(getattr(run, section.name)):
@@ -126,7 +126,6 @@ class TestOverrides:
                     getattr(getattr(defaults, section.name), name), name
         doc = asdict(run)
         doc["train"]["loss"]["kind"] = "angular"
-        doc["sampler"]["scorer"] = doc.pop("scorer")
         assert config.parse_run_config(json.dumps(doc, default=sorted)) \
             == run
 
@@ -134,8 +133,8 @@ class TestOverrides:
         run = config.parse_run_config(json.dumps({
             "sampler": {"scorer": {"kind": "color_histogram",
                                    "bins": 32}}}))
-        assert run.scorer.kind == "color_histogram"
-        assert run.scorer.bins == 32
+        assert run.sampler.scorer.kind == "color_histogram"
+        assert run.sampler.scorer.bins == 32
 
 
 class TestUnknownKeys:

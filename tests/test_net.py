@@ -139,10 +139,8 @@ class TestEmbed:
         inference = net.embed(ckpt, x)
         again = net.embed(ckpt, x)
         assert np.array_equal(inference, again)
-        out_a, _ = net.embed_with_grad(ckpt, x, training=True,
-                                       rng=np.random.default_rng(1))
-        out_b, _ = net.embed_with_grad(ckpt, x, training=True,
-                                       rng=np.random.default_rng(2))
+        out_a, _ = net.embed_with_grad(ckpt, x, rng=np.random.default_rng(1))
+        out_b, _ = net.embed_with_grad(ckpt, x, rng=np.random.default_rng(2))
         assert not np.array_equal(out_a, out_b)
 
     def test_backward_produces_grad_for_every_parameter(self, rng):
@@ -171,8 +169,7 @@ class TestEmbed:
         assert [b.input_downsample_factor for b in cfg.branches] == [1, 2, 4]
         ckpt = net.build_network(cfg, seed=4)
         x = rng.uniform(0, 1, (6, 1, 28, 28)).astype(np.float32)
-        out, back = net.embed_with_grad(ckpt, x, training=True,
-                                        rng=np.random.default_rng(0))
+        out, back = net.embed_with_grad(ckpt, x, rng=np.random.default_rng(0))
         grads = back(rng.standard_normal(out.shape).astype(np.float32))
         assert set(grads) == set(ckpt.parameters)
         for name, g in grads.items():

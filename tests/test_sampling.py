@@ -69,7 +69,7 @@ class TestPositiveCandidates:
     def test_clamped_to_class_size(self):
         ds = dataset_of_flats({0: [0.1, 0.2, 0.3, 0.4, 0.5], 1: [0.9]})
         got = sampling.positive_candidates(
-            BissScorer(), "c0i0", ds, SamplerConfig(n_candidates=100))
+            "c0i0", ds, SamplerConfig(n_candidates=100))
         assert len(got) == 4
         assert "c0i0" not in got
 
@@ -82,7 +82,7 @@ class TestPositiveCandidates:
         items.append(("far", flat_image(1.0), 1))
         ds = make_dataset(items)
         got = sampling.positive_candidates(
-            BissScorer(), "q", ds, SamplerConfig(n_candidates=3))
+            "q", ds, SamplerConfig(n_candidates=3))
         assert got[0] == "twin"
 
     def test_matches_full_sort_oracle(self, rng):
@@ -92,8 +92,8 @@ class TestPositiveCandidates:
         items.append(("b0", flat_image(0.5), 1))
         ds = make_dataset(items)
         scorer = BissScorer()
-        cfg = SamplerConfig(n_candidates=7)
-        got = sampling.positive_candidates(scorer, "a00", ds, cfg)
+        cfg = SamplerConfig(n_candidates=7, scorer=scorer)
+        got = sampling.positive_candidates("a00", ds, cfg)
         query = ds.get("a00").image
         scored = sorted(
             ((sampling.biss_score(scorer, query, ds.get(i).image), i)
@@ -103,12 +103,11 @@ class TestPositiveCandidates:
     def test_singleton_class_rejected(self):
         ds = dataset_of_flats({0: [0.1], 1: [0.5, 0.9]})
         with pytest.raises(DataError):
-            sampling.positive_candidates(
-                BissScorer(), "c0i0", ds, SamplerConfig())
+            sampling.positive_candidates("c0i0", ds, SamplerConfig())
 
     def test_unknown_query_rejected(self, small_dataset):
         with pytest.raises(DataError):
-            sampling.positive_candidates(BissScorer(), "nope", small_dataset,
+            sampling.positive_candidates("nope", small_dataset,
                                          SamplerConfig())
 
 
@@ -136,8 +135,8 @@ class TestCandidateTable:
     def test_rows_match_full_sort_oracle(self, n):
         ds = tie_dataset()
         scorer = BissScorer()
-        table = sampling.candidate_table(ds, scorer,
-                                         SamplerConfig(n_candidates=n))
+        cfg = SamplerConfig(n_candidates=n, scorer=scorer)
+        table = sampling.candidate_table(ds, cfg)
         for row, item in enumerate(map(ds.get, ds.ids)):
             scored = sorted(
                 (sampling.biss_score(scorer, item.image, ds.get(i).image), i)
@@ -145,23 +144,40 @@ class TestCandidateTable:
             assert table_ids(table, row) == [i for _, i in scored[:n]]
             if len(scored):
                 assert table_ids(table, row) == sampling.positive_candidates(
-                    scorer, item.id, ds, SamplerConfig(n_candidates=n))
+                    item.id, ds, cfg)
         assert table_ids(table, len(ds) - 1) == []  # the singleton
 
     def test_ranking_in_blocks_gives_same_rows(self, monkeypatch):
         ds = tie_dataset()
-        cfg = SamplerConfig(n_candidates=5)
-        scorer = BissScorer(kind="color_histogram", bins=4)
-        whole = sampling.candidate_table(ds, scorer, cfg)
+        cfg = SamplerConfig(n_candidates=5,
+                            scorer=BissScorer(kind="color_histogram", bins=4))
+        whole = sampling.candidate_table(ds, cfg)
         monkeypatch.setattr(sampling, "_SCORE_BLOCK", 50)
-        blocked = sampling.candidate_table(ds, scorer, cfg)
+        blocked = sampling.candidate_table(ds, cfg)
         for row in range(len(ds)):
             assert np.array_equal(whole.candidates[row],
                                   blocked.candidates[row])
 
+    def test_ranks_by_the_scorer_in_the_config(self):
+        rng = np.random.default_rng(8)
+        ds = make_dataset(
+            (f"i{j:02d}", rng.uniform(0, 1, (3, 6, 6)).astype(np.float32),
+             j % 2) for j in range(16))
+        scorer = BissScorer("color_histogram", 4)
+        table = sampling.candidate_table(
+            ds, SamplerConfig(n_candidates=5, scorer=scorer))
+        default = sampling.candidate_table(ds, SamplerConfig(n_candidates=5))
+        for row, item in enumerate(map(ds.get, ds.ids)):
+            by_hand = sorted(
+                (sampling.biss_score(scorer, item.image, ds.get(i).image), i)
+                for i in ds.class_index[item.class_label] if i != item.id)
+            assert table_ids(table, row) == [i for _, i in by_hand[:5]]
+        assert any(table_ids(table, row) != table_ids(default, row)
+                   for row in range(len(ds)))
+
     def test_groups_rows_by_class(self):
         ds = tie_dataset()
-        table = sampling.candidate_table(ds, BissScorer(), SamplerConfig())
+        table = sampling.candidate_table(ds, SamplerConfig())
         assert list(table.class_rows[9]) == [len(ds) - 1]
         assert list(table.other_rows[9]) == list(range(len(ds) - 1))
         assert list(table.queryable) == list(range(len(ds) - 1))
@@ -170,7 +186,7 @@ class TestCandidateTable:
     def test_random_baseline_candidates_are_classmates(self):
         ds = tie_dataset()
         table = sampling.candidate_table(
-            ds, BissScorer(), SamplerConfig(strategy="random_baseline"))
+            ds, SamplerConfig(strategy="random_baseline"))
         assert table.candidates is None
         classmates = [i for i in ds.class_index[0] if i != ds.ids[5]]
         assert table_ids(table, 5) == classmates
@@ -250,7 +266,7 @@ class TestSampleNegatives:
 
 class TestMakePairBatch:
     def batch(self, ds, cfg, seed, batch_size=16, pos_fraction=0.5):
-        table = sampling.candidate_table(ds, BissScorer(), cfg)
+        table = sampling.candidate_table(ds, cfg)
         rows, labels = sampling.make_pair_batch(
             table, batch_size, pos_fraction, np.random.default_rng(seed))
         return pair_ids(table, rows, labels)
@@ -294,7 +310,7 @@ class TestMakePairBatch:
         ds = dataset_of_flats({c: [c / 3 + j / 40 for j in range(8)]
                                for c in range(3)})
         cfg = SamplerConfig(n_candidates=3, in_class_fraction=fraction)
-        table = sampling.candidate_table(ds, BissScorer(), cfg)
+        table = sampling.candidate_table(ds, cfg)
         rows, labels = sampling.make_pair_batch(
             table, 40, 0.0, np.random.default_rng(4))
         for q, c in rows:
@@ -307,15 +323,14 @@ class TestMakePairBatch:
             self.batch(small_dataset, cfg, 5)
 
     def test_tiny_batch_rejected(self, small_dataset):
-        table = sampling.candidate_table(small_dataset, BissScorer(),
-                                         SamplerConfig())
+        table = sampling.candidate_table(small_dataset, SamplerConfig())
         with pytest.raises(ConfigError):
             sampling.make_pair_batch(table, batch_size=1, pos_fraction=0.5,
                                      rng=np.random.default_rng(0))
 
     def test_all_singletons_rejected(self):
         ds = dataset_of_flats({0: [0.1], 1: [0.5]})
-        table = sampling.candidate_table(ds, BissScorer(), SamplerConfig())
+        table = sampling.candidate_table(ds, SamplerConfig())
         with pytest.raises(DataError, match="two or more"):
             sampling.make_pair_batch(table, 4, 0.5,
                                      np.random.default_rng(0))
@@ -323,7 +338,7 @@ class TestMakePairBatch:
 
 class TestMakeTripletBatch:
     def batch(self, ds, cfg, batch_size, seed):
-        table = sampling.candidate_table(ds, BissScorer(), cfg)
+        table = sampling.candidate_table(ds, cfg)
         rows = sampling.make_triplet_batch(table, batch_size,
                                            np.random.default_rng(seed))
         assert rows.shape == (batch_size, 3)

@@ -217,10 +217,9 @@ class TestTrainLoop:
         arms = []
         real_embed_with_grad = net.embed_with_grad
 
-        def recording(checkpoint, images, training=False, rng=None):
-            out, back = real_embed_with_grad(checkpoint, images,
-                                             training=training, rng=rng)
-            if training:
+        def recording(checkpoint, images, rng=None):
+            out, back = real_embed_with_grad(checkpoint, images, rng=rng)
+            if rng is not None:
                 plain, _ = real_embed_with_grad(checkpoint, images)
                 arms.append((out, plain))
             return out, back
