@@ -1,5 +1,5 @@
 """Command-line surface: ingest -> train -> embed -> query/eval, plus the
-distance-concentration diagnostic and the pair sampler.
+distance-concentration diagnostic and a preview of training batches.
 
 Every command exits 0 on success and nonzero with a single
 ``error: <Kind>: <message>`` line on standard error otherwise.  Each
@@ -220,10 +220,10 @@ def cmd_sample_pairs(args: argparse.Namespace) -> int:
     dataset = data_io.read_dataset(args.data)
     rng = np.random.default_rng(cfg.sampler.rng_seed)
     table = sampling.candidate_table(dataset, cfg.sampler)
-    rows, labels = sampling.make_pair_batch(table, args.count,
-                                            cfg.train.pos_fraction, rng)
-    for (query, candidate), label in zip(rows, labels):
-        print(f"{table.ids[query]},{table.ids[candidate]},{label}")
+    rows, labels = train_mod.draw_batch(table, cfg.train, args.count, rng)
+    for i, row in enumerate(rows):  # triplets carry no label
+        line = ",".join(table.ids[r] for r in row)
+        print(line if labels is None else f"{line},{labels[i]}")
     return 0
 
 
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diag_contrast)
 
     p = sub.add_parser("sample-pairs",
-                       help="emit training pairs as text lines")
+                       help="emit a training batch as train draws it")
     p.add_argument("--seed", **seed)
     p.add_argument("--config", **config)
     p.add_argument("--data", required=True)

@@ -3,9 +3,11 @@
 The ``L_k`` "distance" ``(sum_i |a_i - b_i|^k)^(1/k)`` is a true metric only
 for ``k >= 1``; for fractional exponents ``k in (0, 1)`` the triangle
 inequality fails, but rankings under it remain well defined and are what
-retrieval uses.  Every ``|a - b|^k`` comes from one blocked kernel,
-``_lk_sums``, in float64 whatever the input precision, because fractional
-powers amplify rounding.  ``knn_many`` is the exact top-k scan.
+retrieval uses.  Every ``|a - b|^k`` outside the training loss comes from
+one blocked kernel, ``_lk_sums``, in float64 whatever the input precision,
+because fractional powers amplify rounding; ``losses._squared_distances``
+raises its own, as its gradient needs them per coordinate.  ``knn_many``
+is the exact top-k scan.
 """
 
 from __future__ import annotations

@@ -4,13 +4,20 @@ Positive candidates for a query are its same-class nearest neighbors under
 a cheap similarity scorer: L1 distance between normalized intensity (or
 per-channel color) histograms.  :func:`candidate_table` ranks them once per
 dataset, for every item, and the batch makers draw row indices (positions
-in ``dataset.ids``) from that table.  :func:`sample_negatives` mixes
-same-class items from outside the candidate set with items from other
-classes, 3:7 by default.  The batch makers draw one negative per query
-with that rule, and ``round(1 * 0.3) == 0``, so at the default fraction
-their negatives all come from other classes.  A ``random_baseline``
-strategy replaces the scorer with uniform same-class / cross-class draws
-for ablation runs.
+in ``dataset.ids``) from that table.  A ``random_baseline`` strategy
+replaces the scorer with uniform same-class / cross-class draws for
+ablation runs.
+
+The negative rule: :func:`sample_negatives` draws ``round(count *
+in_class_fraction)`` negatives from the query's class outside the
+excluded ids and the rest from other classes, 3:7 by default.  A batch
+draws one negative per query, with the query's candidates excluded, so
+under ``biss`` it is in-class only when the fraction rounds to 1 (above
+1/2); at the default 0.3 every batch negative comes from another class.
+:func:`candidate_table` refuses a ``biss`` table with a fraction above
+1/2 when a class has ``len(class) - 1 <= n_candidates``: its rows would
+have no classmate outside their candidates.  Under ``random_baseline`` a
+batch negative is a uniform other-class row.
 
 All sampling is driven by an explicit ``numpy.random.Generator``; batches
 are a deterministic function of (dataset, config, seed); the scorer is
@@ -95,7 +102,7 @@ class CandidateTable:
     to its rows and to the rows outside it, ascending; ``queryable`` rows
     have a classmate; ``candidates[row]`` lists a row's positive candidates,
     nearest first, or is ``None`` under ``random_baseline``, where a row's
-    candidates are its classmates."""
+    candidates are its classmates (negatives: see the module docstring)."""
 
     cfg: SamplerConfig
     ids: tuple[str, ...]
@@ -138,8 +145,9 @@ def positive_candidates(query_id: str, dataset: Dataset,
         raise DataError(
             f"item {query_id!r} is alone in class {query.class_label}; "
             f"no positive candidates exist")
-    table = candidate_table(dataset.subset(classmates),
-                            replace(cfg, strategy=STRATEGY_BISS))
+    table = candidate_table(dataset.subset(classmates),  # draws no negatives
+                            replace(cfg, strategy=STRATEGY_BISS,
+                                    in_class_fraction=0.0))
     return [classmates[row]
             for row in table.candidates[classmates.index(query_id)]]
 
@@ -147,7 +155,7 @@ def positive_candidates(query_id: str, dataset: Dataset,
 def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
     """Group ``dataset``'s rows by class and, under the ``biss`` strategy,
     rank each row's classmates by (``cfg.scorer`` score, id) and keep the
-    first ``cfg.n_candidates``."""
+    first ``cfg.n_candidates``; refuses what the module docstring says."""
     ids = dataset.ids
     labels = dataset.labels
     class_rows = {label: np.flatnonzero(labels == label)
@@ -158,6 +166,13 @@ def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
         [len(class_rows[label]) >= 2 for label in labels])
     candidates = None
     if cfg.strategy == STRATEGY_BISS:
+        smallest = min(map(len, class_rows.values()))
+        if round(cfg.in_class_fraction) and cfg.n_candidates >= smallest - 1:
+            raise ConfigError(
+                f"in_class_fraction {cfg.in_class_fraction} takes every "
+                f"batch negative from a query's non-candidate classmates, "
+                f"but n_candidates {cfg.n_candidates} leaves none in a "
+                f"class of {smallest}")
         hists = np.stack([_histogram(cfg.scorer, image)
                           for image in dataset.images()])
         id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
@@ -195,36 +210,20 @@ def _other_rows(table: CandidateTable, row: int) -> Array:
     return others
 
 
-def _negative_rows(table: CandidateTable, row: int, count: int,
-                   rng: np.random.Generator, exclude: Array = _NO_ROWS,
-                   ) -> list[Array]:
-    """In-class and out-of-class negative rows for ``row``, drawn as
-    :func:`sample_negatives` describes."""
-    n_in = int(round(count * table.cfg.in_class_fraction))
-    out_pool = _other_rows(table, row)
-    in_pool = table.class_rows[table.labels[row]]
-    if n_in:  # a batch's single negative mostly needs no in-class pool
-        in_pool = in_pool[~np.isin(in_pool, exclude) & (in_pool != row)]
-    picked = []
-    for pool, need, name in (
-            (in_pool, n_in, f"in-class negative pool for {table.ids[row]!r}"),
-            (out_pool, count - n_in, "out-of-class negative pool")):
-        if len(pool) < need:
-            raise DataError(f"{name} has {len(pool)} items, need {need} "
-                            f"(short by {need - len(pool)})")
-        picked.append(pool[rng.choice(len(pool), size=need, replace=False)]
-                      if need else _NO_ROWS)
-    return picked
+def _in_class_pool(table: CandidateTable, row: int,
+                   exclude: Sequence[int] | Array) -> Array:
+    """``row``'s classmates other than itself and outside ``exclude``."""
+    classmates = table.class_rows[table.labels[row]]
+    return classmates[~np.isin(classmates, exclude) & (classmates != row)]
 
 
 def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
                      count: int, rng: np.random.Generator,
                      exclude: Sequence[str] = (),
                      ) -> list[tuple[str, bool]]:
-    """Draw ``count`` negative ids for a query: ``round(count *
-    in_class_fraction)`` same-class items (outside ``exclude``, normally
-    the positive-candidate set) and the remainder from other classes,
-    uniformly without replacement within each pool.
+    """Draw ``count`` negative ids for a query by the module docstring's
+    rule, uniformly without replacement within each pool; ``exclude`` is
+    normally the query's positive-candidate set.
 
     Returns ``(id, in_class)`` tuples, in-class entries first.  Raises
     ``DataError`` naming the shortfall when a pool is too small.
@@ -233,23 +232,31 @@ def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
     # the random-baseline table groups the rows and ranks nothing
     table = candidate_table(dataset, replace(cfg, strategy=STRATEGY_RANDOM))
     row_of = {item_id: row for row, item_id in enumerate(table.ids)}
-    picked_in, picked_out = _negative_rows(
-        table, row_of[query_id], count, rng,
-        np.array([row_of[i] for i in exclude if i in row_of], dtype=np.intp))
-    return ([(table.ids[r], True) for r in picked_in]
-            + [(table.ids[r], False) for r in picked_out])
+    row = row_of[query_id]
+    n_in = int(round(count * cfg.in_class_fraction))
+    out_pool = _other_rows(table, row)
+    in_pool = _in_class_pool(table, row,
+                             [row_of[i] for i in exclude if i in row_of])
+    picked = []
+    for pool, need, in_class, name in (
+            (in_pool, n_in, True, f"in-class negative pool for {query_id!r}"),
+            (out_pool, count - n_in, False, "out-of-class negative pool")):
+        if len(pool) < need:
+            raise DataError(f"{name} has {len(pool)} items, need {need} "
+                            f"(short by {need - len(pool)})")
+        picked += [(table.ids[r], in_class) for r in
+                   pool[rng.choice(len(pool), size=need, replace=False)]]
+    return picked
 
 
 def _negative(table: CandidateTable, row: int,
               rng: np.random.Generator) -> int:
-    """One negative row for ``row``: :func:`sample_negatives` with count 1
-    and the row's candidates excluded, or a uniform other-class row under
-    ``random_baseline``."""
-    if table.cfg.strategy == STRATEGY_RANDOM:
-        others = _other_rows(table, row)
-        return others[rng.integers(len(others))]
-    return np.concatenate(_negative_rows(
-        table, row, 1, rng, exclude=_candidates_cached(table, row)))[0]
+    """One negative row for ``row``, by the rule in the module docstring."""
+    cfg = table.cfg
+    pool = _other_rows(table, row)
+    if cfg.strategy == STRATEGY_BISS and round(cfg.in_class_fraction):
+        pool = _in_class_pool(table, row, _candidates_cached(table, row))
+    return pool[rng.integers(len(pool))]
 
 
 def _queryable(table: CandidateTable) -> Array:
@@ -267,12 +274,9 @@ def make_pair_batch(table: CandidateTable, batch_size: int,
     Returns ``(rows, labels)``: a ``(batch_size, 2)`` array of (query,
     candidate) rows and the 0/1 labels.  Under the ``biss`` strategy
     positives come from the query's candidate list (or, with probability
-    ``cfg.self_pair_fraction``, are self-pairs for augmented views).  Each
-    negative is drawn as :func:`sample_negatives` draws one: from the
-    query's class outside its candidates when ``round(in_class_fraction)``
-    is 1 (fractions above 1/2), from the other classes otherwise.  Under
-    ``random_baseline`` positives are uniform same-class pairs and
-    negatives uniform cross-class pairs.
+    ``cfg.self_pair_fraction``, are self-pairs for augmented views); under
+    ``random_baseline`` they are uniform same-class pairs.  Each negative
+    follows the rule in the module docstring.
     """
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
@@ -301,8 +305,7 @@ def make_triplet_batch(table: CandidateTable, batch_size: int,
     """Build a ``(batch_size, 3)`` array of (anchor, positive, negative)
     rows: anchors uniform over queryable rows, positives from the
     candidate list (same-class uniform under the random baseline),
-    negatives drawn one per anchor as :func:`make_pair_batch` draws
-    them."""
+    negatives by the rule in the module docstring."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     queryable = _queryable(table)

@@ -1,7 +1,8 @@
 """Optimization loop, data augmentation, and the evaluation of a checkpoint.
 
 ``train`` builds one candidate table per dataset when it starts and draws
-every batch from it as rows of dataset positions.  Training is siamese:
+every batch from it with :func:`draw_batch` (negatives: see ``sampling``'s
+module docstring) as rows of dataset positions.  Training is siamese:
 every batch's query and candidate images are embedded by the same
 parameter set under one dropout mask per step, so row i of each arm of a
 pair (or triplet) goes through the same thinned network.  The pair (or
@@ -16,7 +17,6 @@ and measure them with the functions of those names in ``retrieval``.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -76,6 +76,9 @@ class TrainConfig:
         if self.batch_size < 2:
             raise ConfigError(
                 f"batch_size must be >= 2, got {self.batch_size}")
+        if not 0 <= self.pos_fraction <= 1:
+            raise ConfigError(
+                f"pos_fraction must be in [0, 1], got {self.pos_fraction}")
         unknown = set(self.augmentation) - SUPPORTED_AUGMENTATIONS
         if unknown:
             raise ConfigError(
@@ -225,9 +228,10 @@ def _arm_rows(arms: Sequence[Array]) -> Array:
     return np.arange(sum(map(len, arms))).reshape(len(arms), -1).T
 
 
-def _batch(table: sampling.CandidateTable, cfg: TrainConfig, size: int,
-           rng: np.random.Generator) -> tuple[Array, Array | None]:
-    """Sample rows (and pair labels) for the loss ``cfg`` trains."""
+def draw_batch(table: sampling.CandidateTable, cfg: TrainConfig, size: int,
+               rng: np.random.Generator) -> tuple[Array, Array | None]:
+    """Sample rows for the loss ``cfg`` trains: pairs and their labels
+    (contrastive), or triplets and ``None`` (angular)."""
     if isinstance(cfg.loss, ContrastiveConfig):
         return sampling.make_pair_batch(table, size, cfg.pos_fraction, rng)
     return sampling.make_triplet_batch(table, size, rng), None
@@ -245,16 +249,6 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     """
     if len(dataset_train.class_index) < 2:
         raise DataError("training data needs at least two classes")
-    smallest = min(len(ids) for data in (dataset_train, dataset_val)
-                   for ids in data.class_index.values())
-    if (sampler_cfg.strategy == sampling.STRATEGY_BISS
-            and round(sampler_cfg.in_class_fraction)
-            and sampler_cfg.n_candidates >= smallest - 1):
-        raise ConfigError(
-            f"in_class_fraction {sampler_cfg.in_class_fraction} takes every "
-            f"batch negative from a query's non-candidate classmates, but "
-            f"n_candidates {sampler_cfg.n_candidates} leaves none in a class "
-            f"of {smallest}")
 
     checkpoint = net.build_network(net_cfg, seed=train_cfg.seed)
     params = checkpoint.parameters
@@ -265,8 +259,8 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     # fixed validation batches, sampled once, never augmented
     val_rng = np.random.default_rng([train_cfg.seed, sampler_cfg.rng_seed,
                                      0x5EED])
-    val_rows, val_labels = _batch(val_table, train_cfg, train_cfg.val_pairs,
-                                  val_rng)
+    val_rows, val_labels = draw_batch(val_table, train_cfg,
+                                      train_cfg.val_pairs, val_rng)
     val_triplets = [TripletSample(*(val_table.ids[row] for row in rows))
                     for rows in sampling.make_triplet_batch(
                         val_table, train_cfg.val_triplets, val_rng)]
@@ -276,7 +270,7 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         n_batches = max(1, len(dataset_train) // train_cfg.batch_size)
 
     logs: list[TrainLogRow] = []
-    best_params = copy.deepcopy(params)
+    best_params = dict(params)
     best_val, best_epoch = math.inf, 0
     lr = train_cfg.learning_rate
     aborted = False
@@ -299,7 +293,6 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
             losses_seen.append(step_loss)
         if aborted and not losses_seen:
             break
-        checkpoint.parameters = params = dict(params)
         val_out = [net.embed(checkpoint, arm)
                    for arm in _arms(dataset_val, val_rows)]
         val_loss, _ = batch_loss(np.concatenate(val_out), val_labels,
@@ -312,7 +305,7 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
                                 val_loss, acc, elapsed))
         if val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
-            best_params = copy.deepcopy(params)
+            best_params = dict(params)
         lr *= train_cfg.lr_decay
         if aborted:
             break
@@ -329,7 +322,7 @@ def _train_step(checkpoint: net.Checkpoint, params: dict, state: dict,
     """Sample one batch, run the siamese arms under one shared dropout
     mask, apply one RMSProp step.  Mutates ``params`` and ``state`` in
     place (same dict objects)."""
-    rows, labels = _batch(table, train_cfg, train_cfg.batch_size, rng)
+    rows, labels = draw_batch(table, train_cfg, train_cfg.batch_size, rng)
     stacks = _arms(dataset, rows, train_cfg, rng)
 
     # Every arm gets a generator seeded alike, and the stacks have equal

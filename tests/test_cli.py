@@ -543,6 +543,35 @@ class TestSamplePairs:
         assert rc == 0
         assert labels == ["0"] * 2 + ["1"] * 6
 
+    def test_angular_loss_prints_the_triplets_train_draws(self, workdir,
+                                                          capsys, tmp_path):
+        doc = copy.deepcopy(TINY_CONFIG)
+        doc["train"]["loss"] = {"kind": "angular"}
+        config_path = tmp_path / "angular.json"
+        config_path.write_text(json.dumps(doc))
+        rc = cli.main(["sample-pairs", "--data", workdir["dataset"],
+                       "--count", "6", "--config", str(config_path)])
+        triplets = data_io.parse_triplet_list(capsys.readouterr().out)
+        assert rc == 0
+        assert len(triplets) == 6
+        ds = data_io.read_dataset(workdir["dataset"])
+        for t in triplets:
+            anchor, positive, negative = (
+                ds.get(i).class_label
+                for i in (t.anchor_id, t.positive_id, t.negative_id))
+            assert anchor == positive != negative
+
+    def test_set_up_train_refuses_fails_before_printing(self, workdir,
+                                                        capsys, tmp_path):
+        config_path = tmp_path / "no_in_class_pool.json"
+        config_path.write_text(json.dumps(
+            {"sampler": {"n_candidates": 100, "in_class_fraction": 0.8}}))
+        rc = cli.main(["sample-pairs", "--data", workdir["dataset"],
+                       "--config", str(config_path)])
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
+        assert "in_class_fraction 0.8" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_two_fails_with_one_line(self, workdir, capsys,
                                                  count):

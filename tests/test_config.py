@@ -271,6 +271,8 @@ class TestValueTypes:
          "net: desk-scale config needs H, W divisible by 4"),
         (branch_net({"filters": 0, "kernel": 3}),
          "net.branches[0].conv_layers[0]: conv spec fields must be"),
+        ({"train": {"pos_fraction": 2.5}},
+         "train: pos_fraction must be in [0, 1], got 2.5"),
     ])
     def test_refused_value_names_its_section(self, doc, message):
         with pytest.raises(ConfigError) as err:

@@ -191,6 +191,25 @@ class TestCandidateTable:
         classmates = [i for i in ds.class_index[0] if i != ds.ids[5]]
         assert table_ids(table, 5) == classmates
 
+    def test_refuses_a_class_without_in_class_negatives(self):
+        # round(0.8) == 1: every batch negative is a non-candidate classmate
+        ds = dataset_of_flats({c: [c / 3 + j / 40 for j in range(8)]
+                               for c in range(3)})
+        with pytest.raises(ConfigError, match=(
+                r"in_class_fraction 0.8 .* n_candidates 7 leaves none in a "
+                r"class of 8")):
+            sampling.candidate_table(
+                ds, SamplerConfig(n_candidates=7, in_class_fraction=0.8))
+        for cfg in (SamplerConfig(n_candidates=6, in_class_fraction=0.8),
+                    SamplerConfig(n_candidates=7, in_class_fraction=0.5),
+                    SamplerConfig(n_candidates=7, in_class_fraction=0.8,
+                                  strategy="random_baseline")):
+            sampling.candidate_table(ds, cfg)
+        # positive_candidates draws no negatives, so nothing is refused
+        assert len(sampling.positive_candidates(
+            "c0i0", ds, SamplerConfig(n_candidates=7,
+                                      in_class_fraction=0.8))) == 7
+
 
 def pair_ids(table, rows, labels):
     return [(table.ids[q], table.ids[c], int(label))
@@ -334,6 +353,65 @@ class TestMakePairBatch:
         with pytest.raises(DataError, match="two or more"):
             sampling.make_pair_batch(table, 4, 0.5,
                                      np.random.default_rng(0))
+
+
+# Rows drawn from one generator per seed, a 6-pair batch (pos_fraction 0.5)
+# and then a 4-triplet batch, on three classes of eight flat images with
+# n_candidates 3.  Recorded before the negative draw was folded into one
+# path; any change to how a batch consumes the generator shows here.
+RECORDED_DRAWS = {
+    ("biss", 0.3, 0): (
+        [[20, 16], [12, 10], [7, 5], [1, 8], [4, 21], [15, 22]],
+        [[12, 11, 23], [17, 19, 8], [13, 9, 4], [19, 16, 0]]),
+    ("biss", 0.3, 1): (
+        [[11, 12], [18, 16], [0, 1], [19, 15], [5, 12], [20, 6]],
+        [[6, 0, 12], [9, 10, 16], [2, 0, 21], [18, 16, 8]]),
+    ("biss", 0.3, 2): (
+        [[20, 21], [2, 0], [9, 11], [10, 1], [8, 17], [19, 11]],
+        [[23, 22, 14], [1, 2, 12], [4, 0, 12], [13, 14, 2]]),
+    ("biss", 0.8, 0): (
+        [[20, 16], [12, 10], [7, 5], [1, 4], [4, 7], [15, 14]],
+        [[12, 11, 15], [17, 19, 22], [13, 9, 11], [19, 16, 20]]),
+    ("biss", 0.8, 1): (
+        [[11, 12], [18, 16], [0, 1], [19, 23], [5, 2], [20, 19]],
+        [[6, 0, 2], [9, 10, 14], [2, 0, 7], [18, 16, 22]]),
+    ("biss", 0.8, 2): (
+        [[20, 21], [2, 0], [9, 11], [10, 9], [8, 14], [19, 22]],
+        [[23, 22, 21], [1, 2, 5], [4, 0, 5], [13, 14, 10]]),
+    ("random_baseline", 0.3, 0): (
+        [[20, 21], [12, 9], [7, 0], [1, 8], [4, 21], [15, 22]],
+        [[12, 13, 23], [17, 21, 8], [13, 15, 4], [19, 21, 0]]),
+    ("random_baseline", 0.3, 1): (
+        [[11, 12], [18, 23], [0, 2], [19, 15], [5, 12], [20, 6]],
+        [[6, 5, 12], [9, 13, 16], [2, 0, 21], [18, 22, 8]]),
+    ("random_baseline", 0.3, 2): (
+        [[20, 17], [2, 3], [9, 14], [10, 1], [8, 17], [19, 11]],
+        [[23, 17, 14], [1, 4, 12], [4, 5, 12], [13, 9, 2]]),
+    ("random_baseline", 0.8, 0): (
+        [[20, 21], [12, 9], [7, 0], [1, 8], [4, 21], [15, 22]],
+        [[12, 13, 23], [17, 21, 8], [13, 15, 4], [19, 21, 0]]),
+    ("random_baseline", 0.8, 1): (
+        [[11, 12], [18, 23], [0, 2], [19, 15], [5, 12], [20, 6]],
+        [[6, 5, 12], [9, 13, 16], [2, 0, 21], [18, 22, 8]]),
+    ("random_baseline", 0.8, 2): (
+        [[20, 17], [2, 3], [9, 14], [10, 1], [8, 17], [19, 11]],
+        [[23, 17, 14], [1, 4, 12], [4, 5, 12], [13, 9, 2]]),
+}
+
+
+@pytest.mark.parametrize("strategy, fraction, seed", sorted(RECORDED_DRAWS))
+def test_batches_draw_the_recorded_rows(strategy, fraction, seed):
+    ds = dataset_of_flats({c: [c / 3 + j / 40 for j in range(8)]
+                           for c in range(3)})
+    table = sampling.candidate_table(ds, SamplerConfig(
+        n_candidates=3, in_class_fraction=fraction, strategy=strategy))
+    rng = np.random.default_rng(seed)
+    rows, labels = sampling.make_pair_batch(table, 6, 0.5, rng)
+    triplets = sampling.make_triplet_batch(table, 4, rng)
+    pairs, expected_triplets = RECORDED_DRAWS[strategy, fraction, seed]
+    assert rows.tolist() == pairs
+    assert labels.tolist() == [0, 0, 0, 1, 1, 1]
+    assert triplets.tolist() == expected_triplets
 
 
 class TestMakeTripletBatch:

@@ -120,6 +120,8 @@ class TestTrainConfig:
         ("val_pairs", 1, "val_pairs must be >= 2"),
         ("val_triplets", 0, "val_triplets must be >= 1"),
         ("seed", -3, "seed must be >= 0"),
+        ("pos_fraction", 2.5, r"pos_fraction must be in \[0, 1\], got 2.5"),
+        ("pos_fraction", -0.5, r"pos_fraction must be in \[0, 1\]"),
         ("loss_metric_exponent", 0.0, "metric exponent must be finite"),
     ])
     def test_refused_when_built(self, field, value, message):
