@@ -218,8 +218,8 @@ def cmd_sample_pairs(args: argparse.Namespace) -> int:
         raise ConfigError(f"--count must be >= 2, got {args.count}")
     cfg = _load_config(args.config, seed=args.seed)
     dataset = data_io.read_dataset(args.data)
-    rng = np.random.default_rng(cfg.sampler.rng_seed)
     table = sampling.candidate_table(dataset, cfg.sampler)
+    rng = train_mod.epoch_rng(cfg.train, cfg.sampler, 1)  # train's 1st batch
     rows, labels = train_mod.draw_batch(table, cfg.train, args.count, rng)
     for i, row in enumerate(rows):  # triplets carry no label
         line = ",".join(table.ids[r] for r in row)

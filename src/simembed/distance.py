@@ -4,10 +4,19 @@ The ``L_k`` "distance" ``(sum_i |a_i - b_i|^k)^(1/k)`` is a true metric only
 for ``k >= 1``; for fractional exponents ``k in (0, 1)`` the triangle
 inequality fails, but rankings under it remain well defined and are what
 retrieval uses.  Every ``|a - b|^k`` outside the training loss comes from
-one blocked kernel, ``_lk_sums``, in float64 whatever the input precision,
-because fractional powers amplify rounding; ``losses._squared_distances``
-raises its own, as its gradient needs them per coordinate.  ``knn_many``
-is the exact top-k scan.
+one blocked kernel, ``_lk_sums``; ``losses._squared_distances`` raises its
+own, as its gradient needs them per coordinate.  Every distance this
+module returns, and every triplet it scores, is a float64 sum whatever the
+input precision, because fractional powers amplify rounding.
+
+``knn_many`` is the exact top-k scan.  It runs the kernel over the whole
+index once in float32, which may only pick candidates: every row whose
+float32 sum is within a proven error bound of the k-th smallest.  The
+distances, their order and the ties between them all come from the
+float64 kernel, run on those candidates only.  Where the bound does not
+hold (a query that is not a float32 value, a float32 value that
+overflowed, or a width plus exponent near 2**20) every row is a
+candidate, which is the float64 scan of the whole index.
 """
 
 from __future__ import annotations
@@ -43,25 +52,33 @@ EUCLIDEAN = DistanceMetric(2.0)
 MANHATTAN = DistanceMetric(1.0)
 
 
-_BLOCK = 4096  # rows per block: the float64 buffer stays in cache
+_BLOCK = 4096  # rows per block: the buffer stays in cache
 
 
-def _lk_sums(points: Array, refs: Array, k: float) -> Array:
-    """``sum_i |p_i - r_i|^k`` for each row of ``points (N, D)``, in float64;
-    ``refs`` is one ``(D,)`` vector or one row per point.
+def _lk_sums(points: Array, refs: Array, k: float,
+             dtype: type = np.float64) -> Array:
+    """``sum_i |p_i - r_i|^k`` for each row of ``points (N, D)``, computed
+    and returned in ``dtype``; ``refs`` is one ``(D,)`` vector or one row
+    per point.
 
-    Each block of rows is copied into one reused float64 buffer, then
-    subtracted, ``abs``-ed and raised in place, so the points are never
-    copied whole.  Square roots and squares stand in for k = 0.25, 0.5 and
-    2; the sums equal ``np.abs(p - r) ** k`` bit for bit at k = 0.5, 1 and
-    2, and within 1e-15 at k = 0.25."""
-    sums = np.empty(len(points))
-    buf = np.empty((min(len(points), _BLOCK), points.shape[1]))
+    Each block of rows is subtracted into one reused ``dtype`` buffer (rows
+    of another dtype are copied into it first), then ``abs``-ed and raised
+    in place, so the points are never copied whole.  Square roots and
+    squares stand in for k = 0.25, 0.5 and 2; in float64 the sums equal
+    ``np.abs(p - r) ** k`` bit for bit at k = 0.5, 1 and 2, and within
+    1e-15 at k = 0.25.  Only ``knn_many``'s candidate scan asks for
+    float32, with float32 points and refs."""
+    sums = np.empty(len(points), dtype)
+    buf = np.empty((min(len(points), _BLOCK), points.shape[1]), dtype)
     for start in range(0, len(points), _BLOCK):
         block = buf[:len(points) - start]
-        block[...] = points[start:start + _BLOCK]
-        np.subtract(block, refs if refs.ndim == 1
-                    else refs[start:start + _BLOCK], out=block)
+        rows = points[start:start + _BLOCK]
+        ref = refs if refs.ndim == 1 else refs[start:start + _BLOCK]
+        if rows.dtype == dtype:
+            np.subtract(rows, ref, out=block)
+        else:
+            block[...] = rows
+            np.subtract(block, ref, out=block)
         np.abs(block, out=block)
         if k == 0.25:
             np.sqrt(np.sqrt(block, out=block), out=block)
@@ -131,15 +148,67 @@ def relative_contrast(points: Array, reference: Array,
     return (dmax - dmin) / dmin
 
 
+_U32 = 2.0 ** -24  # float32's unit roundoff
+_SUBNORMAL32 = 2.0 ** -149  # float32's smallest subnormal
+_MAX32 = (2 - 2.0 ** -23) * 2.0 ** 127  # float32's largest finite value
+
+
+def _float32_candidates(vectors: Array, query: Array, exponent: float,
+                        k: int) -> Array | None:
+    """Rows of ``vectors`` that may hold the exact top k of ``query``,
+    picked by the float32 kernel, or ``None`` where its bound does not
+    hold and every row is a candidate.
+
+    The bound.  Let ``u = 2**-24``, S a row's exact sum and s its float32
+    sum, for float32 rows and query.  While no float32 value overflows,
+    each term ``|x - q|^k`` is off by at most u relative from the
+    subtraction (``abs`` is exact), k·u once raised to k, and 8u (4 ulps)
+    from the roots, the square or ``np.power``; summing D non-negative
+    terms in any order adds (D - 1)u relative to S.  Twice that first-order
+    total covers the higher-order terms, so ``|s - S| <= eps*S + a`` with
+    ``eps = (2D + 2k + 16)u``, while ``eps < 1/8``.  The absolute slack
+    ``a = 8D·2**-149`` is for terms that underflow below float32's normal
+    range (squares and powers with k > 1; a difference that underflows is
+    exact, a root of it is normal), each losing at most 4 subnormal ulps.
+
+    With t the k-th smallest s, k rows have ``S <= (t + a)/(1 - eps)``,
+    so the exact k-th smallest sum is no larger.  The float64 sums and
+    roots add an error far below eps·S.  A row in the float64 top k, ties
+    included, therefore has ``s <= (1 + eps)(t + a)/(1 - eps) + a``, which
+    is below ``t(1 + 3eps) + 3a`` for ``eps < 1/8``, with room left for
+    rounding that threshold to float32.  Rows above it are dropped; the
+    scan decides nothing else.
+
+    The bound fails, and ``None`` is returned, for a query that is not
+    exactly a float32 value, for a float32 sum that is not finite (a
+    difference, a term or a sum overflowed: an overflowed difference can
+    hide a near row at k < 1), and for ``eps >= 1/8`` (D + k of about
+    2**20 or more)."""
+    eps = (2 * vectors.shape[1] + 2 * exponent + 16) * _U32
+    with np.errstate(over="ignore"):
+        q32 = query.astype(np.float32)
+        if (vectors.dtype != np.float32 or eps >= 0.125
+                or not np.array_equal(q32, query)):
+            return None
+        sums = _lk_sums(vectors, q32, exponent, np.float32)
+    if not np.isfinite(sums.max()):
+        return None
+    t = float(np.partition(sums, k - 1)[k - 1])
+    limit = t * (1 + 3 * eps) + 24 * vectors.shape[1] * _SUBNORMAL32
+    return np.flatnonzero(sums <= np.float32(min(limit, _MAX32)))
+
+
 def knn_many(queries: Array, index: "EmbeddingIndex",
              k: int) -> list[list[tuple[str, float]]]:
     """Exact brute-force top-k of ``index`` under its metric for each row
     of ``queries (Q, D)``, each ascending by ``(distance, id)`` and clamped
     to the index size; a non-finite query raises ``DataError``.
 
-    ``np.argpartition`` finds the k-th smallest distance; only the rows at
-    or below it are sorted, so ties at the k boundary break on the id as a
-    full sort would.
+    A float32 scan of the index picks the candidate rows (see
+    ``_float32_candidates``), and ``distances_to`` gives their float64
+    distances, the ones returned.  ``np.argpartition`` finds the k-th
+    smallest of those; only the rows at or below it are sorted, so ties at
+    the k boundary break on the id as a full sort would.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
@@ -154,11 +223,17 @@ def knn_many(queries: Array, index: "EmbeddingIndex",
     k = min(k, index.size)
     ranked = []
     for query in queries:
-        dists = distances_to(index.vectors, query, index.metric)
+        rows = _float32_candidates(index.vectors, query,
+                                   index.metric.exponent, k)
+        if rows is None:  # the whole matrix, not a copy of it
+            points, ids = index.vectors, index.ids
+        else:
+            points, ids = index.vectors[rows], [index.ids[i] for i in rows]
+        dists = distances_to(points, query, index.metric)
         kth = dists[np.argpartition(dists, k - 1)[k - 1]]
         survivors = np.flatnonzero(~(dists > kth))  # keeps NaN, unlike <=
-        order = sorted(survivors, key=lambda i: (dists[i], index.ids[i]))
-        ranked.append([(index.ids[i], float(dists[i])) for i in order[:k]])
+        order = sorted(survivors, key=lambda i: (dists[i], ids[i]))
+        ranked.append([(ids[i], float(dists[i])) for i in order[:k]])
     return ranked
 
 

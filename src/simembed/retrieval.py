@@ -3,9 +3,12 @@
 The index holds the columns of the index file's records (``container``):
 an id tuple, int32 labels and one float32 (N, D) vector matrix.  Queries
 are an exact linear scan over that matrix: ``distance.knn`` (one query)
-and ``distance.knn_many`` (a batch) take each query's distances from a
-blocked float64 kernel that never copies the matrix whole, select the k
-smallest with ``np.argpartition`` and re-sort only the survivors by
+and ``distance.knn_many`` (a batch) scan it in float32 to pick the rows
+that may be in a query's top k, a proven superset, and take those rows'
+distances from the blocked float64 kernel; a query that is not a float32
+value, or a float32 overflow, makes every row a candidate.  Neither
+step copies the matrix whole.  The k smallest float64 distances are
+selected with ``np.argpartition`` and only the survivors re-sorted by
 ``(distance, id)``, so every ranked result is usable as an oracle.  The
 metric (including its exponent) is a property of the index and travels
 with the file, so an index built under one exponent cannot be silently

@@ -237,6 +237,15 @@ def draw_batch(table: sampling.CandidateTable, cfg: TrainConfig, size: int,
     return sampling.make_triplet_batch(table, size, rng), None
 
 
+def epoch_rng(train_cfg: TrainConfig, sampler_cfg: sampling.SamplerConfig,
+              epoch: int) -> np.random.Generator:
+    """The generator of epoch ``epoch`` (from 1): its batches, their
+    augmentation and their dropout masks, in that order per step;
+    ``sample-pairs`` draws its batch from epoch 1's."""
+    return np.random.default_rng([train_cfg.seed, sampler_cfg.rng_seed,
+                                  epoch])
+
+
 def train(dataset_train: Dataset, dataset_val: Dataset,
           net_cfg: net.MultiScaleNetConfig,
           sampler_cfg: sampling.SamplerConfig, train_cfg: TrainConfig,
@@ -277,14 +286,13 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
 
     for epoch in range(1, train_cfg.epochs + 1):
         t0 = time.perf_counter()
-        epoch_rng = np.random.default_rng(
-            [train_cfg.seed, sampler_cfg.rng_seed, epoch])
+        rng = epoch_rng(train_cfg, sampler_cfg, epoch)
         losses_seen = []
         for _ in range(n_batches):
             try:
                 step_loss = _train_step(
                     checkpoint, params, state, dataset_train, train_table,
-                    train_cfg, epoch_rng, lr)
+                    train_cfg, rng, lr)
             except NumericError:
                 step_loss = math.nan
             if not math.isfinite(step_loss):

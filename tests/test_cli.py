@@ -12,6 +12,7 @@ import pytest
 from dataclasses import replace
 
 from simembed import cli, data_io, retrieval
+from simembed import training as train_mod
 from simembed.dataset import make_dataset
 from simembed.distance import DistanceMetric
 
@@ -560,6 +561,38 @@ class TestSamplePairs:
                 ds.get(i).class_label
                 for i in (t.anchor_id, t.positive_id, t.negative_id))
             assert anchor == positive != negative
+
+    @pytest.mark.parametrize("loss", ["contrastive", "angular"])
+    def test_prints_the_first_batch_train_draws(self, workdir, capsys,
+                                                tmp_path, monkeypatch, loss):
+        doc = copy.deepcopy(TINY_CONFIG)
+        doc["train"].update(batch_size=6, batches_per_epoch=1,
+                            loss={"kind": loss})
+        config_path = str(tmp_path / "one_batch.json")
+        with open(config_path, "w") as fh:
+            json.dump(doc, fh)
+        drawn = []
+        draw_batch = train_mod.draw_batch
+
+        def recorded(table, cfg, size, rng):
+            rows, labels = draw_batch(table, cfg, size, rng)
+            drawn.append([[table.ids[r] for r in row]
+                          + ([] if labels is None else [str(labels[i])])
+                          for i, row in enumerate(rows)])
+            return rows, labels
+
+        monkeypatch.setattr(train_mod, "draw_batch", recorded)
+        assert cli.main(["train", "--train-data", workdir["dataset"],
+                         "--output", str(tmp_path / "m.ckpt"),
+                         "--config", config_path, "--seed", "3"]) == 0
+        monkeypatch.undo()
+        assert len(drawn) == 2  # the validation batch, then the one step's
+        capsys.readouterr()
+        assert cli.main(["sample-pairs", "--data", workdir["dataset"],
+                         "--config", config_path, "--seed", "3",
+                         "--count", "6"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(",") for line in printed] == drawn[1]
 
     def test_set_up_train_refuses_fails_before_printing(self, workdir,
                                                         capsys, tmp_path):

@@ -235,6 +235,105 @@ class TestKnnMany:
             distance.knn_many(np.zeros(shape), index, 3)
 
 
+EXPONENTS = (0.25, 0.5, 1.0, 2.0, 0.7)  # 0.7 takes the np.power path
+MAX32 = float(np.finfo(np.float32).max)
+
+
+def _full_sort(index, query, top):
+    """The float64 oracle: every row's distance, sorted by (distance, id)."""
+    dists = distance.distances_to(index.vectors, query, index.metric)
+    return sorted(zip(index.ids, dists.tolist()),
+                  key=lambda t: (t[1], t[0]))[:top]
+
+
+@st.composite
+def _hard_knn_cases(draw):
+    """An index built at k = 0.25 and switched to another exponent as
+    ``--metric-k`` does, at a scale where float32 differences overflow
+    (1e38), squares underflow (1e-21) or neither.  Its first 16 rows are
+    one vector with single coordinates moved 1 ulp, so their float32 sums
+    tie or swap where the float64 ones differ; then come exact duplicates.
+    Ids descend with the row, so tie order is the reverse of row order.
+    The queries are stored rows, fresh float32 vectors (half of them next
+    to the 1-ulp rows) and float64 vectors off the float32 grid, one of
+    them within 2 ulps of the 1-ulp rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exponent = draw(st.sampled_from(EXPONENTS))
+    scale = draw(st.sampled_from([1.0, 1e-21, 1e38]))
+    n, dim = 40, 5
+    centres = rng.standard_normal((4, dim))
+
+    def draw_vectors(count, centre=None):
+        around = centres[rng.integers(4, size=count)] if centre is None \
+            else centre
+        x = scale * (around + 0.05 * rng.standard_normal((count, dim)))
+        return np.clip(x, -MAX32, MAX32)
+
+    rows = draw_vectors(n).astype(np.float32)
+    rows[:16] = rows[0]
+    moved = (np.arange(16), rng.integers(dim, size=16))
+    rows[moved] = np.nextafter(rows[moved], np.where(
+        rng.random(16) < 0.5, np.float32(0), np.float32(MAX32)))
+    rows[30:36] = rows[rng.integers(16, 30, size=6)]
+    index = build_index([f"r{i:02d}" for i in range(n)][::-1],
+                        np.zeros(n, dtype=np.int32), rows,
+                        DistanceMetric(0.25))
+    near = rows[0] / scale
+    queries = np.concatenate([
+        rows[rng.integers(n, size=2)],
+        draw_vectors(2, near).astype(np.float32),
+        draw_vectors(2).astype(np.float32),
+        rows[:1] + np.spacing(rows[:1]) * rng.uniform(-2, 2, dim),
+        draw_vectors(1)])
+    return (replace(index, metric=DistanceMetric(exponent)), queries,
+            draw(st.integers(1, n)))
+
+
+class TestFloat32Scan:
+    @given(_hard_knn_cases())
+    @settings(deadline=None, max_examples=300)
+    def test_equals_the_float64_oracle(self, case):
+        index, queries, top = case
+        assert distance.knn_many(queries, index, top) == [
+            _full_sort(index, q, top) for q in queries]
+
+    @pytest.fixture(scope="class")
+    def clustered(self):
+        """20k unit-norm float32 rows around 100 centres, 64 wide."""
+        rng = np.random.default_rng(2024)
+        centres = rng.standard_normal((100, 64))
+        x = (centres[rng.integers(100, size=20000)]
+             + 0.3 * rng.standard_normal((20000, 64)))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        return build_index([f"r{i:05d}" for i in range(len(x))],
+                           np.zeros(len(x), dtype=np.int32), x,
+                           DistanceMetric(0.25))
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_re_ranks_few_rows_of_a_float32_query(self, clustered, exponent,
+                                                  monkeypatch):
+        index = replace(clustered, metric=DistanceMetric(exponent))
+        queries = np.stack([index.vectors[0], index.vectors[19999],
+                            (index.vectors[5] + index.vectors[777]) / 2]
+                           ).astype(np.float64)
+        off_grid = queries[0] * (1 + 2.0 ** -30)
+        assert not np.array_equal(off_grid.astype(np.float32), off_grid)
+        want = [_full_sort(index, q, 10) for q in (*queries, off_grid)]
+        seen = []
+        inner = distance.distances_to
+
+        def counted(points, reference, metric):
+            seen.append(len(points))
+            return inner(points, reference, metric)
+
+        monkeypatch.setattr(distance, "distances_to", counted)
+        assert distance.knn_many(queries, index, 10) == want[:3]
+        assert len(seen) == 3 and max(seen) < index.size // 100
+        seen.clear()
+        assert distance.knn_many(off_grid[None], index, 10) == want[3:]
+        assert seen == [index.size]
+
+
 def _frozen_lk_sums(points, refs, k):
     """The ``|a - b|^k`` sums as every distance function computed them
     before the blocked kernel."""
@@ -264,6 +363,21 @@ class TestLkSums:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
             assert not got[::5].any()
+
+    @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.0, 0.7, 3.0])
+    def test_float32_sums_within_the_scan_bound(self, k):
+        """``|s - S| <= eps*S + a`` as ``_float32_candidates`` states it,
+        over rows spread from 1e-22 (squares underflow) to 1e9."""
+        rng = np.random.default_rng(17)
+        scale = 10.0 ** rng.integers(-22, 10, (3000, 1))
+        points = (scale * rng.standard_normal((3000, 64))).astype(np.float32)
+        ref = (1e-22 * rng.standard_normal(64)).astype(np.float32)
+        got = distance._lk_sums(points, ref, k, np.float32)
+        exact = _frozen_lk_sums(points, ref, k)
+        eps = (2 * 64 + 2 * k + 16) * 2.0 ** -24
+        assert got.dtype == np.float32
+        assert (np.abs(got - exact) <= eps * exact + 8 * 64 * 2.0 ** -149
+                ).all()
 
     def test_every_distance_function_keeps_its_values(self, rng):
         points = rng.standard_normal((9, 5)).astype(np.float32)
