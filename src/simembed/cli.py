@@ -102,10 +102,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     net.save_checkpoint(checkpoint, args.output)
     if args.log:
         train_mod.write_log(args.log, logs)
+    print(f"epochs_run={len(logs)}")
+    print(f"best_epoch={checkpoint.epoch}")
     if logs:
         last = logs[-1]
-        print(f"epochs_run={last.epoch}")
-        print(f"best_epoch={checkpoint.epoch}")
         print(f"final_val_loss={last.validation_loss:.6f}")
         print(f"final_triplet_acc={last.triplet_accuracy:.4f}")
     return 0

@@ -4,6 +4,9 @@
 Each section is built from the class it configures: the keys it allows,
 their JSON types and which of them are required come from the class's own
 fields and type hints, and missing optional keys keep the class defaults.
+Each numeric field's range also comes from the class's hints: the class
+checks it when it is built (``errors.check_ranges``), and this module
+reads the hints without their ranges, as plain types.
 A field that is itself a config class is a nested object built the same
 way: ``sampler.scorer`` is ``SamplerConfig.scorer``.  Two cases are
 spelled out here: ``train.loss`` picks its class by its ``kind`` tag, and

@@ -22,11 +22,12 @@ candidate, which is the float64 scan of the whole index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import (ConfigError, DataError, DimensionError, Range,
+                     check_ranges)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .retrieval import EmbeddingIndex
@@ -39,13 +40,10 @@ class DistanceMetric:
     """Selector for an ``L_k`` metric; ``exponent=2`` is Euclidean,
     ``exponent=1`` Manhattan, and exponents in (0, 1) are fractional."""
 
-    exponent: float = 0.25
+    exponent: Annotated[float, Range(0, ends="()")] = 0.25
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.exponent) and self.exponent > 0):
-            raise ConfigError(
-                f"metric exponent must be finite and > 0, "
-                f"got {self.exponent}")
+        check_ranges(self)
 
 
 EUCLIDEAN = DistanceMetric(2.0)

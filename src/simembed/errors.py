@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range check of
+the numeric config fields.
+
+A config class declares each number field's range in its type hint,
+``rate: Annotated[float, Range(0, 1, "[)")]``, and calls
+:func:`check_ranges` from ``__post_init__``, so the range holds however
+the class is built.  ``typing.get_type_hints`` drops the range unless
+asked for extras, so readers of the plain types see ``float``.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import typing
 
 
 class SimEmbedError(Exception):
@@ -24,3 +38,45 @@ class NumericError(SimEmbedError, ArithmeticError):
 class DataError(SimEmbedError, ValueError):
     """Dataset contents violate a precondition (missing ids, empty pools,
     degenerate inputs)."""
+
+
+class Range(typing.NamedTuple):
+    """The finite numbers from ``low`` to ``high``, each end closed (``[``,
+    ``]``) or open (``(``, ``)``) as ``ends`` marks it; ``value in range``
+    tests a number."""
+
+    low: float
+    high: float = math.inf
+    ends: str = "[]"
+
+    def __contains__(self, value: float) -> bool:
+        above = value > self.low or value == self.low and self.ends[0] == "["
+        below = value < self.high or value == self.high and self.ends[1] == "]"
+        return math.isfinite(value) and above and below
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"{'>=' if self.ends[0] == '[' else '>'} {self.low}"
+        return f"in {self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
+
+
+@functools.cache
+def _ranges(cls: type) -> tuple[tuple[str, Range, bool], ...]:
+    """``(field, range, takes None)`` for each ranged field of ``cls``."""
+    ranged = []
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        if typing.get_origin(hint) is typing.Annotated:
+            base, bound = typing.get_args(hint)
+            ranged.append((name, bound, type(None) in typing.get_args(base)))
+    return tuple(ranged)
+
+
+def check_ranges(config: object) -> None:
+    """Raise ``ConfigError`` for the first field of ``config`` outside the
+    range its type hint declares."""
+    for name, bound, optional in _ranges(type(config)):
+        value = getattr(config, name)
+        if not (optional and value is None) and value not in bound:
+            raise ConfigError(f"{name} must be "
+                              f"{'None or ' if optional else ''}{bound}, "
+                              f"got {value}")

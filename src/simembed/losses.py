@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .distance import EUCLIDEAN, DistanceMetric
-from .errors import ConfigError, DataError, DimensionError, NumericError
+from .errors import (ConfigError, DataError, DimensionError, NumericError,
+                     Range, check_ranges)
 
 Array = np.ndarray
 
@@ -52,12 +54,11 @@ class ContrastiveConfig:
     ``max(0, m - D^2)``; ``squared_hinge`` is the classic ``max(0, m - D)^2``.
     """
 
-    margin: float = 1.0
+    margin: Annotated[float, Range(0, ends="()")] = 1.0
     hinge_variant: str = HINGE_AS_WRITTEN
 
     def __post_init__(self) -> None:
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.margin}")
+        check_ranges(self)
         if self.hinge_variant not in (HINGE_AS_WRITTEN, HINGE_SQUARED):
             raise ConfigError(
                 f"unknown hinge variant {self.hinge_variant!r}")
@@ -73,13 +74,11 @@ class AngularConfig:
     kept only for completeness.
     """
 
-    alpha_degrees: float = 45.0
+    alpha_degrees: Annotated[float, Range(0, 90, "()")] = 45.0
     formula_variant: str = ANGULAR_NEGATIVE_TO_CENTER
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha_degrees < 90:
-            raise ConfigError(
-                f"alpha must be in (0, 90) degrees, got {self.alpha_degrees}")
+        check_ranges(self)
         if self.formula_variant not in (ANGULAR_NEGATIVE_TO_CENTER,
                                         ANGULAR_AS_WRITTEN):
             raise ConfigError(

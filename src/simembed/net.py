@@ -23,14 +23,15 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Annotated, Callable
 
 import numpy as np
 
 from . import ops
 from .container import (atomic_write, pack_header, pack_name, read_exact,
                         read_header, read_name, read_struct)
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import (ConfigError, DimensionError, FormatError, Range,
+                     check_ranges)
 
 Array = np.ndarray
 
@@ -43,17 +44,14 @@ class ConvSpec:
     """One convolution layer: ``filters`` output channels, square
     ``kernel``, optional 2x2 max-pool after the activation."""
 
-    filters: int
-    kernel: int
-    stride: int = 1
-    padding: int = 0
+    filters: Annotated[int, Range(1)]
+    kernel: Annotated[int, Range(1)]
+    stride: Annotated[int, Range(1)] = 1
+    padding: Annotated[int, Range(0)] = 0
     pool_after: bool = False
 
     def __post_init__(self) -> None:
-        if self.filters < 1 or self.kernel < 1 or self.stride < 1:
-            raise ConfigError(f"conv spec fields must be positive: {self}")
-        if self.padding < 0:
-            raise ConfigError(f"padding must be >= 0: {self}")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -61,46 +59,33 @@ class BranchSpec:
     """One branch: a downsample factor (1 = full resolution), a conv stack,
     and the branch embedding width."""
 
-    input_downsample_factor: int
+    input_downsample_factor: Annotated[int, Range(1)]
     conv_layers: tuple[ConvSpec, ...]
-    branch_embed_dim: int
+    branch_embed_dim: Annotated[int, Range(1)]
 
     def __post_init__(self) -> None:
-        if self.input_downsample_factor < 1:
-            raise ConfigError(
-                f"downsample factor must be >= 1, got "
-                f"{self.input_downsample_factor}")
+        check_ranges(self)
         if not self.conv_layers:
             raise ConfigError("branch needs at least one conv layer")
-        if self.branch_embed_dim < 1:
-            raise ConfigError(
-                f"branch embed dim must be positive, got "
-                f"{self.branch_embed_dim}")
 
 
 @dataclass(frozen=True)
 class MultiScaleNetConfig:
     branches: tuple[BranchSpec, ...]
-    final_embed_dim: int
+    final_embed_dim: Annotated[int, Range(1)]
     input_shape: tuple[int, int, int]  # (C, H, W)
-    dropout_rate: float = 0.25
+    dropout_rate: Annotated[float, Range(0, 1, "[)")] = 0.25
 
     def __post_init__(self) -> None:
+        check_ranges(self)
         if not self.branches:
             raise ConfigError("config needs at least one branch")
-        if self.final_embed_dim < 1:
-            raise ConfigError(
-                f"final embed dim must be positive, got "
-                f"{self.final_embed_dim}")
         full_res = [b for b in self.branches
                     if b.input_downsample_factor == 1]
         if len(full_res) != 1:
             raise ConfigError(
                 f"exactly one branch must run at full resolution, "
                 f"found {len(full_res)}")
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError(
-                f"dropout rate must be in [0, 1), got {self.dropout_rate}")
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ConfigError(f"bad input shape {self.input_shape}")
 

@@ -27,12 +27,13 @@ part of the config.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError, DimensionError
+from .errors import (ConfigError, DataError, DimensionError, Range,
+                     check_ranges)
 
 Array = np.ndarray
 
@@ -57,40 +58,26 @@ class BissScorer:
     """
 
     kind: str = SCORER_INTENSITY
-    bins: int = 16
+    bins: Annotated[int, Range(2)] = 16
 
     def __post_init__(self) -> None:
+        check_ranges(self)
         if self.kind not in (SCORER_INTENSITY, SCORER_COLOR):
             raise ConfigError(f"unknown scorer kind {self.kind!r}")
-        if self.bins < 2:
-            raise ConfigError(
-                f"histogram scorers need bins >= 2, got {self.bins}")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    n_candidates: int = 100
-    in_class_fraction: float = 0.3
-    rng_seed: int = 0
+    n_candidates: Annotated[int, Range(1)] = 100
+    in_class_fraction: Annotated[float, Range(0, 1)] = 0.3
+    rng_seed: Annotated[int, Range(0)] = 0
     strategy: str = STRATEGY_BISS
-    self_pair_fraction: float = 0.0  # share of positives taken as
-    # augmented views of the query itself
+    # share of positives taken as augmented views of the query itself
+    self_pair_fraction: Annotated[float, Range(0, 1)] = 0.0
     scorer: BissScorer = BissScorer()
 
     def __post_init__(self) -> None:
-        if self.n_candidates < 1:
-            raise ConfigError(
-                f"n_candidates must be >= 1, got {self.n_candidates}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if not 0 <= self.in_class_fraction <= 1:
-            raise ConfigError(
-                f"in_class_fraction must be in [0, 1], got "
-                f"{self.in_class_fraction}")
-        if not 0 <= self.self_pair_fraction <= 1:
-            raise ConfigError(
-                f"self_pair_fraction must be in [0, 1], got "
-                f"{self.self_pair_fraction}")
+        check_ranges(self)
         if self.strategy not in (STRATEGY_BISS, STRATEGY_RANDOM):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
 

@@ -8,8 +8,11 @@ parameter set under one dropout mask per step, so row i of each arm of a
 pair (or triplet) goes through the same thinned network.  The pair (or
 triplet) loss produces per-row embedding gradients, and the arms'
 parameter gradients are summed before one RMSProp step.  Runs are
-bit-reproducible for a fixed seed on one thread.  A NaN/Inf loss aborts
-the run and returns the last good checkpoint.
+bit-reproducible for a fixed seed on one thread.  A non-finite loss or
+gradient, in a step or in the validation loss after the epoch's last
+step, ends the run before that epoch is logged; ``train`` then returns
+its best validated checkpoint, which is the initial parameters at epoch 0
+when no epoch completed.
 
 ``triplet_accuracy`` and ``topk_recall`` embed images with a checkpoint
 and measure them with the functions of those names in ``retrieval``.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +31,8 @@ from . import net, retrieval, sampling
 from .container import atomic_write
 from .dataset import Dataset
 from .distance import EUCLIDEAN, DistanceMetric
-from .errors import ConfigError, DataError, NumericError
+from .errors import (ConfigError, DataError, NumericError, Range,
+                     check_ranges)
 from .losses import (AngularConfig, ContrastiveConfig, TripletSample,
                      batch_loss)
 
@@ -45,61 +49,31 @@ ROTATE_MAX_DEG = 10.0
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-4
-    rms_decay: float = 0.9
-    epsilon: float = 1e-8
-    epochs: int = 1
-    batch_size: int = 32
+    learning_rate: Annotated[float, Range(0)] = 1e-4
+    rms_decay: Annotated[float, Range(0, 1, "()")] = 0.9
+    epsilon: Annotated[float, Range(0, ends="()")] = 1e-8
+    epochs: Annotated[int, Range(1)] = 1
+    batch_size: Annotated[int, Range(2)] = 32
     loss: ContrastiveConfig | AngularConfig = field(
         default_factory=ContrastiveConfig)
-    loss_metric_exponent: float = 2.0  # metric used inside the loss
+    # metric used inside the loss
+    loss_metric_exponent: Annotated[float, Range(0, ends="()")] = 2.0
     augmentation: frozenset[str] = frozenset()
-    weight_decay: float = 0.0
-    seed: int = 0
-    lr_decay: float = 1.0  # per-epoch multiplier on the learning rate
-    pos_fraction: float = 0.5
-    batches_per_epoch: int | None = None
-    val_pairs: int = 128
-    val_triplets: int = 256
+    weight_decay: Annotated[float, Range(0)] = 0.0
+    seed: Annotated[int, Range(0)] = 0
+    # per-epoch multiplier on the learning rate
+    lr_decay: Annotated[float, Range(0, 1, "(]")] = 1.0
+    pos_fraction: Annotated[float, Range(0, 1)] = 0.5
+    batches_per_epoch: Annotated[int | None, Range(1)] = None
+    val_pairs: Annotated[int, Range(2)] = 128
+    val_triplets: Annotated[int, Range(1)] = 256
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ConfigError(
-                f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not 0 < self.rms_decay < 1:
-            raise ConfigError(
-                f"rms_decay must be in (0, 1), got {self.rms_decay}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ConfigError(
-                f"batch_size must be >= 2, got {self.batch_size}")
-        if not 0 <= self.pos_fraction <= 1:
-            raise ConfigError(
-                f"pos_fraction must be in [0, 1], got {self.pos_fraction}")
+        check_ranges(self)
         unknown = set(self.augmentation) - SUPPORTED_AUGMENTATIONS
         if unknown:
             raise ConfigError(
                 f"unsupported augmentations: {sorted(unknown)}")
-        if self.weight_decay < 0:
-            raise ConfigError(
-                f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0 < self.lr_decay <= 1:
-            raise ConfigError(
-                f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batches_per_epoch is not None and self.batches_per_epoch < 1:
-            raise ConfigError(f"batches_per_epoch must be None or >= 1, "
-                              f"got {self.batches_per_epoch}")
-        if self.val_pairs < 2:
-            raise ConfigError(f"val_pairs must be >= 2, got {self.val_pairs}")
-        if self.val_triplets < 1:
-            raise ConfigError(
-                f"val_triplets must be >= 1, got {self.val_triplets}")
-        self.loss_metric  # refuses a bad exponent before training starts
 
     @property
     def loss_metric(self) -> DistanceMetric:
@@ -252,8 +226,9 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
           ) -> tuple[net.Checkpoint, list[TrainLogRow]]:
     """Run the full optimization loop and keep the best-validation model.
 
-    Returns the retained checkpoint (epoch set to the best epoch) and one
-    log row per completed epoch.  Requires at least two classes in the
+    Returns the retained checkpoint (epoch set to the best epoch, 0 for
+    the initial parameters) and one log row per completed epoch; a
+    diverged epoch ends the run.  Requires at least two classes in the
     training data.
     """
     if len(dataset_train.class_index) < 2:
@@ -282,41 +257,30 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     best_params = dict(params)
     best_val, best_epoch = math.inf, 0
     lr = train_cfg.learning_rate
-    aborted = False
 
     for epoch in range(1, train_cfg.epochs + 1):
         t0 = time.perf_counter()
         rng = epoch_rng(train_cfg, sampler_cfg, epoch)
-        losses_seen = []
-        for _ in range(n_batches):
-            try:
-                step_loss = _train_step(
-                    checkpoint, params, state, dataset_train, train_table,
-                    train_cfg, rng, lr)
-            except NumericError:
-                step_loss = math.nan
-            if not math.isfinite(step_loss):
-                aborted = True
-                break
-            losses_seen.append(step_loss)
-        if aborted and not losses_seen:
+        try:
+            losses = [_train_step(checkpoint, params, state, dataset_train,
+                                  train_table, train_cfg, rng, lr)
+                      for _ in range(n_batches)]
+            val_out = [net.embed(checkpoint, arm)
+                       for arm in _arms(dataset_val, val_rows)]
+            val_loss, _ = batch_loss(np.concatenate(val_out), val_labels,
+                                     _arm_rows(val_out), train_cfg.loss,
+                                     train_cfg.loss_metric)
+        except NumericError:  # diverged: end the run, this epoch unlogged
             break
-        val_out = [net.embed(checkpoint, arm)
-                   for arm in _arms(dataset_val, val_rows)]
-        val_loss, _ = batch_loss(np.concatenate(val_out), val_labels,
-                                 _arm_rows(val_out), train_cfg.loss,
-                                 train_cfg.loss_metric)
         acc = triplet_accuracy(checkpoint, val_triplets, dataset_val,
                                train_cfg.loss_metric)
         elapsed = time.perf_counter() - t0
-        logs.append(TrainLogRow(epoch, float(np.mean(losses_seen)),
+        logs.append(TrainLogRow(epoch, float(np.mean(losses)),
                                 val_loss, acc, elapsed))
         if val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
             best_params = dict(params)
         lr *= train_cfg.lr_decay
-        if aborted:
-            break
 
     final = net.Checkpoint(net_cfg, best_params, rng_seed=train_cfg.seed,
                            epoch=best_epoch)

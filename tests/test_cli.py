@@ -11,7 +11,7 @@ import pytest
 
 from dataclasses import replace
 
-from simembed import cli, data_io, retrieval
+from simembed import cli, data_io, net, retrieval, toydata
 from simembed import training as train_mod
 from simembed.dataset import make_dataset
 from simembed.distance import DistanceMetric
@@ -197,6 +197,29 @@ class TestTrain:
         fails_with_one_line(capsys, rc, "ConfigError")
         assert not out.exists()
 
+    def test_diverged_first_epoch_saves_the_initial_checkpoint(
+            self, capsys, tmp_path):
+        shapes = toydata.make_shape_dataset(200, seed=1)
+        paths = {}
+        for name, ids in (("train", shapes.ids[:150]),
+                          ("val", shapes.ids[150:])):
+            paths[name] = str(tmp_path / f"{name}.dset")
+            data_io.write_dataset(paths[name], shapes.subset(ids))
+        config_path = tmp_path / "hot.json"
+        config_path.write_text(json.dumps({
+            "sampler": {"n_candidates": 10},
+            "train": {"learning_rate": 1e6, "epochs": 2,
+                      "batches_per_epoch": 3, "val_pairs": 16,
+                      "val_triplets": 16}}))
+        out = tmp_path / "m.ckpt"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train", "--train-data", paths["train"],
+                           "--val-data", paths["val"], "--output", str(out),
+                           "--config", str(config_path)])
+        assert rc == 0
+        assert capsys.readouterr().out == "epochs_run=0\nbest_epoch=0\n"
+        assert net.load_checkpoint(str(out)).epoch == 0
+
     def test_negative_seed_fails_with_one_line(self, workdir, capsys,
                                                tmp_path):
         rc = cli.main(["train", "--train-data", workdir["dataset"],
@@ -241,7 +264,7 @@ class TestEmbed:
                        "--data", workdir["dataset"], "--output", str(out),
                        "--metric-k", k])
         err = fails_with_one_line(capsys, rc, "ConfigError").err
-        assert "metric exponent must be finite and > 0" in err
+        assert f"exponent must be > 0, got {float(k)}" in err
         assert not out.exists()
 
     def test_repeat_embeds_are_byte_identical(self, workdir, tmp_path):
@@ -321,7 +344,7 @@ class TestQuery:
         rc = cli.main(["query", "--embeddings", workdir["embeddings"],
                        "--id", "c1i2", "--metric-k", k])
         captured = fails_with_one_line(capsys, rc, "ConfigError")
-        assert "metric exponent must be finite and > 0" in captured.err
+        assert f"exponent must be > 0, got {float(k)}" in captured.err
         assert captured.out == ""
 
     def test_metric_k_override_changes_distances(self, workdir, capsys):
@@ -456,7 +479,7 @@ class TestEval:
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
                        "--triplets", str(trips), "--metric-k", k])
         captured = fails_with_one_line(capsys, rc, "ConfigError")
-        assert "metric exponent must be finite and > 0" in captured.err
+        assert f"exponent must be > 0, got {float(k)}" in captured.err
         assert captured.out == ""
 
 

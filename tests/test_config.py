@@ -1,5 +1,9 @@
 import json
-from dataclasses import asdict, fields
+import math
+import re
+from dataclasses import asdict, fields, is_dataclass, replace
+from types import UnionType
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -262,15 +266,16 @@ class TestValueTypes:
         ({"train": {"loss": {"hinge_variant": "cubic"}}},
          "train.loss: unknown hinge variant"),
         ({"train": {"loss": {"kind": "angular", "alpha_degrees": 100}}},
-         "train.loss: alpha must be in (0, 90) degrees"),
-        ({"metric": {"exponent": 0}}, "metric: metric exponent must be"),
+         "train.loss: alpha_degrees must be in (0, 90), got 100.0"),
+        ({"metric": {"exponent": 0}},
+         "metric: exponent must be > 0, got 0.0"),
         ({"train": {"batches_per_epoch": 0}},
          "train: batches_per_epoch must be None or >= 1"),
         ({"sampler": {"rng_seed": -2}}, "sampler: rng_seed must be >= 0"),
         ({"net": {"input_shape": [1, 30, 30]}},
          "net: desk-scale config needs H, W divisible by 4"),
         (branch_net({"filters": 0, "kernel": 3}),
-         "net.branches[0].conv_layers[0]: conv spec fields must be"),
+         "net.branches[0].conv_layers[0]: filters must be >= 1, got 0"),
         ({"train": {"pos_fraction": 2.5}},
          "train: pos_fraction must be in [0, 1], got 2.5"),
     ])
@@ -282,3 +287,121 @@ class TestValueTypes:
     def test_null_batches_per_epoch_keeps_the_default(self):
         run = config.parse_run_config('{"train": {"batches_per_epoch": null}}')
         assert run.train.batches_per_epoch is None
+
+
+def _config_fields():
+    """``(class, field, hint with its range)`` for every field of every
+    config class reached from ``RunConfig``: through nested configs, the
+    arms of a union and the items of a tuple."""
+    todo, seen, found = [config.RunConfig], set(), []
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        for name, hint in get_type_hints(cls, include_extras=True).items():
+            found.append((cls, name, hint))
+            parts = [hint]
+            while parts:
+                part = parts.pop()
+                if is_dataclass(part):
+                    todo.append(part)
+                elif get_origin(part) is not Annotated:
+                    parts.extend(get_args(part))
+    return found
+
+
+CONFIG_FIELDS = _config_fields()
+RANGED = [(cls, name, *get_args(hint)) for cls, name, hint in CONFIG_FIELDS
+          if get_origin(hint) is Annotated]
+
+def _first_branch(section):
+    doc = branch_net()
+    doc["net"]["branches"][0].update(section)
+    return doc
+
+
+# Where each class sits in a run config: its section's dotted path and the
+# document that sets ``section`` there.
+WHERE = {
+    TrainConfig: ("train", lambda s: {"train": s}),
+    SamplerConfig: ("sampler", lambda s: {"sampler": s}),
+    BissScorer: ("sampler.scorer", lambda s: {"sampler": {"scorer": s}}),
+    ContrastiveConfig: ("train.loss", lambda s: {"train": {"loss": s}}),
+    AngularConfig: ("train.loss",
+                    lambda s: {"train": {"loss": {"kind": "angular", **s}}}),
+    DistanceMetric: ("metric", lambda s: {"metric": s}),
+    net.MultiScaleNetConfig: ("net", lambda s: branch_net(**s)),
+    net.BranchSpec: ("net.branches[0]", _first_branch),
+    net.ConvSpec: ("net.branches[0].conv_layers[0]",
+                   lambda s: branch_net({"filters": 2, "kernel": 3, **s})),
+}
+
+
+def _at(run, path):
+    for step in re.findall(r"\w+", path):
+        run = run[int(step)] if step.isdigit() else getattr(run, step)
+    return run
+
+
+def _edge_cases():
+    """``(class, field, value, accepted)``: each finite bound of each
+    declared range, one value just outside it, and for float fields NaN
+    and +-inf."""
+    for cls, name, base, bound in RANGED:
+        number = float if float in (base, *get_args(base)) else int
+        for end, mark, step in ((bound.low, bound.ends[0], -1),
+                                (bound.high, bound.ends[1], 1)):
+            if math.isinf(end):
+                continue
+            yield cls, name, number(end), mark in "[]"
+            yield cls, name, (math.nextafter(end, step * math.inf)
+                              if number is float else end + step), False
+        if number is float:
+            for value in (math.nan, math.inf, -math.inf):
+                yield cls, name, value, False
+
+
+EDGES = list(_edge_cases())
+
+
+class TestRanges:
+    def test_every_number_field_declares_a_range(self):
+        """No ``int`` or ``float`` field, optional or not, lacks a range;
+        ``bool`` and tuple fields are exempt."""
+        def numeric(hint):
+            arms = get_args(hint) if get_origin(hint) in (Union, UnionType) \
+                else (hint,)
+            return bool({int, float} & set(arms))
+
+        unchecked = [f"{cls.__name__}.{name}"
+                     for cls, name, hint in CONFIG_FIELDS if numeric(hint)]
+        assert unchecked == []
+
+    def test_each_ranged_class_has_its_section_path(self):
+        assert {cls for cls, *_ in RANGED} == set(WHERE)
+
+    @pytest.mark.parametrize(
+        "cls, name, value, accepted", EDGES,
+        ids=[f"{cls.__name__}.{name}={value!r}"
+             for cls, name, value, _ in EDGES])
+    def test_edges(self, cls, name, value, accepted):
+        path, document = WHERE[cls]
+        base = _at(config.parse_run_config(document({})), path)
+        assert type(base) is cls
+        if accepted:
+            assert getattr(replace(base, **{name: value}), name) == value
+            run = config.parse_run_config(document({name: value}))
+            assert getattr(_at(run, path), name) == value
+            return
+        with pytest.raises(ConfigError) as built:
+            replace(base, **{name: value})
+        message = str(built.value)
+        assert message.startswith(f"{name} must be ")
+        assert message.endswith(f", got {value}")
+        with pytest.raises(ConfigError) as parsed:
+            config.parse_run_config(document({name: value}))
+        if math.isfinite(value):
+            assert str(parsed.value) == f"{path}: {message}"
+        else:  # the reader refuses a non-finite number first
+            assert str(parsed.value).startswith(f"{path}.{name} must be ")

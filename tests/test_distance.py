@@ -283,7 +283,9 @@ def _hard_knn_cases(draw):
         rows[rng.integers(n, size=2)],
         draw_vectors(2, near).astype(np.float32),
         draw_vectors(2).astype(np.float32),
-        rows[:1] + np.spacing(rows[:1]) * rng.uniform(-2, 2, dim),
+        # the ulp on the side of zero: np.spacing(+-MAX32) overflows
+        rows[:1] + np.spacing(np.nextafter(rows[:1], np.float32(0)))
+        * rng.uniform(-2, 2, dim),
         draw_vectors(1)])
     return (replace(index, metric=DistanceMetric(exponent)), queries,
             draw(st.integers(1, n)))

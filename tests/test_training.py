@@ -122,7 +122,8 @@ class TestTrainConfig:
         ("seed", -3, "seed must be >= 0"),
         ("pos_fraction", 2.5, r"pos_fraction must be in \[0, 1\], got 2.5"),
         ("pos_fraction", -0.5, r"pos_fraction must be in \[0, 1\]"),
-        ("loss_metric_exponent", 0.0, "metric exponent must be finite"),
+        ("loss_metric_exponent", 0.0,
+         "loss_metric_exponent must be > 0, got 0.0"),
     ])
     def test_refused_when_built(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
@@ -270,6 +271,34 @@ class TestTrainLoop:
         assert vectors.shape == (len(ds), 6)
         assert np.array_equal(vectors,
                               net.embed(in_memory, small_dataset.images()))
+
+
+class TestDivergence:
+    """An epoch whose loss or gradient turns non-finite ends the run before
+    it is validated, and ``train`` returns its best validated checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def shapes(self):
+        data = toydata.make_shape_dataset(200, seed=1)
+        return data.subset(data.ids[:150]), data.subset(data.ids[150:])
+
+    # (1e30, 1): the epoch's only step is finite and leaves non-finite
+    # embeddings, so the validation loss is the first to diverge
+    @pytest.mark.parametrize("learning_rate, batches_per_epoch",
+                             [(1e6, 3), (1e30, 3), (1e30, 1)])
+    def test_first_epoch_diverging_returns_the_initial_parameters(
+            self, shapes, learning_rate, batches_per_epoch):
+        train_cfg = TrainConfig(learning_rate=learning_rate, epochs=2,
+                                batches_per_epoch=batches_per_epoch,
+                                val_pairs=16, val_triplets=16)
+        with np.errstate(all="ignore"):
+            ckpt, logs = training.train(*shapes, net.desk_scale_config(),
+                                        SamplerConfig(n_candidates=10),
+                                        train_cfg)
+        assert ckpt.epoch == 0 and logs == []
+        fresh = net.build_network(net.desk_scale_config(), seed=0)
+        for name, value in fresh.parameters.items():
+            assert np.array_equal(ckpt.parameters[name], value)
 
 
 class TestInClassNegativePool:
