@@ -104,6 +104,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         train_mod.write_log(args.log, logs)
     print(f"epochs_run={len(logs)}")
     print(f"best_epoch={checkpoint.epoch}")
+    if len(logs) < cfg.train.epochs:  # only a NumericError ends it early
+        sys.stderr.write(f"warning: training diverged in epoch "
+                         f"{len(logs) + 1}; kept epoch {checkpoint.epoch}\n")
     if logs:
         last = logs[-1]
         print(f"final_val_loss={last.validation_loss:.6f}")

@@ -7,7 +7,10 @@ retrieval uses.  Every ``|a - b|^k`` outside the training loss comes from
 one blocked kernel, ``_lk_sums``; ``losses._squared_distances`` raises its
 own, as its gradient needs them per coordinate.  Every distance this
 module returns, and every triplet it scores, is a float64 sum whatever the
-input precision, because fractional powers amplify rounding.
+input precision, because fractional powers amplify rounding.  The kernel
+splits its row blocks over one thread per CPU the process may run on, and
+its sums do not depend on that count.  It reduces a float64 row with
+``sum`` and a float32 row with a BLAS dot against a vector of ones.
 
 ``knn_many`` is the exact top-k scan.  It runs the kernel over the whole
 index once in float32, which may only pick candidates: every row whose
@@ -21,6 +24,9 @@ candidate, which is the float64 scan of the whole index.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Annotated
 
@@ -50,7 +56,15 @@ EUCLIDEAN = DistanceMetric(2.0)
 MANHATTAN = DistanceMetric(1.0)
 
 
-_BLOCK = 4096  # rows per block: the buffer stays in cache
+_BLOCK = 2048  # rows per block: each worker's buffer stays in its cache
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _lk_sums(points: Array, refs: Array, k: float,
@@ -59,16 +73,69 @@ def _lk_sums(points: Array, refs: Array, k: float,
     and returned in ``dtype``; ``refs`` is one ``(D,)`` vector or one row
     per point.
 
-    Each block of rows is subtracted into one reused ``dtype`` buffer (rows
-    of another dtype are copied into it first), then ``abs``-ed and raised
-    in place, so the points are never copied whole.  Square roots and
-    squares stand in for k = 0.25, 0.5 and 2; in float64 the sums equal
-    ``np.abs(p - r) ** k`` bit for bit at k = 0.5, 1 and 2, and within
-    1e-15 at k = 0.25.  Only ``knn_many``'s candidate scan asks for
-    float32, with float32 points and refs."""
+    The rows go in blocks of ``_BLOCK``, split into contiguous runs of
+    blocks, one run per CPU the process may use (``_usable_cpus``).  The
+    caller sums the first run and one thread each of the others; numpy's
+    ufuncs and BLAS release the GIL.  Each thread runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds there too.
+    Every thread is joined before this returns or raises, and a worker's
+    exception is raised here.  A row goes through the same ops at the same
+    offset of a block of the same size whatever the number of runs, so
+    the sums do not depend on it, bit for bit.  One block starts no
+    thread.
+
+    Each block of rows is subtracted into its run's reused ``dtype``
+    buffer (rows of another dtype are copied into it first), then
+    ``abs``-ed and raised in place, so the points are never copied whole.
+    Square roots and squares stand in for k = 0.25, 0.5 and 2.  A float64
+    row is reduced by ``sum``, so the sums equal ``np.abs(p - r) ** k``
+    bit for bit at k = 0.5, 1 and 2, and within 1e-15 at k = 0.25.  A
+    float32 row is reduced by a BLAS dot with a vector of ones.  Only
+    ``knn_many``'s candidate scan asks for float32, with float32 points
+    and refs."""
     sums = np.empty(len(points), dtype)
-    buf = np.empty((min(len(points), _BLOCK), points.shape[1]), dtype)
-    for start in range(0, len(points), _BLOCK):
+    blocks = range(0, len(points), _BLOCK)
+    workers = min(_usable_cpus(), len(blocks))
+    # one buffer per run, allocated here: a thread's own malloc arena would
+    # keep its buffer resident after the thread ends
+    bufs = np.empty((max(workers, 1), min(len(points), _BLOCK),
+                     points.shape[1]), dtype)
+    if workers <= 1:
+        _sum_blocks(points, refs, k, sums, blocks, bufs[0])
+        return sums
+    runs = [blocks[len(blocks) * i // workers:
+                   len(blocks) * (i + 1) // workers] for i in range(workers)]
+    errors: list[BaseException] = []
+
+    def work(run: range, buf: Array) -> None:
+        try:
+            _sum_blocks(points, refs, k, sums, run, buf)
+        except BaseException as exc:  # raised again by the caller
+            errors.append(exc)
+
+    started = []
+    try:
+        for run, buf in zip(runs[1:], bufs[1:]):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(work, run, buf))
+            thread.start()
+            started.append(thread)
+        _sum_blocks(points, refs, k, sums, runs[0], bufs[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return sums
+
+
+def _sum_blocks(points: Array, refs: Array, k: float, sums: Array,
+                starts: range, buf: Array) -> None:
+    """``_lk_sums`` of the blocks of rows from each of ``starts``, written
+    into ``sums``, each block worked in ``buf``."""
+    dtype = sums.dtype
+    ones = np.ones(points.shape[1], dtype)
+    for start in starts:
         block = buf[:len(points) - start]
         rows = points[start:start + _BLOCK]
         ref = refs if refs.ndim == 1 else refs[start:start + _BLOCK]
@@ -86,8 +153,10 @@ def _lk_sums(points: Array, refs: Array, k: float,
             np.square(block, out=block)
         elif k != 1:
             np.power(block, k, out=block)
-        block.sum(axis=1, out=sums[start:start + _BLOCK])
-    return sums
+        if dtype == np.float32:
+            np.dot(block, ones, out=sums[start:start + _BLOCK])
+        else:
+            block.sum(axis=1, out=sums[start:start + _BLOCK])
 
 
 def lk_distance(a: Array, b: Array, metric: DistanceMetric) -> float:
@@ -162,12 +231,15 @@ def _float32_candidates(vectors: Array, query: Array, exponent: float,
     each term ``|x - q|^k`` is off by at most u relative from the
     subtraction (``abs`` is exact), k·u once raised to k, and 8u (4 ulps)
     from the roots, the square or ``np.power``; summing D non-negative
-    terms in any order adds (D - 1)u relative to S.  Twice that first-order
-    total covers the higher-order terms, so ``|s - S| <= eps*S + a`` with
-    ``eps = (2D + 2k + 16)u``, while ``eps < 1/8``.  The absolute slack
-    ``a = 8D·2**-149`` is for terms that underflow below float32's normal
-    range (squares and powers with k > 1; a difference that underflows is
-    exact, a root of it is normal), each losing at most 4 subnormal ulps.
+    terms in any order adds (D - 1)u relative to S.  ``_lk_sums`` sums
+    them with a BLAS dot against a vector of ones, which is such an order:
+    a product by 1.0 is exact, so each add, fused or not, rounds like a
+    plain one.  Twice that first-order total covers the higher-order
+    terms, so ``|s - S| <= eps*S + a`` with ``eps = (2D + 2k + 16)u``,
+    while ``eps < 1/8``.  The absolute slack ``a = 8D·2**-149`` is for
+    terms that underflow below float32's normal range (squares and powers
+    with k > 1; a difference that underflows is exact, a root of it is
+    normal), each losing at most 4 subnormal ulps.
 
     With t the k-th smallest s, k rows have ``S <= (t + a)/(1 - eps)``,
     so the exact k-th smallest sum is no larger.  The float64 sums and

@@ -4,14 +4,16 @@ the numeric config fields.
 A config class declares each number field's range in its type hint,
 ``rate: Annotated[float, Range(0, 1, "[)")]``, and calls
 :func:`check_ranges` from ``__post_init__``, so the range holds however
-the class is built.  ``typing.get_type_hints`` drops the range unless
-asked for extras, so readers of the plain types see ``float``.
+the class is built; a field hinted ``int`` takes only integers, numpy's
+included.  ``typing.get_type_hints`` drops the range unless asked for
+extras, so readers of the plain types see ``float``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import typing
 
 
@@ -61,22 +63,29 @@ class Range(typing.NamedTuple):
 
 
 @functools.cache
-def _ranges(cls: type) -> tuple[tuple[str, Range, bool], ...]:
-    """``(field, range, takes None)`` for each ranged field of ``cls``."""
+def _ranges(cls: type) -> tuple[tuple[str, Range, bool, bool], ...]:
+    """``(field, range, takes None, takes only integers)`` for each ranged
+    field of ``cls``."""
     ranged = []
     for name, hint in typing.get_type_hints(cls, include_extras=True).items():
         if typing.get_origin(hint) is typing.Annotated:
             base, bound = typing.get_args(hint)
-            ranged.append((name, bound, type(None) in typing.get_args(base)))
+            types = typing.get_args(base) or (base,)
+            ranged.append((name, bound, type(None) in types, int in types))
     return tuple(ranged)
 
 
 def check_ranges(config: object) -> None:
-    """Raise ``ConfigError`` for the first field of ``config`` outside the
-    range its type hint declares."""
-    for name, bound, optional in _ranges(type(config)):
+    """Raise ``ConfigError`` for the first field of ``config`` that is not
+    an integer where its type hint says ``int``, or is outside the range
+    the hint declares."""
+    for name, bound, optional, integral in _ranges(type(config)):
         value = getattr(config, name)
-        if not (optional and value is None) and value not in bound:
-            raise ConfigError(f"{name} must be "
-                              f"{'None or ' if optional else ''}{bound}, "
-                              f"got {value}")
+        if optional and value is None:
+            continue
+        either = "None or " if optional else ""
+        if integral and not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be {either}an integer, "
+                              f"got {value!r}")
+        if value not in bound:
+            raise ConfigError(f"{name} must be {either}{bound}, got {value}")

@@ -7,12 +7,13 @@ and ``distance.knn_many`` (a batch) scan it in float32 to pick the rows
 that may be in a query's top k, a proven superset, and take those rows'
 distances from the blocked float64 kernel; a query that is not a float32
 value, or a float32 overflow, makes every row a candidate.  Neither
-step copies the matrix whole.  The k smallest float64 distances are
-selected with ``np.argpartition`` and only the survivors re-sorted by
-``(distance, id)``, so every ranked result is usable as an oracle.  The
-metric (including its exponent) is a property of the index and travels
-with the file, so an index built under one exponent cannot be silently
-queried under another.
+step copies the matrix whole.  The scan uses every CPU the process may
+run on, and its results do not depend on that count.  The k smallest
+float64 distances are selected with ``np.argpartition`` and only the
+survivors re-sorted by ``(distance, id)``, so every ranked result is
+usable as an oracle.  The metric (including its exponent) is a property
+of the index and travels with the file, so an index built under one
+exponent cannot be silently queried under another.
 
 The package's one evaluation path is here too: ``rows_of``,
 ``triplet_accuracy`` and ``topk_recall``, under the index's metric.

@@ -228,8 +228,8 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
 
     Returns the retained checkpoint (epoch set to the best epoch, 0 for
     the initial parameters) and one log row per completed epoch; a
-    diverged epoch ends the run.  Requires at least two classes in the
-    training data.
+    diverged epoch ends the run, without numpy's float warnings.
+    Requires at least two classes in the training data.
     """
     if len(dataset_train.class_index) < 2:
         raise DataError("training data needs at least two classes")
@@ -261,15 +261,19 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     for epoch in range(1, train_cfg.epochs + 1):
         t0 = time.perf_counter()
         rng = epoch_rng(train_cfg, sampler_cfg, epoch)
+        # a diverging epoch overflows on its way to the NumericError that
+        # ends it; the caller reports the divergence in one line
         try:
-            losses = [_train_step(checkpoint, params, state, dataset_train,
-                                  train_table, train_cfg, rng, lr)
-                      for _ in range(n_batches)]
-            val_out = [net.embed(checkpoint, arm)
-                       for arm in _arms(dataset_val, val_rows)]
-            val_loss, _ = batch_loss(np.concatenate(val_out), val_labels,
-                                     _arm_rows(val_out), train_cfg.loss,
-                                     train_cfg.loss_metric)
+            with np.errstate(all="ignore"):
+                losses = [_train_step(checkpoint, params, state,
+                                      dataset_train, train_table, train_cfg,
+                                      rng, lr)
+                          for _ in range(n_batches)]
+                val_out = [net.embed(checkpoint, arm)
+                           for arm in _arms(dataset_val, val_rows)]
+                val_loss, _ = batch_loss(np.concatenate(val_out), val_labels,
+                                         _arm_rows(val_out), train_cfg.loss,
+                                         train_cfg.loss_metric)
         except NumericError:  # diverged: end the run, this epoch unlogged
             break
         acc = triplet_accuracy(checkpoint, val_triplets, dataset_val,

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -197,8 +198,10 @@ class TestTrain:
         fails_with_one_line(capsys, rc, "ConfigError")
         assert not out.exists()
 
-    def test_diverged_first_epoch_saves_the_initial_checkpoint(
-            self, capsys, tmp_path):
+    @staticmethod
+    def _train_hot(tmp_path):
+        """``simembed train`` at learning rate 1e6, which diverges in its
+        first epoch; returns the exit code and the checkpoint path."""
         shapes = toydata.make_shape_dataset(200, seed=1)
         paths = {}
         for name, ids in (("train", shapes.ids[:150]),
@@ -212,13 +215,27 @@ class TestTrain:
                       "batches_per_epoch": 3, "val_pairs": 16,
                       "val_triplets": 16}}))
         out = tmp_path / "m.ckpt"
-        with np.errstate(all="ignore"):
-            rc = cli.main(["train", "--train-data", paths["train"],
-                           "--val-data", paths["val"], "--output", str(out),
-                           "--config", str(config_path)])
+        rc = cli.main(["train", "--train-data", paths["train"],
+                       "--val-data", paths["val"], "--output", str(out),
+                       "--config", str(config_path)])
+        return rc, out
+
+    def test_diverged_first_epoch_saves_the_initial_checkpoint(
+            self, capsys, tmp_path):
+        rc, out = self._train_hot(tmp_path)
         assert rc == 0
         assert capsys.readouterr().out == "epochs_run=0\nbest_epoch=0\n"
         assert net.load_checkpoint(str(out)).epoch == 0
+
+    def test_diverged_run_warns_in_one_line(self, capsys, tmp_path):
+        """The warning line is all of stderr: numpy's overflow warnings,
+        made errors here, are not raised."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _ = self._train_hot(tmp_path)
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: training diverged in epoch 1; kept epoch 0\n")
 
     def test_negative_seed_fails_with_one_line(self, workdir, capsys,
                                                tmp_path):

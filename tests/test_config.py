@@ -5,6 +5,7 @@ from dataclasses import asdict, fields, is_dataclass, replace
 from types import UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
 
 from simembed import config, net
@@ -363,6 +364,8 @@ def _edge_cases():
 
 
 EDGES = list(_edge_cases())
+INTS = [(cls, name, bound) for cls, name, base, bound in RANGED
+        if int in (base, *get_args(base))]
 
 
 class TestRanges:
@@ -405,3 +408,25 @@ class TestRanges:
             assert str(parsed.value) == f"{path}: {message}"
         else:  # the reader refuses a non-finite number first
             assert str(parsed.value).startswith(f"{path}.{name} must be ")
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: TrainConfig(epochs=2.5), "epochs"),
+        (lambda: SamplerConfig(n_candidates=2.5), "n_candidates"),
+        (lambda: net.ConvSpec(2.5, 3), "filters")])
+    def test_int_field_built_from_a_float_is_refused(self, build, name):
+        with pytest.raises(ConfigError) as built:
+            build()
+        assert str(built.value) == f"{name} must be an integer, got 2.5"
+
+    @pytest.mark.parametrize(
+        "cls, name, bound", INTS,
+        ids=[f"{cls.__name__}.{name}" for cls, name, _ in INTS])
+    def test_int_field_takes_numpy_integers_and_no_float(self, cls, name,
+                                                         bound):
+        path, document = WHERE[cls]
+        base = _at(config.parse_run_config(document({})), path)
+        low = int(bound.low)
+        assert getattr(replace(base, **{name: np.int64(low)}), name) == low
+        for value in (low + 0.5, float(low), np.float64(low)):
+            with pytest.raises(ConfigError, match=f"^{name} must be "):
+                replace(base, **{name: value})

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -291,13 +294,27 @@ def _hard_knn_cases(draw):
             draw(st.integers(1, n)))
 
 
+def _assert_equals_the_oracle(case):
+    index, queries, top = case
+    assert distance.knn_many(queries, index, top) == [
+        _full_sort(index, q, top) for q in queries]
+
+
 class TestFloat32Scan:
     @given(_hard_knn_cases())
     @settings(deadline=None, max_examples=300)
     def test_equals_the_float64_oracle(self, case):
-        index, queries, top = case
-        assert distance.knn_many(queries, index, top) == [
-            _full_sort(index, q, top) for q in queries]
+        _assert_equals_the_oracle(case)
+
+    @given(_hard_knn_cases())
+    @settings(deadline=None, max_examples=150)
+    def test_equals_the_float64_oracle_across_blocks_and_workers(self, case):
+        """The same cases in blocks of 7 rows split over 3 workers, so a
+        case's 40 rows cross both kinds of boundary."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distance, "_BLOCK", 7)
+            patch.setattr(distance, "_usable_cpus", lambda: 3)
+            _assert_equals_the_oracle(case)
 
     @pytest.fixture(scope="class")
     def clustered(self):
@@ -347,11 +364,16 @@ def _frozen_lk_sums(points, refs, k):
 class TestLkSums:
     BLOCK = distance._BLOCK
 
+    # sizes on and around one, two and four whole blocks, run by up to
+    # three workers
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   2 * BLOCK + 3])
+                                   2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+                                   2 * BLOCK + 3, 4 * BLOCK + 3])
     @pytest.mark.parametrize("per_row", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_the_frozen_formula(self, n, per_row, dtype):
+    def test_matches_the_frozen_formula(self, n, per_row, dtype,
+                                        monkeypatch):
+        monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
         rng = np.random.default_rng([n, per_row])
         points = rng.standard_normal((n, 16)).astype(dtype)
         refs = rng.standard_normal((n, 16) if per_row else 16).astype(dtype)
@@ -365,6 +387,96 @@ class TestLkSums:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
             assert not got[::5].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_sums_do_not_depend_on_the_worker_count(self, dtype, per_row,
+                                                    monkeypatch):
+        """Five blocks, the last one ragged, summed by 1, 2 and 3 workers:
+        the same bits, and each worker a thread of its own."""
+        n = 4 * self.BLOCK + 17
+        rng = np.random.default_rng([n, per_row])
+        points = rng.standard_normal((n, 64)).astype(np.float32)
+        refs = rng.standard_normal((n, 64) if per_row else 64
+                                   ).astype(np.float32)
+        threads = set()
+        inner = distance._sum_blocks
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            inner(*args)
+
+        monkeypatch.setattr(distance, "_sum_blocks", recorded)
+        for k in (0.25, 0.5, 1.0, 2.0, 0.7, 3.0):
+            sums = []
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(distance, "_usable_cpus", lambda: cpus)
+                threads.clear()
+                sums.append(distance._lk_sums(points, refs, k, dtype))
+                assert len(threads) == cpus
+            assert all(s.dtype == dtype for s in sums)
+            assert sums[0].tobytes() == sums[1].tobytes() == sums[2].tobytes()
+
+    def test_more_workers_than_cores_switching_often(self, monkeypatch):
+        """Eight workers over 63 blocks of 16 rows, the interpreter
+        switching threads every microsecond: the sums of one worker."""
+        monkeypatch.setattr(distance, "_BLOCK", 16)
+        rng = np.random.default_rng(8)
+        points = rng.standard_normal((1000, 8)).astype(np.float32)
+        monkeypatch.setattr(distance, "_usable_cpus", lambda: 1)
+        want = distance._lk_sums(points, points[0], 0.25, np.float32)
+        monkeypatch.setattr(distance, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = distance._lk_sums(points, points[0], 0.25, np.float32)
+                assert got.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(distance, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(threading.Thread, "start", None)
+        points = np.ones((self.BLOCK, 3))
+        assert distance._lk_sums(points, points[0], 0.5).tolist() == [0] * (
+            self.BLOCK)
+
+    @pytest.mark.parametrize("raiser", ["worker", "caller"])
+    def test_a_raising_run_raises_in_knn_many(self, raiser, monkeypatch):
+        """Whichever run raises, ``knn_many`` raises it once every worker
+        has been joined."""
+        rng = np.random.default_rng(3)
+        index = build_index([f"r{i:02d}" for i in range(40)],
+                            np.zeros(40, dtype=np.int32),
+                            rng.standard_normal((40, 5)), DistanceMetric())
+        inner = distance._sum_blocks
+
+        def failing(*args):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (raiser == "caller"):
+                raise MemoryError("no buffer")
+            inner(*args)
+
+        monkeypatch.setattr(distance, "_BLOCK", 8)
+        monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(distance, "_sum_blocks", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no buffer"):
+            distance.knn_many(index.vectors[:2], index, 5)
+        assert threading.active_count() == before
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(distance, "_BLOCK", 4)
+        monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+        points = np.full((12, 2), 3e38, np.float32)  # differences overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                sums = distance._lk_sums(points, -points[0], 1.0, np.float32)
+            assert np.isinf(sums).all()
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                distance._lk_sums(points, -points[0], 1.0, np.float32)
 
     @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.0, 0.7, 3.0])
     def test_float32_sums_within_the_scan_bound(self, k):
