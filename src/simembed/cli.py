@@ -9,15 +9,17 @@ seed from ``--seed``; rerunning a command with identical inputs and seed
 produces byte-identical artifacts.  The commands that write a file
 (``ingest``, ``train``, ``embed``) never overwrite one unless ``--force``
 is given.  ``train``, ``embed`` and ``sample-pairs`` read the JSON run
-config named by ``--config``.
+config named by ``--config``; ``embed`` refuses one whose ``net`` section
+differs from the checkpoint's net.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -114,10 +116,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_other_net(path: str, cfg: RunConfig,
+                      checkpoint: net.Checkpoint) -> None:
+    """Refuse the run config at ``path`` if it has a ``net`` section that
+    differs from the checkpoint's net; one without a ``net`` passes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if "net" not in json.load(fh):
+            return
+    differ = [f"net.{f.name}" for f in fields(cfg.net)
+              if getattr(cfg.net, f.name) != getattr(checkpoint.config,
+                                                     f.name)]
+    if differ:
+        raise ConfigError(f"config {path!r} disagrees with the checkpoint "
+                          f"in {', '.join(differ)}")
+
+
 def cmd_embed(args: argparse.Namespace) -> int:
     _check_output(args.output, args.force)
     cfg = _load_config(args.config, metric_k=args.metric_k)
     checkpoint = net.load_checkpoint(args.checkpoint)
+    if args.config:
+        _refuse_other_net(args.config, cfg, checkpoint)
     dataset = data_io.read_dataset(args.data)
     index = retrieval.build_index(
         dataset.ids, dataset.labels, net.embed(checkpoint, dataset.images()),

@@ -8,8 +8,9 @@ one blocked kernel, ``_lk_sums``; ``losses._squared_distances`` raises its
 own, as its gradient needs them per coordinate.  Every distance this
 module returns, and every triplet it scores, is a float64 sum whatever the
 input precision, because fractional powers amplify rounding.  The kernel
-splits its row blocks over one thread per CPU the process may run on, and
-its sums do not depend on that count.  It reduces a float64 row with
+splits its row blocks over one thread per CPU the process may run on,
+through the helper that ``net.embed`` shares (``workers``), and its sums
+do not depend on that count.  It reduces a float64 row with
 ``sum`` and a float32 row with a BLAS dot against a vector of ones.
 
 ``knn_many`` is the exact top-k scan.  It runs the kernel over the whole
@@ -24,14 +25,12 @@ candidate, which is the float64 scan of the whole index.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Annotated
 
 import numpy as np
 
+from . import workers
 from .errors import (ConfigError, DataError, DimensionError, Range,
                      check_ranges)
 
@@ -59,30 +58,17 @@ MANHATTAN = DistanceMetric(1.0)
 _BLOCK = 2048  # rows per block: each worker's buffer stays in its cache
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _lk_sums(points: Array, refs: Array, k: float,
              dtype: type = np.float64) -> Array:
     """``sum_i |p_i - r_i|^k`` for each row of ``points (N, D)``, computed
     and returned in ``dtype``; ``refs`` is one ``(D,)`` vector or one row
     per point.
 
-    The rows go in blocks of ``_BLOCK``, split into contiguous runs of
-    blocks, one run per CPU the process may use (``_usable_cpus``).  The
-    caller sums the first run and one thread each of the others; numpy's
-    ufuncs and BLAS release the GIL.  Each thread runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds there too.
-    Every thread is joined before this returns or raises, and a worker's
-    exception is raised here.  A row goes through the same ops at the same
-    offset of a block of the same size whatever the number of runs, so
-    the sums do not depend on it, bit for bit.  One block starts no
-    thread.
+    The rows go in blocks of ``_BLOCK``, and the blocks in contiguous runs,
+    one run per usable CPU, each run on its own thread (``workers``).  A
+    row goes through the same ops at the same offset of a block of the
+    same size whatever the number of runs, so the sums do not depend on
+    it, bit for bit.  One block starts no thread.
 
     Each block of rows is subtracted into its run's reused ``dtype``
     buffer (rows of another dtype are copied into it first), then
@@ -95,37 +81,13 @@ def _lk_sums(points: Array, refs: Array, k: float,
     and refs."""
     sums = np.empty(len(points), dtype)
     blocks = range(0, len(points), _BLOCK)
-    workers = min(_usable_cpus(), len(blocks))
+    runs = workers.split(blocks)
     # one buffer per run, allocated here: a thread's own malloc arena would
     # keep its buffer resident after the thread ends
-    bufs = np.empty((max(workers, 1), min(len(points), _BLOCK),
+    bufs = np.empty((max(len(runs), 1), min(len(points), _BLOCK),
                      points.shape[1]), dtype)
-    if workers <= 1:
-        _sum_blocks(points, refs, k, sums, blocks, bufs[0])
-        return sums
-    runs = [blocks[len(blocks) * i // workers:
-                   len(blocks) * (i + 1) // workers] for i in range(workers)]
-    errors: list[BaseException] = []
-
-    def work(run: range, buf: Array) -> None:
-        try:
-            _sum_blocks(points, refs, k, sums, run, buf)
-        except BaseException as exc:  # raised again by the caller
-            errors.append(exc)
-
-    started = []
-    try:
-        for run, buf in zip(runs[1:], bufs[1:]):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(work, run, buf))
-            thread.start()
-            started.append(thread)
-        _sum_blocks(points, refs, k, sums, runs[0], bufs[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    workers.run(lambda i, starts: _sum_blocks(points, refs, k, sums, starts,
+                                              bufs[i]), runs)
     return sums
 
 

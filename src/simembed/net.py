@@ -27,7 +27,7 @@ from typing import Annotated, Callable
 
 import numpy as np
 
-from . import ops
+from . import ops, workers
 from .container import (atomic_write, pack_header, pack_name, read_exact,
                         read_header, read_name, read_struct)
 from .errors import (ConfigError, DimensionError, FormatError, Range,
@@ -253,22 +253,30 @@ def _backward_chain(tape: list, upstream: Array,
             grads[name] = grads.get(name, 0) + results[offset]
 
 
+def _check_images(checkpoint: Checkpoint, images: Array) -> None:
+    shape = checkpoint.config.input_shape
+    if images.ndim != 4 or images.shape[1:] != shape or not len(images):
+        raise DimensionError(
+            f"images of shape {images.shape} are not a non-empty batch of "
+            f"configured input {shape}")
+
+
+def _dtype(checkpoint: Checkpoint) -> np.dtype:
+    """The dtype the forward pass computes and returns in."""
+    return next(iter(checkpoint.parameters.values())).dtype
+
+
 def _forward(checkpoint: Checkpoint, images: Array,
              tapes: list[list] | None = None,
              rng: np.random.Generator | None = None) -> list[ops.OpGrad]:
-    """Check ``images`` against the config and run every branch and the
-    head.  Returns the head's op results in order: concat, dropout (only
-    given ``rng`` and a positive rate), affine, l2_normalize; the last
-    output is the embedding.  ``tapes``, one list per branch, receives the
-    branch tapes; without it no tape is kept."""
+    """Run every branch and the head over ``images``, already checked
+    against the config.  Returns the head's op results in order: concat,
+    dropout (only given ``rng`` and a positive rate), affine,
+    l2_normalize; the last output is the embedding.  ``tapes``, one list
+    per branch, receives the branch tapes; without it no tape is kept."""
     config = checkpoint.config
     params = checkpoint.parameters
-    if (images.ndim != 4 or images.shape[1:] != config.input_shape
-            or not len(images)):
-        raise DimensionError(
-            f"images of shape {images.shape} are not a non-empty batch of "
-            f"configured input {config.input_shape}")
-    x = np.ascontiguousarray(images, dtype=next(iter(params.values())).dtype)
+    x = np.ascontiguousarray(images, dtype=_dtype(checkpoint))
     head = [ops.concat([
         _run_branch(branch, bi, params, x,
                     None if tapes is None else tapes[bi])
@@ -290,6 +298,7 @@ def embed_with_grad(checkpoint: Checkpoint, images: Array,
 
     Given ``rng`` (training), dropout applies a mask drawn from it, one
     ``(N, merged)`` draw; without it no dropout is applied."""
+    _check_images(checkpoint, images)
     tapes: list[list] = [[] for _ in checkpoint.config.branches]
     merge, *dropout, head, norm = _forward(checkpoint, images, tapes, rng)
 
@@ -307,19 +316,35 @@ def embed_with_grad(checkpoint: Checkpoint, images: Array,
 
 
 def embed(checkpoint: Checkpoint, images: Array,
-          chunk_size: int = 256) -> Array:
-    """Embed ``images (N,C,H,W)`` into unit-norm rows of the final dim,
-    ``chunk_size`` images at a time.
+          chunk_size: int = 128) -> Array:
+    """Embed ``images (N,C,H,W)`` into unit-norm rows of the final dim.
 
-    Inference applies no dropout and keeps no tape, so each chunk equals
-    ``embed_with_grad(checkpoint, chunk)[0]`` bit for bit and repeated
-    calls agree bitwise.
+    The images go in chunks of ``chunk_size``, and the chunks in
+    contiguous runs, one run per usable CPU, each on its own thread
+    (``workers``); every chunk writes its rows into one output array.
+    The chunk size does not depend on the CPU count, so neither does the
+    result, and at most ``chunk_size`` images per CPU are in flight.  The
+    images are checked before any thread starts, and one chunk starts
+    none.  Inference applies no dropout and keeps no tape, so each chunk
+    equals ``embed_with_grad(checkpoint, chunk)[0]`` bit for bit and
+    repeated calls agree bitwise.  A row's last float32 bits can depend on
+    how the batch was cut into chunks: the GEMMs may sum in another order
+    for another chunk length.
     """
     if chunk_size < 1:
         raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-    return np.concatenate(
-        [_forward(checkpoint, images[start:start + chunk_size])[-1].output
-         for start in range(0, len(images) or 1, chunk_size)], axis=0)
+    _check_images(checkpoint, images)
+    out = np.empty((len(images), checkpoint.config.final_embed_dim),
+                   _dtype(checkpoint))
+
+    def work(_: int, starts: range) -> None:
+        for start in starts:
+            end = start + chunk_size
+            out[start:end] = _forward(checkpoint, images[start:end])[-1].output
+
+    chunks = range(0, len(images), chunk_size)
+    workers.run(work, workers.split(chunks))
+    return out
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:

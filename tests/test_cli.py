@@ -284,6 +284,49 @@ class TestEmbed:
         assert f"exponent must be > 0, got {float(k)}" in err
         assert not out.exists()
 
+    @pytest.fixture(scope="class")
+    def desk(self, tmp_path_factory):
+        """A desk-scale checkpoint (1x28x28 images, 64-d) and a dataset."""
+        root = tmp_path_factory.mktemp("desk")
+        paths = {"checkpoint": str(root / "desk.ckpt"),
+                 "dataset": str(root / "shapes.dset")}
+        net.save_checkpoint(net.build_network(net.desk_scale_config(), 1),
+                            paths["checkpoint"])
+        data_io.write_dataset(paths["dataset"],
+                              toydata.make_shape_dataset(20, seed=1))
+        return paths
+
+    def _embed_with(self, desk, tmp_path, document):
+        config, out = tmp_path / "run.json", tmp_path / "out.emb"
+        config.write_text(json.dumps(document))
+        rc = cli.main(["embed", "--checkpoint", desk["checkpoint"],
+                       "--data", desk["dataset"], "--output", str(out),
+                       "--config", str(config)])
+        return rc, out
+
+    def test_net_section_other_than_the_checkpoints_fails_with_one_line(
+            self, desk, capsys, tmp_path):
+        rc, out = self._embed_with(desk, tmp_path, {"net": {
+            "input_shape": [3, 32, 32], "final_embed_dim": 16}})
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert "disagrees with the checkpoint in net.branches, " \
+            "net.final_embed_dim, net.input_shape" in err
+        assert not out.exists()
+
+    def test_net_section_equal_to_the_checkpoints_is_accepted(
+            self, desk, capsys, tmp_path):
+        rc, out = self._embed_with(desk, tmp_path, {"net": {}})
+        assert rc == 0 and "dim=64" in capsys.readouterr().out
+
+    def test_config_without_a_net_section_is_accepted(self, workdir, capsys,
+                                                      tmp_path):
+        """The tiny checkpoint differs from the default net, which a
+        config without ``net`` stands for."""
+        rc, out = self._embed_with(workdir, tmp_path,
+                                   {"metric": {"exponent": 0.5}})
+        stdout = capsys.readouterr().out
+        assert rc == 0 and "dim=6" in stdout and "metric_k=0.5" in stdout
+
     def test_repeat_embeds_are_byte_identical(self, workdir, tmp_path):
         a, b = str(tmp_path / "a.emb"), str(tmp_path / "b.emb")
         for out in (a, b):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simembed import distance
+from simembed import distance, workers
 from simembed.distance import (EUCLIDEAN, MANHATTAN, DistanceMetric,
                                lk_distance, pairwise_distances,
                                relative_contrast)
@@ -313,7 +313,7 @@ class TestFloat32Scan:
         case's 40 rows cross both kinds of boundary."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(distance, "_BLOCK", 7)
-            patch.setattr(distance, "_usable_cpus", lambda: 3)
+            patch.setattr(workers, "usable_cpus", lambda: 3)
             _assert_equals_the_oracle(case)
 
     @pytest.fixture(scope="class")
@@ -373,7 +373,7 @@ class TestLkSums:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_the_frozen_formula(self, n, per_row, dtype,
                                         monkeypatch):
-        monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
         rng = np.random.default_rng([n, per_row])
         points = rng.standard_normal((n, 16)).astype(dtype)
         refs = rng.standard_normal((n, 16) if per_row else 16).astype(dtype)
@@ -410,7 +410,7 @@ class TestLkSums:
         for k in (0.25, 0.5, 1.0, 2.0, 0.7, 3.0):
             sums = []
             for cpus in (1, 2, 3):
-                monkeypatch.setattr(distance, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
                 threads.clear()
                 sums.append(distance._lk_sums(points, refs, k, dtype))
                 assert len(threads) == cpus
@@ -423,9 +423,9 @@ class TestLkSums:
         monkeypatch.setattr(distance, "_BLOCK", 16)
         rng = np.random.default_rng(8)
         points = rng.standard_normal((1000, 8)).astype(np.float32)
-        monkeypatch.setattr(distance, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         want = distance._lk_sums(points, points[0], 0.25, np.float32)
-        monkeypatch.setattr(distance, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -436,7 +436,7 @@ class TestLkSums:
             sys.setswitchinterval(interval)
 
     def test_one_block_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(distance, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
         monkeypatch.setattr(threading.Thread, "start", None)
         points = np.ones((self.BLOCK, 3))
         assert distance._lk_sums(points, points[0], 0.5).tolist() == [0] * (
@@ -459,7 +459,7 @@ class TestLkSums:
             inner(*args)
 
         monkeypatch.setattr(distance, "_BLOCK", 8)
-        monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
         monkeypatch.setattr(distance, "_sum_blocks", failing)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="no buffer"):
@@ -468,7 +468,7 @@ class TestLkSums:
 
     def test_workers_keep_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(distance, "_BLOCK", 4)
-        monkeypatch.setattr(distance, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
         points = np.full((12, 2), 3e38, np.float32)  # differences overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")

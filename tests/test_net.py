@@ -1,11 +1,12 @@
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 
-from simembed import net
+from simembed import net, workers
 from simembed.errors import (ConfigError, DataError, DimensionError,
                              FormatError)
 
@@ -162,6 +163,74 @@ class TestEmbed:
                   for i in range(0, 40, 16)]
         assert net.embed(ckpt, x, chunk_size=16).tobytes() \
             == np.concatenate(chunks).tobytes()
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        """A desk-scale net and 389 images: three chunks of 128 and five."""
+        ckpt = net.build_network(net.desk_scale_config(), seed=6)
+        rng = np.random.default_rng(6)
+        return ckpt, rng.uniform(0, 1, (3 * 128 + 5, 1, 28, 28)).astype(
+            np.float32)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 3 * 128 + 5])
+    def test_embed_does_not_depend_on_the_cpu_count(self, desk, n,
+                                                    monkeypatch):
+        """The same bits from 1, 2, 3 and 8 workers, each chunk's rows in
+        place, and one thread per run of chunks."""
+        ckpt, x = desk
+        threads = set()
+        inner = net._forward
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return inner(*args)
+
+        monkeypatch.setattr(net, "_forward", recorded)
+        outs = []
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            threads.clear()
+            outs.append(net.embed(ckpt, x[:n]))
+            assert len(threads) == min(cpus, -(-n // 128))
+        assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+        chunks = [net.embed_with_grad(ckpt, x[i:min(i + 128, n)])[0]
+                  for i in range(0, n, 128)]
+        assert outs[0].tobytes() == np.concatenate(chunks).tobytes()
+
+    def test_one_chunk_starts_no_thread(self, desk, monkeypatch):
+        ckpt, x = desk
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(threading.Thread, "start", None)
+        assert net.embed(ckpt, x[:128]).shape == (128, 64)
+
+    def test_images_are_checked_before_any_thread(self, desk, monkeypatch):
+        ckpt, x = desk
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(threading.Thread, "start", None)
+        with pytest.raises(DimensionError, match="configured input"):
+            net.embed(ckpt, x[:, :, :27])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_a_raising_chunk_raises_in_the_caller(self, desk, cpus,
+                                                  monkeypatch):
+        """The third chunk's forward raises, in a worker or in the caller;
+        ``embed`` raises it once every worker has been joined."""
+        ckpt, x = desk
+        x = x.copy()
+        x[256, 0, 0, 0] = -1.0  # marks the first image of the third chunk
+        inner = net._forward
+
+        def failing(checkpoint, images):
+            if images[0, 0, 0, 0] == -1.0:
+                raise MemoryError("no room for the third chunk")
+            return inner(checkpoint, images)
+
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(net, "_forward", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="third chunk"):
+            net.embed(ckpt, x)
+        assert threading.active_count() == before
 
     def test_backward_covers_branches_that_start_with_a_downsample(self,
                                                                    rng):
