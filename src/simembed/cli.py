@@ -3,7 +3,8 @@ distance-concentration diagnostic and a preview of training batches.
 
 Every command exits 0 on success and nonzero with a single
 ``error: <Kind>: <message>`` line on standard error otherwise.  Each
-subcommand accepts only the options it reads.  The commands that draw
+subcommand accepts only the options it reads, and refuses one that the
+rest of its command line leaves unread.  The commands that draw
 random numbers (``train``, ``sample-pairs``, ``diag-contrast``) take their
 seed from ``--seed``; rerunning a command with identical inputs and seed
 produces byte-identical artifacts.  The commands that write a file
@@ -76,13 +77,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.format == "idx":
         if not args.images or not args.labels:
             raise ConfigError("idx ingest needs --images and --labels")
+        if args.inputs:
+            raise ConfigError("idx ingest reads no --input")
         dataset = data_io.load_idx_files(args.images, args.labels)
-    elif args.format == "cifar10":
+    else:
         if not args.inputs:
             raise ConfigError("cifar10 ingest needs at least one --input")
+        if args.images or args.labels:
+            raise ConfigError("cifar10 ingest reads no --images or --labels")
         dataset = data_io.load_cifar10_files(args.inputs)
-    else:
-        raise ConfigError(f"unknown ingest format {args.format!r}")
     dataset = _slice(dataset, args.offset, args.limit)
     data_io.write_dataset(args.output, dataset)
     print(f"items={len(dataset)}")
@@ -92,6 +95,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.log and os.path.realpath(args.log) == \
+            os.path.realpath(args.output):
+        raise ConfigError(f"--log {args.log!r} names the --output checkpoint")
     _check_output(args.output, args.force)
     if args.log:
         _check_output(args.log, args.force)
@@ -149,12 +155,14 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    if args.data and not args.checkpoint:
+        raise ConfigError("--data queries need --checkpoint to embed")
+    if args.checkpoint and not args.data:
+        raise ConfigError("--checkpoint is read only to embed a --data image")
     index = retrieval.read_embeddings(args.embeddings)
     if args.metric_k is not None:
         index = replace(index, metric=DistanceMetric(args.metric_k))
     if args.data:
-        if not args.checkpoint:
-            raise ConfigError("--data queries need --checkpoint to embed")
         dataset = data_io.read_dataset(args.data)
         image = dataset.get(args.id).image
         checkpoint = net.load_checkpoint(args.checkpoint)
@@ -352,8 +360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         kind = type(exc).__name__
         msg = " ".join(str(exc).split())
         return _fail(f"error: {kind}: {msg}")
-    except FileNotFoundError as exc:
-        return _fail(f"error: FileNotFound: {exc.filename}")
+    except OSError as exc:  # "FileNotFound: <path>", "IsADirectory: <path>"
+        kind = type(exc).__name__.removesuffix("Error")
+        return _fail(f"error: {kind}: {exc.filename or exc}")
 
 
 if __name__ == "__main__":

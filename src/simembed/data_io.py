@@ -41,13 +41,12 @@ def _maybe_gunzip(payload: bytes) -> bytes:
     return gzip.decompress(payload) if payload[:2] == b"\x1f\x8b" else payload
 
 
-def parse_idx(image_bytes: bytes, label_bytes: bytes,
-              id_prefix: str = "idx-") -> Dataset:
+def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
     """Parse paired IDX image/label payloads (gzip accepted transparently).
 
     Image magic must be 0x00000803 (unsigned bytes, 3 dims) and label magic
-    0x00000801; counts must agree.  Items keep file order with ids
-    ``f"{id_prefix}{index:05d}"`` and pixels scaled to [0, 1].
+    0x00000801; counts must agree.  Items keep file order with the fixed
+    ids ``idx-00000``, ``idx-00001``, ... and pixels scaled to [0, 1].
     """
     image_bytes = _maybe_gunzip(image_bytes)
     label_bytes = _maybe_gunzip(label_bytes)
@@ -85,14 +84,13 @@ def parse_idx(image_bytes: bytes, label_bytes: bytes,
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
     return _digit_dataset([pixels.reshape(count, 1, rows, cols)],
                           np.frombuffer(label_bytes, np.uint8, offset=8),
-                          "item", [(id_prefix, count)])
+                          "item", [("idx-", count)])
 
 
-def parse_cifar10_bin(batch_bytes: bytes,
-                      id_prefix: str = "cifar-") -> Dataset:
+def parse_cifar10_bin(batch_bytes: bytes) -> Dataset:
     """Parse a CIFAR-10 binary batch: records of 1 label byte plus
-    3x32x32 channel-planar pixel bytes."""
-    return _cifar_dataset([batch_bytes], [id_prefix])
+    3x32x32 channel-planar pixel bytes, ids ``cifar-{record:05d}``."""
+    return _cifar_dataset([batch_bytes], ["cifar-"])
 
 
 def _cifar_dataset(payloads: list[bytes], id_prefixes: list[str]) -> Dataset:
@@ -188,17 +186,15 @@ def read_dataset(path: str) -> Dataset:
         return Dataset(*read_records(fh, count, tuple(shape), "item"))
 
 
-def load_idx_files(image_path: str, label_path: str,
-                   id_prefix: str = "idx-") -> Dataset:
+def load_idx_files(image_path: str, label_path: str) -> Dataset:
     return parse_idx(Path(image_path).read_bytes(),
-                     Path(label_path).read_bytes(), id_prefix=id_prefix)
+                     Path(label_path).read_bytes())
 
 
-def load_cifar10_files(paths: list[str],
-                       id_prefix: str = "cifar-") -> Dataset:
+def load_cifar10_files(paths: list[str]) -> Dataset:
     """Concatenate one or more CIFAR-10 binary batches into one dataset,
-    with ids ``{id_prefix}b{batch}-{record:05d}``."""
+    with the fixed ids ``cifar-b{batch}-{record:05d}``."""
     if not paths:
         raise DataError("no CIFAR-10 batch files given")
     return _cifar_dataset([Path(path).read_bytes() for path in paths],
-                          [f"{id_prefix}b{pi}-" for pi in range(len(paths))])
+                          [f"cifar-b{pi}-" for pi in range(len(paths))])

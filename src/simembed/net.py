@@ -37,6 +37,7 @@ Array = np.ndarray
 
 CHECKPOINT_MAGIC = b"MSNETCKP"
 CHECKPOINT_VERSION = 1
+EMBED_CHUNK = 128  # images per forward pass in ``embed``
 
 
 @dataclass(frozen=True)
@@ -315,15 +316,14 @@ def embed_with_grad(checkpoint: Checkpoint, images: Array,
     return norm.output, backward
 
 
-def embed(checkpoint: Checkpoint, images: Array,
-          chunk_size: int = 128) -> Array:
+def embed(checkpoint: Checkpoint, images: Array) -> Array:
     """Embed ``images (N,C,H,W)`` into unit-norm rows of the final dim.
 
-    The images go in chunks of ``chunk_size``, and the chunks in
-    contiguous runs, one run per usable CPU, each on its own thread
-    (``workers``); every chunk writes its rows into one output array.
-    The chunk size does not depend on the CPU count, so neither does the
-    result, and at most ``chunk_size`` images per CPU are in flight.  The
+    The images go in chunks of ``EMBED_CHUNK``, a fixed 128, and the
+    chunks in contiguous runs, one run per usable CPU, each on its own
+    thread (``workers``); every chunk writes its rows into one output
+    array.  The chunk does not depend on the CPU count, so neither does
+    the result, and at most 128 images per CPU are in flight.  The
     images are checked before any thread starts, and one chunk starts
     none.  Inference applies no dropout and keeps no tape, so each chunk
     equals ``embed_with_grad(checkpoint, chunk)[0]`` bit for bit and
@@ -331,18 +331,16 @@ def embed(checkpoint: Checkpoint, images: Array,
     how the batch was cut into chunks: the GEMMs may sum in another order
     for another chunk length.
     """
-    if chunk_size < 1:
-        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
     _check_images(checkpoint, images)
     out = np.empty((len(images), checkpoint.config.final_embed_dim),
                    _dtype(checkpoint))
 
     def work(_: int, starts: range) -> None:
         for start in starts:
-            end = start + chunk_size
+            end = start + EMBED_CHUNK
             out[start:end] = _forward(checkpoint, images[start:end])[-1].output
 
-    chunks = range(0, len(images), chunk_size)
+    chunks = range(0, len(images), EMBED_CHUNK)
     workers.run(work, workers.split(chunks))
     return out
 
@@ -367,8 +365,15 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
+def _expect(found, want, what: str) -> None:
+    if found != want:
+        raise FormatError(f"{what} {found!r}, config implies {want!r}")
+
+
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint and validate it against its own config."""
+    """Read a checkpoint, checking the block count and each block's name,
+    rank and dims as they are read against the ``parameter_shapes`` of
+    its header's config; a mismatch is one ``FormatError``."""
     from .config import parse_net_config  # config imports this module
     with open(path, "rb") as fh:
         read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
@@ -379,28 +384,20 @@ def load_checkpoint(path: str) -> Checkpoint:
             rng_seed, epoch = header["rng_seed"], header["epoch"]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad checkpoint header: {exc}") from exc
+        expected = parameter_shapes(config)
         (count,) = read_struct(fh, "<Q", "parameter count")
+        _expect(count, len(expected), "parameter count")
         params: dict[str, Array] = {}
-        for i in range(count):
-            name = read_name(fh, f"name of block {i}")
-            (rank,) = read_struct(fh, "<I", f"rank of block {i}")
-            shape = read_struct(fh, f"<{rank}Q", f"dims of block {i}")
-            raw = read_exact(fh, 4 * math.prod(shape), f"data of block {i}")
+        for i, (name, shape) in enumerate(expected):
+            what = f"name of block {i}"
+            _expect(read_name(fh, what), name, what)
+            (rank,) = read_struct(fh, "<I", f"rank of {name}")
+            _expect(rank, len(shape), f"rank of {name}")
+            dims = read_struct(fh, f"<{rank}Q", f"dims of {name}")
+            _expect(dims, shape, f"dims of {name}")
+            raw = read_exact(fh, 4 * math.prod(shape), f"data of {name}")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(
                 shape).copy()
         if fh.read(1):
             raise FormatError("trailing bytes after final parameter block")
-
-    expected = dict(parameter_shapes(config))
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise FormatError(
-            f"parameter names do not match config (missing {missing}, "
-            f"unexpected {extra})")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise FormatError(
-                f"parameter {name!r} has shape {params[name].shape}, "
-                f"config implies {shape}")
     return Checkpoint(config, params, rng_seed=rng_seed, epoch=epoch)

@@ -22,6 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DimensionError, NumericError
 
 Array = np.ndarray
+NORM_EPSILON = 1e-12  # floor of the row norm ``l2_normalize`` divides by
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,6 @@ def downsample_avg(x: Array, factor: int) -> OpGrad:
     if h % factor or w % factor:
         raise DimensionError(
             f"factor {factor} does not divide spatial dims {h}x{w}")
-    if factor == 1:
-        return OpGrad(x, lambda upstream: (upstream,))
     h2, w2 = h // factor, w // factor
     out = x.reshape(n, c, h2, factor, w2, factor).mean(axis=(3, 5))
     inv = 1.0 / (factor * factor)
@@ -199,26 +198,24 @@ def affine(x: Array, weights: Array, bias: Array) -> OpGrad:
     return OpGrad(out, grad)
 
 
-def l2_normalize(x: Array, epsilon: float = 1e-12) -> OpGrad:
-    """Divide each row of ``x (N,D)`` by ``max(||row||_2, epsilon)``.
+def l2_normalize(x: Array) -> OpGrad:
+    """Divide each row of ``x (N,D)`` by ``max(||row||_2, NORM_EPSILON)``.
 
-    Rows with norm below ``epsilon`` are scaled by ``1/epsilon`` (a constant,
-    so their gradient is simply ``upstream/epsilon``); everything else gets
-    the usual projection gradient.
+    Rows with norm below the constant 1e-12 are scaled by its inverse, so
+    their gradient is ``upstream/NORM_EPSILON``; everything else gets the
+    usual projection gradient.
     """
     if x.ndim != 2:
         raise DimensionError(f"l2_normalize expects 2-d input, got {x.ndim}-d")
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     norms = np.sqrt((x * x).sum(axis=1))
-    denom = np.maximum(norms, epsilon)[:, None]
+    denom = np.maximum(norms, NORM_EPSILON)[:, None]
     out = x / denom
-    active = (norms >= epsilon)[:, None]
+    active = (norms >= NORM_EPSILON)[:, None]
 
     def grad(upstream: Array) -> tuple[Array]:
         dot = (upstream * out).sum(axis=1, keepdims=True)
         dx_active = (upstream - out * dot) / denom
-        dx = np.where(active, dx_active, upstream / epsilon)
+        dx = np.where(active, dx_active, upstream / NORM_EPSILON)
         return (dx.astype(x.dtype, copy=False),)
 
     return OpGrad(out, grad)

@@ -42,7 +42,9 @@ EMBED_HEADER = "<dIQ"  # after the version: metric exponent, dim, count
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingIndex:
-    dim: int
+    """Records of an id, an int32 label and a float32 vector row, queried
+    under ``metric``; ``size`` and ``dim`` are derived, never stored."""
+
     metric: DistanceMetric
     ids: tuple[str, ...]
     labels: Array = field(repr=False)
@@ -51,6 +53,10 @@ class EmbeddingIndex:
     @property
     def size(self) -> int:
         return len(self.ids)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
 
 def build_index(ids: Sequence[str], labels, vectors,
@@ -67,8 +73,7 @@ def build_index(ids: Sequence[str], labels, vectors,
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
         raise DataError(f"record {ids[bad[0]]!r}: non-finite vector entries")
-    return EmbeddingIndex(dim=vectors.shape[1], metric=metric, ids=ids,
-                          labels=labels, vectors=vectors)
+    return EmbeddingIndex(metric, ids, labels, vectors)
 
 
 def query_topk(index: EmbeddingIndex, query_vector: Array,

@@ -148,6 +148,27 @@ class TestIngest:
         captured = fails_with_one_line(capsys, rc, "FileNotFound")
         assert "error: FileNotFound" in captured.err
 
+    def test_idx_ingest_refuses_input(self, tmp_path, capsys):
+        ip, lp = self.write_idx(tmp_path)
+        out = tmp_path / "out.dset"
+        rc = cli.main(["ingest", "--format", "idx", "--images", ip,
+                       "--labels", lp, "--input", ip, "--output", str(out)])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert err == "error: ConfigError: idx ingest reads no --input\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--images", "--labels"])
+    def test_cifar10_ingest_refuses_idx_files(self, tmp_path, capsys, flag):
+        batch = tmp_path / "batch.bin"
+        batch.write_bytes(bytes(2 * data_io.CIFAR_RECORD_BYTES))
+        out = tmp_path / "out.dset"
+        rc = cli.main(["ingest", "--format", "cifar10", "--input", str(batch),
+                       flag, str(batch), "--output", str(out)])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert err == ("error: ConfigError: cifar10 ingest reads no "
+                       "--images or --labels\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_reports_progress_keys(self, workdir, capsys, tmp_path):
@@ -236,6 +257,18 @@ class TestTrain:
         assert rc == 0
         assert capsys.readouterr().err == (
             "warning: training diverged in epoch 1; kept epoch 0\n")
+
+    def test_log_naming_the_checkpoint_is_refused(self, workdir, capsys,
+                                                  tmp_path):
+        out = tmp_path / "m.ckpt"
+        log = f"{tmp_path}/./m.ckpt"
+        rc = cli.main(["train", "--train-data", workdir["dataset"],
+                       "--output", str(out), "--config", workdir["config"],
+                       "--log", log])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert err == (f"error: ConfigError: --log {log!r} names the "
+                       f"--output checkpoint\n")
+        assert not out.exists()
 
     def test_negative_seed_fails_with_one_line(self, workdir, capsys,
                                                tmp_path):
@@ -356,6 +389,14 @@ class TestQuery:
         stdout = capsys.readouterr().out
         assert rc == 0
         assert stdout.split("\t")[0] == "c0i0"
+
+    def test_checkpoint_without_data_is_refused(self, workdir, capsys):
+        rc = cli.main(["query", "--embeddings", workdir["embeddings"],
+                       "--id", "c0i0", "--checkpoint", workdir["checkpoint"]])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert err == ("error: ConfigError: --checkpoint is read only to "
+                       "embed a --data image\n")
+        assert capsys.readouterr().out == ""
 
     def test_pretty_output_has_header(self, workdir, capsys):
         rc = cli.main(["query", "--embeddings", workdir["embeddings"],
@@ -703,6 +744,22 @@ class TestCommonFlags:
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
+
+    @pytest.mark.parametrize("command", [
+        ["query", "--embeddings", "{dir}", "--id", "x"],
+        ["ingest", "--format", "idx", "--images", "{dir}", "--labels",
+         "{dir}", "--output", "{out}"],
+        ["train", "--train-data", "{dir}", "--output", "{out}"],
+    ], ids=["query", "ingest", "train"])
+    def test_directory_for_an_input_file_fails_with_one_line(
+            self, tmp_path, capsys, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out"
+        rc = cli.main([arg.format(dir=folder, out=out) for arg in command])
+        err = fails_with_one_line(capsys, rc, "IsADirectory").err
+        assert err == f"error: IsADirectory: {folder}\n"
+        assert not out.exists()
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -57,10 +57,6 @@ class TestParseIdx:
         assert plain.ids == zipped.ids
         assert np.array_equal(plain.images(), zipped.images())
 
-    def test_custom_id_prefix(self, golden_idx):
-        ds = data_io.parse_idx(*golden_idx, id_prefix="fash-")
-        assert ds.ids[0] == "fash-00000"
-
     def test_count_mismatch_rejected(self, golden_idx):
         images, _ = golden_idx
         labels = idx_label_bytes([1, 2])
@@ -98,7 +94,7 @@ class TestParseCifar10:
     def test_two_records(self):
         batch = self.make_batch([3, 9], [0, 255])
         ds = data_io.parse_cifar10_bin(batch)
-        assert len(ds) == 2
+        assert ds.ids == ("cifar-00000", "cifar-00001")
         assert ds.labels.tolist() == [3, 9]
         assert ds.image_shape == (3, 32, 32)
         assert np.all(ds.images()[0] == 0.0)

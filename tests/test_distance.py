@@ -403,7 +403,7 @@ class TestLkSums:
         inner = distance._sum_blocks
 
         def recorded(*args):
-            threads.add(threading.get_ident())
+            threads.add(threading.current_thread())
             inner(*args)
 
         monkeypatch.setattr(distance, "_sum_blocks", recorded)

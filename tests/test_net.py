@@ -108,13 +108,14 @@ class TestEmbed:
         v = net.embed(ckpt, x)[0]
         assert lk_distance(v, v, EUCLIDEAN) == 0.0
 
-    def test_chunked_embed_matches_single_pass(self, rng):
+    def test_chunked_embed_matches_single_pass(self, rng, monkeypatch):
         # float32 matmul reduction order shifts with batch size, so the
         # comparison is tight-tolerance rather than bitwise
         ckpt = net.build_network(tiny_config(), seed=0)
         x = rng.uniform(0, 1, (10, 1, 8, 8)).astype(np.float32)
-        assert np.allclose(net.embed(ckpt, x),
-                           net.embed(ckpt, x, chunk_size=3), atol=1e-6)
+        single = net.embed(ckpt, x)
+        monkeypatch.setattr(net, "EMBED_CHUNK", 3)
+        assert np.allclose(single, net.embed(ckpt, x), atol=1e-6)
 
     def test_wrong_input_shape_rejected(self):
         ckpt = net.build_network(tiny_config(), seed=0)
@@ -126,13 +127,6 @@ class TestEmbed:
         ckpt = net.build_network(tiny_config(), seed=0)
         with pytest.raises(DimensionError, match="non-empty batch"):
             embed(ckpt, np.zeros((0, 1, 8, 8), dtype=np.float32))
-
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_chunk_size_below_one_rejected(self, rng, chunk_size):
-        ckpt = net.build_network(tiny_config(), seed=0)
-        x = rng.uniform(0, 1, (3, 1, 8, 8)).astype(np.float32)
-        with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
-            net.embed(ckpt, x, chunk_size=chunk_size)
 
     def test_training_dropout_changes_output_but_not_inference(self, rng):
         ckpt = net.build_network(tiny_config(dropout=0.5), seed=0)
@@ -154,14 +148,15 @@ class TestEmbed:
             assert g.shape == ckpt.parameters[name].shape
             assert np.all(np.isfinite(g))
 
-    def test_tape_free_embed_equals_embed_with_grad(self, rng):
+    def test_tape_free_embed_equals_embed_with_grad(self, rng, monkeypatch):
         ckpt = net.build_network(net.desk_scale_config(), seed=4)
         x = rng.uniform(0, 1, (40, 1, 28, 28)).astype(np.float32)
         out, _ = net.embed_with_grad(ckpt, x)
         assert net.embed(ckpt, x).tobytes() == out.tobytes()
         chunks = [net.embed_with_grad(ckpt, x[i:i + 16])[0]
                   for i in range(0, 40, 16)]
-        assert net.embed(ckpt, x, chunk_size=16).tobytes() \
+        monkeypatch.setattr(net, "EMBED_CHUNK", 16)
+        assert net.embed(ckpt, x).tobytes() \
             == np.concatenate(chunks).tobytes()
 
     @pytest.fixture(scope="class")
@@ -182,7 +177,7 @@ class TestEmbed:
         inner = net._forward
 
         def recorded(*args):
-            threads.add(threading.get_ident())
+            threads.add(threading.current_thread())
             return inner(*args)
 
         monkeypatch.setattr(net, "_forward", recorded)
@@ -294,6 +289,12 @@ def checkpoint_fields(blob):
             "dims": (rank_at + 4, "<Q")}
 
 
+def beyond(field, value, refusal):
+    """A case of ``test_length_beyond_the_file_rejected`` with the refusal
+    it must raise, under its ``<field>-<value>`` id."""
+    return pytest.param(field, value, refusal, id=f"{field}-{value}")
+
+
 def with_header(blob, edit):
     """``blob`` with its JSON header passed through ``edit`` and its
     header length field rewritten to match."""
@@ -352,11 +353,20 @@ class TestCheckpointFile:
         with pytest.raises(FormatError):
             net.load_checkpoint(str(padded))
 
-    @pytest.mark.parametrize("field, value", [
-        ("header length", 2 ** 40), ("parameter count", 2 ** 60),
-        ("name length", 0xFFFF), ("rank", 2 ** 32 - 1), ("rank", 2 ** 28),
-        ("dims", 2 ** 33)])
-    def test_length_beyond_the_file_rejected(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field, value, refusal", [
+        beyond("header length", 2 ** 40, "truncated"),
+        beyond("parameter count", 2 ** 60,
+               "parameter count 1152921504606846976, config implies 10"),
+        beyond("name length", 0xFFFF, "truncated"),
+        beyond("rank", 2 ** 32 - 1, "rank of branch0.conv0.weight "
+                                    "4294967295, config implies 4"),
+        beyond("rank", 2 ** 28, "rank of branch0.conv0.weight "
+                                "268435456, config implies 4"),
+        beyond("dims", 2 ** 33, "dims of branch0.conv0.weight "
+                                "(8589934592, 1, 3, 3), config implies "
+                                "(2, 1, 3, 3)")])
+    def test_length_beyond_the_file_rejected(self, tmp_path, field, value,
+                                             refusal):
         # each would otherwise ask for gigabytes before reading them
         ckpt = net.build_network(tiny_config(), seed=5)
         path = str(tmp_path / "model.ckpt")
@@ -366,8 +376,9 @@ class TestCheckpointFile:
         struct.pack_into(fmt, blob, offset, value)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError) as err:
             net.load_checkpoint(str(bad))
+        assert refusal in str(err.value)
 
     def test_non_utf8_block_name_rejected(self, tmp_path):
         ckpt = net.build_network(tiny_config(), seed=5)
@@ -421,3 +432,48 @@ class TestCheckpointFile:
         loaded = net.load_checkpoint(path)
         name = next(iter(loaded.parameters))
         loaded.parameters[name][...] = 0  # must not raise
+
+    @staticmethod
+    def _saved_with(tmp_path, edit):
+        """A checkpoint file whose parameter blocks are the tiny net's
+        ``(name, array)`` pairs passed through ``edit``."""
+        ckpt = net.build_network(tiny_config(), seed=5)
+        ckpt.parameters = dict(edit(list(ckpt.parameters.items())))
+        path = str(tmp_path / "edited.ckpt")
+        net.save_checkpoint(ckpt, path)
+        return path
+
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda blocks: [("branch0.conv0.kernel", blocks[0][1]),
+                         *blocks[1:]],
+         "name of block 0 'branch0.conv0.kernel', config implies "
+         "'branch0.conv0.weight'"),
+        # the two conv biases have one shape, so only the order tells
+        (lambda blocks: [*blocks[:1], blocks[5], *blocks[2:5], blocks[1],
+                         *blocks[6:]],
+         "name of block 1 'branch1.conv0.bias', config implies "
+         "'branch0.conv0.bias'"),
+        (lambda blocks: [*blocks[:-1], ("head.bias", np.zeros(7))],
+         "dims of head.bias (7,), config implies (6,)"),
+        (lambda blocks: blocks[:-1], "parameter count 9, config implies 10"),
+        (lambda blocks: [*blocks, ("extra", np.zeros(1))],
+         "parameter count 11, config implies 10"),
+    ], ids=["renamed", "swapped", "dim", "one short", "one long"])
+    def test_blocks_other_than_the_config_implies_rejected(
+            self, tmp_path, edit, refusal):
+        with pytest.raises(FormatError) as err:
+            net.load_checkpoint(self._saved_with(tmp_path, edit))
+        assert str(err.value) == refusal
+
+    def test_earlier_checkpoint_loads_and_resaves_bytewise(self, tmp_path):
+        # saved before the reader checked each block against the config
+        # as it read it; the file format is the same
+        earlier = os.path.join(os.path.dirname(__file__), "data",
+                               "tiny_v1.ckpt")
+        loaded = net.load_checkpoint(earlier)
+        assert loaded.config == tiny_config(dropout=0.25)
+        assert (loaded.rng_seed, loaded.epoch) == (7, 3)
+        again = tmp_path / "again.ckpt"
+        net.save_checkpoint(loaded, str(again))
+        with open(earlier, "rb") as fh:
+            assert again.read_bytes() == fh.read()
