@@ -227,10 +227,10 @@ def cmd_diag_contrast(args: argparse.Namespace) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    metrics = [DistanceMetric(k) for k in exponents]  # refuse before printing
     print("dimension,k,contrast_mean,contrast_std")
     for dim in map(int, dims):
-        for k in exponents:
-            metric = DistanceMetric(k)
+        for metric in metrics:
             values = []
             for trial in range(args.trials):
                 rng = np.random.default_rng([args.seed, dim, trial])
@@ -239,7 +239,7 @@ def cmd_diag_contrast(args: argparse.Namespace) -> int:
                 values.append(relative_contrast(points, reference, metric))
             mean = float(np.mean(values))
             std = float(np.std(values))
-            print(f"{dim},{k},{mean:.6f},{std:.6f}")
+            print(f"{dim},{metric.exponent},{mean:.6f},{std:.6f}")
     return 0
 
 

@@ -41,7 +41,6 @@ from .losses import AngularConfig, ContrastiveConfig
 from .sampling import SamplerConfig
 from .training import TrainConfig
 
-_SECTIONS = ("net", "sampler", "train", "metric")
 _LOSS_KINDS = {"contrastive": ContrastiveConfig, "angular": AngularConfig}
 _SCALARS = {int: "an integer", float: "a finite number",
             bool: "true or false", str: "a string"}
@@ -175,7 +174,8 @@ def parse_run_config(document: str | Mapping[str, Any]) -> RunConfig:
     else:
         decoded = document
     root = _mapping(decoded, "config root")
-    offenders = [str(key) for key in root if key not in _SECTIONS]
+    offenders = [str(key) for key in root
+                 if key not in _schema(RunConfig)[0]]
     sections = {
         "net": _net(root.get("net", {}), offenders),
         "sampler": _build(SamplerConfig, root.get("sampler", {}), "sampler",

@@ -70,8 +70,8 @@ def _lk_sums(points: Array, refs: Array, k: float,
     same size whatever the number of runs, so the sums do not depend on
     it, bit for bit.  One block starts no thread.
 
-    Each block of rows is subtracted into its run's reused ``dtype``
-    buffer (rows of another dtype are copied into it first), then
+    Each block of rows is subtracted in ``dtype`` into its run's reused
+    buffer (rows of another dtype are cast inside the subtraction), then
     ``abs``-ed and raised in place, so the points are never copied whole.
     Square roots and squares stand in for k = 0.25, 0.5 and 2.  A float64
     row is reduced by ``sum``, so the sums equal ``np.abs(p - r) ** k``
@@ -101,11 +101,7 @@ def _sum_blocks(points: Array, refs: Array, k: float, sums: Array,
         block = buf[:len(points) - start]
         rows = points[start:start + _BLOCK]
         ref = refs if refs.ndim == 1 else refs[start:start + _BLOCK]
-        if rows.dtype == dtype:
-            np.subtract(rows, ref, out=block)
-        else:
-            block[...] = rows
-            np.subtract(block, ref, out=block)
+        np.subtract(rows, ref, out=block, dtype=dtype)
         np.abs(block, out=block)
         if k == 0.25:
             np.sqrt(np.sqrt(block, out=block), out=block)

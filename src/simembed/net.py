@@ -272,7 +272,7 @@ def _forward(checkpoint: Checkpoint, images: Array,
              rng: np.random.Generator | None = None) -> list[ops.OpGrad]:
     """Run every branch and the head over ``images``, already checked
     against the config.  Returns the head's op results in order: concat,
-    dropout (only given ``rng`` and a positive rate), affine,
+    dropout (training given ``rng``, else the identity), affine,
     l2_normalize; the last output is the embedding.  ``tapes``, one list
     per branch, receives the branch tapes; without it no tape is kept."""
     config = checkpoint.config
@@ -282,9 +282,8 @@ def _forward(checkpoint: Checkpoint, images: Array,
         _run_branch(branch, bi, params, x,
                     None if tapes is None else tapes[bi])
         for bi, branch in enumerate(config.branches)])]
-    if rng is not None and config.dropout_rate > 0:
-        head.append(ops.dropout(head[-1].output, config.dropout_rate, rng,
-                                training=True))
+    head.append(ops.dropout(head[-1].output, config.dropout_rate, rng,
+                            training=rng is not None))
     head.append(ops.affine(head[-1].output, params["head.weight"],
                            params["head.bias"]))
     head.append(ops.l2_normalize(head[-1].output))
@@ -301,14 +300,13 @@ def embed_with_grad(checkpoint: Checkpoint, images: Array,
     ``(N, merged)`` draw; without it no dropout is applied."""
     _check_images(checkpoint, images)
     tapes: list[list] = [[] for _ in checkpoint.config.branches]
-    merge, *dropout, head, norm = _forward(checkpoint, images, tapes, rng)
+    merge, dropout, head, norm = _forward(checkpoint, images, tapes, rng)
 
     def backward(upstream: Array) -> dict[str, Array]:
         grads: dict[str, Array] = {}
         (u,) = norm.grad(upstream)
         u, grads["head.weight"], grads["head.bias"] = head.grad(u)
-        for r in dropout:
-            (u,) = r.grad(u)
+        (u,) = dropout.grad(u)
         for tape, bu in zip(tapes, merge.grad(u)):
             _backward_chain(tape, bu, grads)
         return grads
@@ -347,7 +345,20 @@ def embed(checkpoint: Checkpoint, images: Array) -> Array:
 
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Write the checkpoint; parameters are stored as little-endian
-    float32, so a float32 checkpoint round-trips bit-exactly."""
+    float32, so a float32 checkpoint round-trips bit-exactly.
+
+    The blocks go in ``parameter_shapes`` order, the order the reader
+    requires.  A parameter that is missing, extra or of another shape than
+    the config implies is one ``DimensionError``, before the file is
+    opened."""
+    shapes = dict(parameter_shapes(checkpoint.config))
+    params = checkpoint.parameters
+    for name in [*shapes, *params]:  # "none": missing, or not implied
+        found = np.shape(params[name]) if name in params else "none"
+        want = shapes.get(name, "none")
+        if found != want:
+            raise DimensionError(f"shape of parameter {name!r} {found}, "
+                                 f"config implies {want}")
     header = json.dumps({
         "config": asdict(checkpoint.config),
         "rng_seed": checkpoint.rng_seed,
@@ -357,12 +368,12 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         fh.write(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        fh.write(struct.pack("<Q", len(checkpoint.parameters)))
-        for name, value in checkpoint.parameters.items():
+        fh.write(struct.pack("<Q", len(shapes)))
+        for name, shape in shapes.items():
             fh.write(pack_name(name))
-            fh.write(struct.pack("<I", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}Q", *value.shape))
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
+            fh.write(struct.pack(f"<I{len(shape)}Q", len(shape), *shape))
+            fh.write(np.ascontiguousarray(params[name], dtype="<f4")
+                     .tobytes())
 
 
 def _expect(found, want, what: str) -> None:

@@ -243,7 +243,7 @@ def concat(inputs: Sequence[Array]) -> OpGrad:
     return OpGrad(out, grad)
 
 
-def dropout(x: Array, rate: float, rng: np.random.Generator,
+def dropout(x: Array, rate: float, rng: np.random.Generator | None,
             training: bool) -> OpGrad:
     """Inverted dropout: zero each element with probability ``rate`` during
     training and scale survivors by ``1/(1-rate)``; identity at inference."""

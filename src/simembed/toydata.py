@@ -91,20 +91,20 @@ def _draw(class_name: str, size: int, rng: np.random.Generator) -> Array:
 
 
 def make_shape_image(class_label: int, size: int,
-                     rng: np.random.Generator, noise: float = 0.08,
-                     polarity_flip: float = 0.5) -> Array:
+                     rng: np.random.Generator, noise: float = 0.08) -> Array:
     """One (1, size, size) float32 image of the given class in [0, 1].
 
-    Half the images are polarity-inverted (dark-on-bright instead of
-    bright-on-dark) and every image is rescaled to mean 0.5 with a random
-    per-image contrast, so only spatial arrangement separates the classes.
+    Each image is polarity-inverted (dark-on-bright instead of
+    bright-on-dark) with probability 1/2 and rescaled to mean 0.5 with a
+    random per-image contrast, so only spatial arrangement separates the
+    classes.
     """
     if not 0 <= class_label < len(CLASS_NAMES):
         raise ConfigError(
             f"class_label must be in [0, {len(CLASS_NAMES)}), "
             f"got {class_label}")
     img = _draw(CLASS_NAMES[class_label], size, rng)
-    if rng.random() < polarity_flip:
+    if rng.random() < 0.5:
         img = 1.0 - img
     if noise > 0:
         img = img + rng.normal(0.0, noise, img.shape)
@@ -115,10 +115,10 @@ def make_shape_image(class_label: int, size: int,
 
 
 def make_shape_dataset(count: int, seed: int, size: int = 28,
-                       noise: float = 0.08,
-                       id_prefix: str = "shape-") -> Dataset:
+                       noise: float = 0.08) -> Dataset:
     """A balanced dataset of ``count`` images cycling through the 10
-    classes; fully determined by ``seed``."""
+    classes, with ids ``shape-00000``, ``shape-00001``, ...; fully
+    determined by ``seed``."""
     if count < len(CLASS_NAMES):
         raise ConfigError(
             f"count must be >= {len(CLASS_NAMES)} for class coverage, "
@@ -127,5 +127,4 @@ def make_shape_dataset(count: int, seed: int, size: int = 28,
     labels = [i % len(CLASS_NAMES) for i in range(count)]
     images = np.stack([make_shape_image(label, size, rng, noise)
                        for label in labels])
-    return Dataset([f"{id_prefix}{i:05d}" for i in range(count)], labels,
-                   images)
+    return Dataset([f"shape-{i:05d}" for i in range(count)], labels, images)

@@ -8,11 +8,12 @@ parameter set under one dropout mask per step, so row i of each arm of a
 pair (or triplet) goes through the same thinned network.  The pair (or
 triplet) loss produces per-row embedding gradients, and the arms'
 parameter gradients are summed before one RMSProp step.  Runs are
-bit-reproducible for a fixed seed on one thread.  A non-finite loss or
-gradient, in a step or in the validation loss after the epoch's last
-step, ends the run before that epoch is logged; ``train`` then returns
-its best validated checkpoint, which is the initial parameters at epoch 0
-when no epoch completed.
+bit-reproducible for a fixed seed: ``net.embed`` and the distance kernel
+split their work over every usable CPU, and their results do not depend
+on the count.  A non-finite loss or gradient, in a step or in the
+validation loss after the epoch's last step, ends the run before that
+epoch is logged; ``train`` then returns its best validated checkpoint,
+which is the initial parameters at epoch 0 when no epoch completed.
 
 ``triplet_accuracy`` and ``topk_recall`` embed images with a checkpoint
 and measure them with the functions of those names in ``retrieval``.
@@ -229,10 +230,17 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     Returns the retained checkpoint (epoch set to the best epoch, 0 for
     the initial parameters) and one log row per completed epoch; a
     diverged epoch ends the run, without numpy's float warnings.
-    Requires at least two classes in the training data.
+    Training or validation data with fewer than two classes, or with
+    images of another shape than the net's input, is refused up front.
     """
-    if len(dataset_train.class_index) < 2:
-        raise DataError("training data needs at least two classes")
+    for what, data in (("training", dataset_train),
+                       ("validation", dataset_val)):
+        classes = len(data.class_index)
+        if classes < 2 or data.image_shape != net_cfg.input_shape:
+            raise DataError(
+                f"{what} data needs at least two classes of "
+                f"{net_cfg.input_shape} images, got {classes} of "
+                f"{data.image_shape}")
 
     checkpoint = net.build_network(net_cfg, seed=train_cfg.seed)
     params = checkpoint.parameters
@@ -265,9 +273,8 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         # ends it; the caller reports the divergence in one line
         try:
             with np.errstate(all="ignore"):
-                losses = [_train_step(checkpoint, params, state,
-                                      dataset_train, train_table, train_cfg,
-                                      rng, lr)
+                losses = [_train_step(checkpoint, state, dataset_train,
+                                      train_table, train_cfg, rng, lr)
                           for _ in range(n_batches)]
                 val_out = [net.embed(checkpoint, arm)
                            for arm in _arms(dataset_val, val_rows)]
@@ -291,13 +298,13 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     return final, logs
 
 
-def _train_step(checkpoint: net.Checkpoint, params: dict, state: dict,
-                dataset: Dataset, table: sampling.CandidateTable,
-                train_cfg: TrainConfig, rng: np.random.Generator,
-                lr: float) -> float:
+def _train_step(checkpoint: net.Checkpoint, state: dict, dataset: Dataset,
+                table: sampling.CandidateTable, train_cfg: TrainConfig,
+                rng: np.random.Generator, lr: float) -> float:
     """Sample one batch, run the siamese arms under one shared dropout
-    mask, apply one RMSProp step.  Mutates ``params`` and ``state`` in
-    place (same dict objects)."""
+    mask, apply one RMSProp step.  Mutates ``checkpoint.parameters`` and
+    ``state`` in place (same dict objects)."""
+    params = checkpoint.parameters
     rows, labels = draw_batch(table, train_cfg, train_cfg.batch_size, rng)
     stacks = _arms(dataset, rows, train_cfg, rng)
 

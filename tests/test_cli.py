@@ -157,6 +157,49 @@ class TestIngest:
         assert err == "error: ConfigError: idx ingest reads no --input\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, refusal", [
+        (["--format", "idx", "--images", "img.gz"],
+         "idx ingest needs --images and --labels"),
+        (["--format", "cifar10"], "cifar10 ingest needs at least one --input"),
+    ], ids=["idx without labels", "cifar10 without input"])
+    def test_missing_input_flag_refused(self, tmp_path, capsys, argv,
+                                        refusal):
+        out = tmp_path / "out.dset"
+        rc = cli.main(["ingest", *argv, "--output", str(out)])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert err == f"error: ConfigError: {refusal}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--offset", "5"], ["--limit", "0"]])
+    def test_slice_selecting_no_items_refused(self, tmp_path, capsys, flags):
+        ip, lp = self.write_idx(tmp_path)
+        out = tmp_path / "out.dset"
+        rc = cli.main(["ingest", "--format", "idx", "--images", ip,
+                       "--labels", lp, "--output", str(out), *flags])
+        err = fails_with_one_line(capsys, rc, "DataError").err
+        assert err == ("error: DataError: offset/limit selects no items "
+                       "(dataset has 5 items)\n")
+        assert not out.exists()
+
+    def test_cifar10_ingest_writes_every_batch(self, tmp_path, capsys):
+        first, second = tmp_path / "b0.bin", tmp_path / "b1.bin"
+        pixels = np.arange(3 * 3072).reshape(3, 3072) % 256
+        first.write_bytes(bytes([4, *pixels[0], 9, *pixels[1]]))
+        second.write_bytes(bytes([0, *pixels[2]]))
+        out = str(tmp_path / "out.dset")
+        assert cli.main(["ingest", "--format", "cifar10", "--input",
+                         str(first), "--input", str(second),
+                         "--output", out]) == 0
+        assert capsys.readouterr().out == ("items=3\nimage_shape=3x32x32\n"
+                                           "classes=3\n")
+        ds = data_io.read_dataset(out)
+        assert ds.ids == ("cifar-b0-00000", "cifar-b0-00001",
+                          "cifar-b1-00000")
+        assert ds.labels.tolist() == [4, 9, 0]
+        assert np.array_equal(ds.images(), (pixels.astype(np.float32)
+                                            / np.float32(255)).reshape(
+                                                3, 3, 32, 32))
+
     @pytest.mark.parametrize("flag", ["--images", "--labels"])
     def test_cifar10_ingest_refuses_idx_files(self, tmp_path, capsys, flag):
         batch = tmp_path / "batch.bin"
@@ -390,6 +433,14 @@ class TestQuery:
         assert rc == 0
         assert stdout.split("\t")[0] == "c0i0"
 
+    def test_data_without_checkpoint_is_refused(self, workdir, capsys):
+        rc = cli.main(["query", "--embeddings", workdir["embeddings"],
+                       "--id", "c0i0", "--data", workdir["dataset"]])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert err == ("error: ConfigError: --data queries need "
+                       "--checkpoint to embed\n")
+        assert capsys.readouterr().out == ""
+
     def test_checkpoint_without_data_is_refused(self, workdir, capsys):
         rc = cli.main(["query", "--embeddings", workdir["embeddings"],
                        "--id", "c0i0", "--checkpoint", workdir["checkpoint"]])
@@ -622,6 +673,20 @@ class TestDiagContrast:
         captured = fails_with_one_line(capsys, rc, "ConfigError")
         assert captured.err.startswith(
             "error: ConfigError: --dims must be integers >= 1")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["--dims", ",", "--k", "1.0"], "--dims must not be empty"),
+        (["--dims", "2", "--k", "1.0", "--points", "1"],
+         "--points must be >= 2, got 1"),
+        # a later exponent is refused before the rows of earlier ones print
+        (["--dims", "2,3", "--k", "1,0", "--points", "5"],
+         "exponent must be > 0, got 0.0"),
+    ], ids=["empty dims", "one point", "later exponent"])
+    def test_refused_before_printing(self, capsys, argv, refusal):
+        rc = cli.main(["diag-contrast", *argv])
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
+        assert captured.err == f"error: ConfigError: {refusal}\n"
         assert captured.out == ""
 
     def test_bad_k_list_rejected(self, capsys):

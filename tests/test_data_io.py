@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from simembed import data_io
+from simembed import data_io, net, retrieval
+from simembed.distance import DistanceMetric
 from simembed.errors import DataError, DimensionError, FormatError
 from simembed.dataset import Dataset, make_dataset
 
@@ -80,6 +81,23 @@ class TestParseIdx:
         with pytest.raises(FormatError, match="range"):
             data_io.parse_idx(images, labels)
 
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda images, labels: (images[:10], labels),
+         "IDX image header truncated at byte 10"),
+        (lambda images, labels: (images, labels[:5]),
+         "IDX label header truncated at byte 5"),
+        (lambda images, labels: (images, images[:4] + labels[4:]),
+         "bad IDX label magic 0x00000803 at byte 0, want 0x00000801"),
+        (lambda images, labels: (images, labels[:-1]),
+         "IDX label payload is 10 bytes, want 11 (truncated at byte 10)"),
+    ], ids=["short image header", "short label header", "label magic",
+            "label payload"])
+    def test_label_file_and_short_header_faults(self, golden_idx, edit,
+                                                refusal):
+        with pytest.raises(FormatError) as err:
+            data_io.parse_idx(*edit(*golden_idx))
+        assert str(err.value) == refusal
+
 
 class TestParseCifar10:
     RECORD = 3073
@@ -140,6 +158,38 @@ class TestParseTripletList:
 
     def test_empty_text_gives_empty_list(self):
         assert data_io.parse_triplet_list("") == []
+
+    def test_repeated_id_reports_line_number(self):
+        with pytest.raises(FormatError, match=r"^line 3: triplet ids must "
+                                              r"be pairwise distinct"):
+            data_io.parse_triplet_list("a,p,n\n\na,p,a\n")
+
+
+def write_index(path, dataset):
+    retrieval.write_embeddings(path, retrieval.build_index(
+        dataset.ids, dataset.labels,
+        dataset.images().reshape(len(dataset), -1), DistanceMetric()))
+
+
+def write_checkpoint(path, dataset):
+    net.save_checkpoint(net.build_network(net.desk_scale_config(), 0), path)
+
+
+@pytest.mark.parametrize("write, read, what", [
+    (data_io.write_dataset, data_io.read_dataset, "dataset"),
+    (write_index, retrieval.read_embeddings, "embedding file"),
+    (write_checkpoint, net.load_checkpoint, "checkpoint"),
+], ids=["dataset", "index", "checkpoint"])
+def test_unsupported_version_rejected(tmp_path, small_dataset, write, read,
+                                      what):
+    path = tmp_path / "file"
+    write(str(path), small_dataset)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 8, 2)  # the u32 after the 8-byte magic
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        read(str(path))
+    assert str(err.value) == f"unsupported {what} version 2"
 
 
 class TestDatasetFile:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from simembed import net, workers
-from simembed.errors import (ConfigError, DataError, DimensionError,
-                             FormatError)
+from simembed.container import pack_name
+from simembed.errors import ConfigError, DimensionError, FormatError
 
 
 def tiny_config(dropout=0.0):
@@ -419,10 +419,37 @@ class TestCheckpointFile:
         assert str(err.value).startswith(f"bad checkpoint header: {message}")
 
     def test_failed_save_leaves_no_file(self, tmp_path):
+        # the last block has the implied shape but no float32 form, so the
+        # save fails after the blocks before it are written
         ckpt = net.build_network(tiny_config(), seed=5)
-        ckpt.parameters["x" * 0x10000] = np.zeros(1, dtype=np.float32)
-        with pytest.raises(DataError, match="too long"):
+        ckpt.parameters["head.bias"] = np.array([object()] * 6)
+        with pytest.raises(TypeError):
             net.save_checkpoint(ckpt, str(tmp_path / "model.ckpt"))
+        assert os.listdir(tmp_path) == []
+
+    def test_parameters_go_in_the_order_the_config_implies(self, tmp_path):
+        ckpt = net.build_network(tiny_config(), seed=5)
+        in_order, reversed_ = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        net.save_checkpoint(ckpt, str(in_order))
+        ckpt.parameters = dict(reversed(ckpt.parameters.items()))
+        net.save_checkpoint(ckpt, str(reversed_))
+        assert reversed_.read_bytes() == in_order.read_bytes()
+
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda p: p.update({"head.bias": np.zeros(3, np.float32)}),
+         "shape of parameter 'head.bias' (3,), config implies (6,)"),
+        (lambda p: p.pop("head.bias"),
+         "shape of parameter 'head.bias' none, config implies (6,)"),
+        (lambda p: p.update(extra=np.zeros(1, np.float32)),
+         "shape of parameter 'extra' (1,), config implies none"),
+    ], ids=["misshapen", "missing", "extra"])
+    def test_parameters_other_than_the_config_implies_not_saved(
+            self, tmp_path, edit, refusal):
+        ckpt = net.build_network(tiny_config(), seed=5)
+        edit(ckpt.parameters)
+        with pytest.raises(DimensionError) as err:
+            net.save_checkpoint(ckpt, str(tmp_path / "model.ckpt"))
+        assert str(err.value) == refusal
         assert os.listdir(tmp_path) == []
 
     def test_loaded_parameters_are_writable(self, tmp_path):
@@ -436,12 +463,20 @@ class TestCheckpointFile:
     @staticmethod
     def _saved_with(tmp_path, edit):
         """A checkpoint file whose parameter blocks are the tiny net's
-        ``(name, array)`` pairs passed through ``edit``."""
+        ``(name, array)`` pairs passed through ``edit``, written here in
+        the block layout, as ``save_checkpoint`` refuses them."""
         ckpt = net.build_network(tiny_config(), seed=5)
-        ckpt.parameters = dict(edit(list(ckpt.parameters.items())))
-        path = str(tmp_path / "edited.ckpt")
-        net.save_checkpoint(ckpt, path)
-        return path
+        path = tmp_path / "edited.ckpt"
+        net.save_checkpoint(ckpt, str(path))
+        blob = path.read_bytes()
+        blocks = edit(list(ckpt.parameters.items()))
+        count_at, _ = checkpoint_fields(blob)["parameter count"]
+        path.write_bytes(blob[:count_at] + struct.pack("<Q", len(blocks))
+                         + b"".join(pack_name(name) + struct.pack(
+                             f"<I{value.ndim}Q", value.ndim, *value.shape)
+                             + value.astype("<f4").tobytes()
+                             for name, value in blocks))
+        return str(path)
 
     @pytest.mark.parametrize("edit, refusal", [
         (lambda blocks: [("branch0.conv0.kernel", blocks[0][1]),

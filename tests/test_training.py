@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simembed import data_io, net, toydata, training
-from simembed.dataset import make_dataset
+from simembed.dataset import Dataset, make_dataset
 from simembed.distance import DistanceMetric
 from simembed.errors import ConfigError, DataError, NumericError
 from simembed.losses import AngularConfig, TripletSample
@@ -250,6 +250,25 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             training.train(one_class, one_class, tiny_net_config(),
                            SamplerConfig(), quick_train_config())
+
+    @pytest.mark.parametrize("val, got", [
+        (lambda ds: ds.subset(ds.class_index[0]), "1 of (1, 8, 8)"),
+        (lambda ds: Dataset(ds.ids, ds.labels,
+                            np.zeros((len(ds), 3, 8, 8), np.float32)),
+         "3 of (3, 8, 8)"),
+    ], ids=["one class", "other shape"])
+    def test_validation_data_refused_before_the_first_step(
+            self, small_dataset, monkeypatch, val, got):
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "_train_step", no_step)
+        with pytest.raises(DataError) as err:
+            training.train(small_dataset, val(small_dataset),
+                           tiny_net_config(), SamplerConfig(n_candidates=3),
+                           quick_train_config())
+        assert str(err.value) == ("validation data needs at least two "
+                                  "classes of (1, 8, 8) images, got " + got)
 
 
     def test_runs_on_a_read_only_dataset_from_a_file(self, tmp_path,
