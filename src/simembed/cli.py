@@ -39,9 +39,15 @@ def _fail(message: str) -> int:
 
 
 def _check_output(path: str, force: bool) -> None:
+    """Refuse ``path`` before any input is read: a directory, an existing
+    file without ``force``, or a path in no existing directory."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output {path!r} is a directory")
     if os.path.exists(path) and not force:
         raise ConfigError(
             f"output {path!r} exists; pass --force to overwrite")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"directory of output {path!r} does not exist")
 
 
 def _load_config(path: str | None, seed: int | None = None,

@@ -72,10 +72,18 @@ def read_name(fh: BinaryIO, what: str) -> str:
         raise FormatError(f"{fh.name}: {what} is not UTF-8") from exc
 
 
+def _is_int32(value) -> bool:
+    try:
+        return value == int(value) and -2 ** 31 <= value < 2 ** 31
+    except (TypeError, ValueError, OverflowError):  # "x", None, NaN, inf
+        return False
+
+
 def record_columns(ids: Sequence[str], labels, count: int,
                    what: str) -> tuple[tuple[str, ...], Array]:
     """The id tuple and int32 labels of ``count`` records (``what``: item,
-    record); no ids, a repeated id or a label outside int32 is one
+    record); no ids, a repeated id or a label that is not an integer value
+    within int32 (``2.0`` is one, ``0.5``, NaN and ``"1"`` are not) is one
     ``DataError``."""
     ids, labels = tuple(ids), np.asarray(labels)
     if not ids:
@@ -83,10 +91,14 @@ def record_columns(ids: Sequence[str], labels, count: int,
     if len(ids) != count or labels.shape != (count,):
         raise DimensionError(
             f"{len(ids)} ids and {labels.shape} labels for {count} {what}s")
-    bad = np.flatnonzero((labels < -2 ** 31) | (labels >= 2 ** 31))
-    if bad.size:
-        raise DataError(f"{what} {ids[bad[0]]!r}: label {labels[bad[0]]} "
-                        f"is outside int32")
+    if labels.dtype.kind in "biu":
+        bad = np.flatnonzero((labels < -2 ** 31) | (labels >= 2 ** 31))
+    else:  # float, object or text labels, checked one by one
+        bad = [i for i, label in enumerate(labels.tolist())
+               if not _is_int32(label)]
+    if len(bad):
+        raise DataError(f"{what} {ids[bad[0]]!r}: label "
+                        f"{labels.tolist()[bad[0]]!r} is not an int32 integer")
     if len(set(ids)) < count:
         first = next(i for i, n in Counter(ids).items() if n > 1)
         raise DataError(f"duplicate {what} id {first!r}")

@@ -11,8 +11,8 @@ The internal container is a header followed by the records of
     magic "DSETV001" | version u32 | count u64 | C,H,W u32 | records
 
 All parsers either return a dataset satisfying the ``Dataset`` invariants
-or raise ``FormatError`` with the offending location; no partial datasets
-escape.
+or raise ``FormatError`` with the offending location (or the error the
+``Dataset`` constructor raises); no partial datasets escape.
 """
 
 from __future__ import annotations

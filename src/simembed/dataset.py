@@ -29,9 +29,9 @@ class Dataset:
     def __init__(self, ids: Sequence[str], labels, images) -> None:
         images = np.ascontiguousarray(images, dtype=np.float32).view()
         self.ids, labels = record_columns(ids, labels, len(images), "item")
-        if images.ndim != 4:
-            raise DimensionError(
-                f"dataset images must be (N, C, H, W), got {images.shape}")
+        if images.ndim != 4 or 0 in images.shape[1:]:
+            raise DimensionError(f"dataset images must be (N, C, H, W) with "
+                                 f"C, H, W >= 1, got {images.shape}")
         labels.flags.writeable = images.flags.writeable = False
         self.labels: Array = labels
         self._images = images
@@ -81,4 +81,4 @@ def make_dataset(entries: Iterable[tuple[str, Array, int]]) -> Dataset:
             raise DimensionError(f"item {item_id!r} has shape "
                                  f"{np.shape(image)}, expected {shape}")
     ids, images, labels = zip(*entries)
-    return Dataset(ids, [int(label) for label in labels], np.stack(images))
+    return Dataset(ids, labels, np.stack(images))

@@ -2,11 +2,12 @@
 
 Positive candidates for a query are its same-class nearest neighbors under
 a cheap similarity scorer: L1 distance between normalized intensity (or
-per-channel color) histograms.  :func:`candidate_table` ranks them once per
-dataset, for every item, and the batch makers draw row indices (positions
-in ``dataset.ids``) from that table.  A ``random_baseline`` strategy
-replaces the scorer with uniform same-class / cross-class draws for
-ablation runs.
+per-channel color) histograms.  :func:`candidate_table` groups a dataset's
+rows by class with one sort of its labels and ranks every item's candidates
+once; batches are row indices (positions in ``dataset.ids``) drawn from it,
+and other-class rows are read off the labels per negative, so a table of N
+rows is O(N) at any class count.  A ``random_baseline`` strategy replaces
+the scorer with uniform same-class / cross-class draws for ablation runs.
 
 The negative rule: :func:`sample_negatives` draws ``round(count *
 in_class_fraction)`` negatives from the query's class outside the
@@ -85,8 +86,8 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class CandidateTable:
     """One dataset's rows (positions in ``dataset.ids``) grouped for
-    sampling under ``cfg``: ``class_rows`` and ``other_rows`` map each class
-    to its rows and to the rows outside it, ascending; ``queryable`` rows
+    sampling under ``cfg``: ``class_rows`` maps each class to its rows,
+    ascending (other-class rows come from ``labels``); ``queryable`` rows
     have a classmate; ``candidates[row]`` lists a row's positive candidates,
     nearest first, or is ``None`` under ``random_baseline``, where a row's
     candidates are its classmates (negatives: see the module docstring)."""
@@ -95,7 +96,6 @@ class CandidateTable:
     ids: tuple[str, ...]
     labels: Array
     class_rows: dict[int, Array]
-    other_rows: dict[int, Array]
     queryable: Array
     candidates: tuple[Array, ...] | None
 
@@ -145,15 +145,14 @@ def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
     first ``cfg.n_candidates``; refuses what the module docstring says."""
     ids = dataset.ids
     labels = dataset.labels
-    class_rows = {label: np.flatnonzero(labels == label)
-                  for label in dataset.class_index}
-    other_rows = {label: np.flatnonzero(labels != label)
-                  for label in class_rows}
-    queryable = np.flatnonzero(
-        [len(class_rows[label]) >= 2 for label in labels])
+    classes, inverse, counts = np.unique(labels, return_inverse=True,
+                                         return_counts=True)
+    class_rows = dict(zip(classes.tolist(), np.split(
+        np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])))
+    queryable = np.flatnonzero(counts[inverse] >= 2)
     candidates = None
     if cfg.strategy == STRATEGY_BISS:
-        smallest = min(map(len, class_rows.values()))
+        smallest = counts.min()
         if round(cfg.in_class_fraction) and cfg.n_candidates >= smallest - 1:
             raise ConfigError(
                 f"in_class_fraction {cfg.in_class_fraction} takes every "
@@ -176,8 +175,7 @@ def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
                     found[query] = ranked[ranked != query][
                         :cfg.n_candidates].copy()  # drop the rest of the row
         candidates = tuple(found)
-    return CandidateTable(cfg, ids, labels, class_rows, other_rows,
-                          queryable, candidates)
+    return CandidateTable(cfg, ids, labels, class_rows, queryable, candidates)
 
 
 def _candidates_cached(table: CandidateTable, row: int) -> Array:
@@ -191,7 +189,7 @@ def _candidates_cached(table: CandidateTable, row: int) -> Array:
 
 
 def _other_rows(table: CandidateTable, row: int) -> Array:
-    others = table.other_rows[table.labels[row]]
+    others = np.flatnonzero(table.labels != table.labels[row])
     if not len(others):
         raise DataError("negative sampling needs at least one other class")
     return others

@@ -246,7 +246,8 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     params = checkpoint.parameters
     state = {name: np.zeros_like(value) for name, value in params.items()}
     train_table = sampling.candidate_table(dataset_train, sampler_cfg)
-    val_table = sampling.candidate_table(dataset_val, sampler_cfg)
+    val_table = train_table if dataset_val is dataset_train \
+        else sampling.candidate_table(dataset_val, sampler_cfg)
 
     # fixed validation batches, sampled once, never augmented
     val_rng = np.random.default_rng([train_cfg.seed, sampler_cfg.rng_seed,

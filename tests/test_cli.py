@@ -827,6 +827,44 @@ class TestCommonFlags:
         assert not out.exists()
 
 
+    @pytest.fixture
+    def nothing_read(self, monkeypatch):
+        """Every input reader and the training run fail if called."""
+        def unread(*args, **kwargs):
+            raise AssertionError("input read before the output was checked")
+        for module, name in ((data_io, "read_dataset"),
+                             (data_io, "load_idx_files"),
+                             (net, "load_checkpoint"), (train_mod, "train")):
+            monkeypatch.setattr(module, name, unread)
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--train-data", "in.dset", "--output", "{out}"],
+        ["train", "--train-data", "in.dset", "--output", "{tmp}/ok.ckpt",
+         "--log", "{out}"],
+        ["embed", "--checkpoint", "m.ckpt", "--data", "in.dset",
+         "--output", "{out}"],
+        ["ingest", "--format", "idx", "--images", "i.gz", "--labels", "l.gz",
+         "--output", "{out}"],
+    ], ids=["train", "train --log", "embed", "ingest"])
+    def test_output_in_a_missing_directory_refused_before_reading(
+            self, tmp_path, capsys, nothing_read, command):
+        out = str(tmp_path / "missing" / "out")
+        rc = cli.main([arg.format(out=out, tmp=tmp_path) for arg in command])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert err == (f"error: ConfigError: directory of output {out!r} "
+                       f"does not exist\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_directory_as_output_refused_before_reading(
+            self, tmp_path, capsys, nothing_read):
+        rc = cli.main(["ingest", "--format", "idx", "--images", "i.gz",
+                       "--labels", "l.gz", "--output", str(tmp_path),
+                       "--force"])
+        err = fails_with_one_line(capsys, rc, "ConfigError").err
+        assert err == (f"error: ConfigError: output {str(tmp_path)!r} is a "
+                       f"directory\n")
+
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 # Every required option of each subcommand, with a value.

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simembed import data_io, net, retrieval
 from simembed.distance import DistanceMetric
@@ -397,6 +400,28 @@ class TestDatasetColumns:
         with pytest.raises(DataError, match="duplicate item id 'a'"):
             Dataset(["a", "b", "a"], [0, 1, 0], np.zeros((3, 1, 2, 2)))
 
+    @pytest.mark.parametrize("labels, shown", [
+        ([0.5, 1.7, 2.0], "0.5"),
+        ([np.nan, 1, 2], "nan"),
+        (["1", "2", "3"], "'1'"),
+    ], ids=["fractions", "nan", "text"])
+    def test_label_that_is_not_an_integer_rejected(self, labels, shown):
+        with pytest.raises(DataError, match=(
+                f"^item 'a': label {shown} is not an int32 integer$")):
+            Dataset(["a", "b", "c"], labels, np.zeros((3, 1, 2, 2)))
+
+    def test_integer_valued_float_labels_accepted(self):
+        ds = Dataset(["a", "b"], [2.0, -7.0], np.zeros((2, 1, 2, 2)))
+        assert ds.labels.tolist() == [2, -7]
+        assert ds.labels.dtype == np.int32
+
+    def test_zero_image_dimension_rejected(self):
+        with pytest.raises(DimensionError, match=r"got \(1, 1, 0, 5\)"):
+            data_io.parse_idx(struct.pack(">IIII", 0x803, 1, 0, 5),
+                              idx_label_bytes([1]))
+        with pytest.raises(DimensionError):
+            Dataset(["a"], [0], np.zeros((1, 0, 2, 2)))
+
     def test_mismatched_columns_rejected(self):
         with pytest.raises(DimensionError):
             Dataset(["a", "b"], [0], np.zeros((2, 1, 2, 2)))
@@ -405,3 +430,71 @@ class TestDatasetColumns:
         with pytest.raises(DimensionError):
             make_dataset([("a", np.zeros((1, 2, 2)), 0),
                           ("b", np.zeros((1, 3, 2)), 0)])
+
+
+# Ids of every length class: empty, unicode, and the longest storable one.
+IDS = st.one_of(st.text(max_size=6), st.text(min_size=300, max_size=600),
+                st.just("z" * 0xFFFF))
+LABELS = st.one_of(st.integers(-2 ** 31, 2 ** 31 - 1),
+                   st.sampled_from([-2 ** 31, 2 ** 31 - 1]))
+
+
+@st.composite
+def columns(draw, row_shape):
+    """Unique ids, int32 labels and float32 rows of ``row_shape``."""
+    ids = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(LABELS, min_size=len(ids), max_size=len(ids)))
+    finite = len(row_shape) == 1  # index vectors must be finite
+    rows = draw(hnp.arrays(np.float32, (len(ids), *row_shape),
+                           elements=st.floats(width=32, allow_nan=not finite,
+                                              allow_infinity=not finite)))
+    return ids, labels, rows
+
+
+def rewrites_bytewise(tmp_path, write, read, value):
+    """Write ``value``, read it back, write that again; return both reads
+    and whether the two files are byte-identical."""
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    write(first, value)
+    back = read(first)
+    write(second, back)
+    return back, open(first, "rb").read() == open(second, "rb").read()
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(),
+       shape=st.tuples(*[st.integers(0, 3)] * 3))
+def test_every_accepted_dataset_round_trips(tmp_path_factory, data, shape):
+    ids, labels, images = data.draw(columns(shape))
+    try:
+        ds = Dataset(ids, labels, images)
+    except DimensionError:  # refused, so nothing to write
+        assert 0 in shape
+        return
+    back, same = rewrites_bytewise(tmp_path_factory.mktemp("dset"),
+                                   data_io.write_dataset,
+                                   data_io.read_dataset, ds)
+    assert same
+    assert back.ids == ds.ids and back.labels.tolist() == labels
+    assert back.images().tobytes() == ds.images().tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), dim=st.integers(0, 4),
+       exponent=st.floats(0.1, 4.0))
+def test_every_accepted_index_round_trips(tmp_path_factory, data, dim,
+                                          exponent):
+    ids, labels, vectors = data.draw(columns((dim,)))
+    try:
+        index = retrieval.build_index(ids, labels, vectors,
+                                      DistanceMetric(exponent))
+    except DimensionError:
+        assert dim == 0
+        return
+    back, same = rewrites_bytewise(tmp_path_factory.mktemp("emb"),
+                                   retrieval.write_embeddings,
+                                   retrieval.read_embeddings, index)
+    assert same
+    assert back.ids == index.ids and back.labels.tolist() == labels
+    assert back.vectors.tobytes() == index.vectors.tobytes()
+    assert back.metric == index.metric

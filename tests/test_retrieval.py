@@ -80,6 +80,12 @@ class TestBuildIndex:
             build_index(["a", "b"], [0, label], np.zeros((2, 3)),
                         DistanceMetric())
 
+    def test_label_that_is_not_an_integer_rejected(self):
+        with pytest.raises(DataError, match=(
+                "^record 'a': label 0.9 is not an int32 integer$")):
+            build_index(["a", "b"], [0.9, 1.2], np.zeros((2, 3)),
+                        DistanceMetric())
+
     def test_vectors_matrix_matches_records(self, rng):
         ids, labels, vectors = random_columns(rng, 10)
         index = build_index(ids, labels, vectors, DistanceMetric())

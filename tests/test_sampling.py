@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from simembed import sampling
-from simembed.dataset import make_dataset
+from simembed.dataset import Dataset, make_dataset
 from simembed.errors import ConfigError, DataError
 from simembed.sampling import BissScorer, SamplerConfig
 
@@ -179,7 +181,8 @@ class TestCandidateTable:
         ds = tie_dataset()
         table = sampling.candidate_table(ds, SamplerConfig())
         assert list(table.class_rows[9]) == [len(ds) - 1]
-        assert list(table.other_rows[9]) == list(range(len(ds) - 1))
+        assert list(sampling._other_rows(table, len(ds) - 1)) == \
+            list(range(len(ds) - 1))
         assert list(table.queryable) == list(range(len(ds) - 1))
         assert ds.labels[table.class_rows[1]].tolist() == [1] * 12
 
@@ -412,6 +415,76 @@ def test_batches_draw_the_recorded_rows(strategy, fraction, seed):
     assert rows.tolist() == pairs
     assert labels.tolist() == [0, 0, 0, 1, 1, 1]
     assert triplets.tolist() == expected_triplets
+
+
+def sixteenths_dataset(sizes):
+    """Classes of ``(label, size)`` in that order, of random 4x4 images whose
+    pixels are multiples of 1/16, so that every histogram bin is exact."""
+    rng = np.random.default_rng(2024)
+    return make_dataset(
+        (f"f{label}-{j}", rng.integers(0, 17, (1, 4, 4)) / 16, label)
+        for label, size in sizes for j in range(size))
+
+
+# Unsorted and negative labels and a singleton class, drawn under each
+# strategy: (pairs, triplets) from one generator.
+FROZEN_BATCHES = {
+    "biss": (
+        [[14, 9], [10, 12], [8, 5], [12, 11], [0, 8], [4, 14], [14, 0],
+         [7, 13]],
+        [[1, 4, 6], [7, 6, 3], [5, 6, 12], [3, 2, 9]]),
+    "random_baseline": (
+        [[14, 12], [10, 14], [8, 7], [12, 10], [0, 8], [4, 14], [14, 0],
+         [7, 13]],
+        [[1, 4, 6], [7, 8, 3], [5, 6, 12], [3, 4, 9]]),
+}
+
+
+class TestFrozenDraws:
+    @pytest.mark.parametrize("strategy", sorted(FROZEN_BATCHES))
+    def test_batches(self, strategy):
+        ds = sixteenths_dataset([(3, 5), (-1, 4), (8, 6), (0, 1)])
+        table = sampling.candidate_table(
+            ds, SamplerConfig(n_candidates=2, strategy=strategy))
+        rng = np.random.default_rng(7)
+        rows, labels = sampling.make_pair_batch(table, 8, 0.5, rng)
+        pairs, triplets = FROZEN_BATCHES[strategy]
+        assert rows.tolist() == pairs
+        assert labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+        assert sampling.make_triplet_batch(table, 4, rng).tolist() == \
+            triplets
+
+    def test_in_class_negatives(self):
+        ds = sixteenths_dataset([(3, 5), (-1, 4), (8, 6)])
+        table = sampling.candidate_table(
+            ds, SamplerConfig(n_candidates=2, in_class_fraction=0.9))
+        rng = np.random.default_rng(7)
+        assert [sampling._negative(table, row, rng)
+                for row in range(len(ds))] == \
+            [4, 3, 4, 4, 3, 8, 7, 8, 7, 14, 14, 9, 9, 9, 10]
+
+    def test_sample_negatives(self):
+        ds = sixteenths_dataset([(3, 5), (-1, 4), (8, 6), (0, 1)])
+        assert sampling.sample_negatives(
+            "f3-0", ds, SamplerConfig(in_class_fraction=0.5), 4,
+            np.random.default_rng(7), exclude=["f3-1"]) == \
+            [("f3-3", True), ("f3-4", True), ("f8-4", False),
+             ("f8-2", False)]
+
+
+def test_random_baseline_table_of_many_classes_is_small():
+    """The table keeps no per-class list of the rows outside the class:
+    4000 items in 2000 classes stay far below the N x C row numbers
+    (64 MB) that such lists would hold."""
+    ds = Dataset([f"i{j}" for j in range(4000)], np.arange(4000) // 2,
+                 np.zeros((4000, 1, 1, 1)))
+    tracemalloc.start()
+    try:
+        sampling.candidate_table(ds, SamplerConfig(strategy="random_baseline"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 class TestMakeTripletBatch:

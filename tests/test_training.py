@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simembed import data_io, net, toydata, training
+from simembed import data_io, net, sampling, toydata, training
 from simembed.dataset import Dataset, make_dataset
 from simembed.distance import DistanceMetric
 from simembed.errors import ConfigError, DataError, NumericError
@@ -244,6 +244,24 @@ class TestTrainLoop:
                                     SamplerConfig(n_candidates=3), cfg)
         assert len(logs) == 1
         assert math.isfinite(logs[0].mean_train_loss)
+
+    @pytest.mark.parametrize("same, tables", [(True, 1), (False, 2)],
+                             ids=["validation is training", "other"])
+    def test_one_candidate_table_per_dataset(self, small_dataset,
+                                             monkeypatch, same, tables):
+        built = []
+
+        def counted(dataset, cfg):
+            built.append(dataset)
+            return candidate_table(dataset, cfg)
+
+        candidate_table = sampling.candidate_table
+        monkeypatch.setattr(sampling, "candidate_table", counted)
+        val = small_dataset if same else small_dataset.subset(
+            small_dataset.ids)
+        training.train(small_dataset, val, tiny_net_config(),
+                       SamplerConfig(n_candidates=3), quick_train_config())
+        assert len(built) == tables
 
     def test_single_class_data_rejected(self, small_dataset):
         one_class = small_dataset.subset(small_dataset.class_index[0])
