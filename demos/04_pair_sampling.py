@@ -18,7 +18,7 @@ from simembed import sampling, toydata
 
 dataset = toydata.make_shape_dataset(200, seed=11)
 print(f"dataset: {len(dataset)} items, "
-      f"{len(dataset.class_index)} shape classes")
+      f"{len(dataset.class_rows)} shape classes")
 
 scorer = sampling.BissScorer(kind="intensity_histogram", bins=16)
 query_id = dataset.ids[0]
@@ -26,8 +26,8 @@ query = dataset.get(query_id)
 print(f"\nquery {query_id} (class {query.class_label})")
 
 # score a few classmates by hand to see what the scorer measures
-classmates = [i for i in dataset.class_index[query.class_label]
-              if i != query_id][:5]
+classmates = [dataset.ids[r] for r in dataset.class_rows[query.class_label]
+              if dataset.ids[r] != query_id][:5]
 for other in classmates:
     s = sampling.biss_score(scorer, query.image, dataset.get(other).image)
     print(f"  score vs {other}: {s:.4f}")
@@ -54,4 +54,4 @@ rows, labels = sampling.make_pair_batch(table, batch_size=8,
                                         rng=np.random.default_rng(1))
 print("\none training batch:")
 for (q, c), label in zip(rows, labels):
-    print(f"  {table.ids[q]} / {table.ids[c]}  label={label}")
+    print(f"  {dataset.ids[q]} / {dataset.ids[c]}  label={label}")

@@ -22,7 +22,8 @@ print(f"train {len(train_set)} / held out {len(held_out)}")
 
 # fixed evaluation triplets from the held-out split
 rng = np.random.default_rng(99)
-by_class = {c: list(ids) for c, ids in held_out.class_index.items()}
+by_class = {c: [held_out.ids[r] for r in rows]
+            for c, rows in held_out.class_rows.items()}
 classes = sorted(by_class)
 triplets = []
 while len(triplets) < 400:

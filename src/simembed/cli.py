@@ -96,7 +96,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     data_io.write_dataset(args.output, dataset)
     print(f"items={len(dataset)}")
     print(f"image_shape={'x'.join(str(s) for s in dataset.image_shape)}")
-    print(f"classes={len(dataset.class_index)}")
+    print(f"classes={len(dataset.class_rows)}")
     return 0
 
 
@@ -258,7 +258,7 @@ def cmd_sample_pairs(args: argparse.Namespace) -> int:
     rng = train_mod.epoch_rng(cfg.train, cfg.sampler, 1)  # train's 1st batch
     rows, labels = train_mod.draw_batch(table, cfg.train, args.count, rng)
     for i, row in enumerate(rows):  # triplets carry no label
-        line = ",".join(table.ids[r] for r in row)
+        line = ",".join(dataset.ids[r] for r in row)
         print(line if labels is None else f"{line},{labels[i]}")
     return 0
 

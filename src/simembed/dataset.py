@@ -1,10 +1,10 @@
-"""In-memory labeled image dataset: the columns of the dataset file's
-records, an id tuple, int32 labels and one float32 (N, C, H, W) image
-array, both arrays read-only so that ``images()`` need not copy."""
+"""In-memory labeled image dataset: read-only id, label and image columns
+of the dataset file's records, and the one grouping of its rows by class."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,8 +23,9 @@ class DatasetItem:
 
 
 class Dataset:
-    """Items with unique ids, in order, indexed by class.  A C-ordered
-    float32 ``images`` is kept, not copied, behind a read-only view."""
+    """Items with unique ids, in order; C-ordered float32 ``images`` are kept,
+    not copied.  ``class_rows`` maps each label to its ascending rows, and
+    ``paired_rows`` are those in a class of two or more; all read-only."""
 
     def __init__(self, ids: Sequence[str], labels, images) -> None:
         images = np.ascontiguousarray(images, dtype=np.float32).view()
@@ -37,23 +38,25 @@ class Dataset:
         self._images = images
         self.image_shape: tuple[int, int, int] = images.shape[1:]
         self._row = {item_id: row for row, item_id in enumerate(self.ids)}
-        classes: dict[int, list[str]] = {}
-        for item_id, label in zip(self.ids, labels.tolist()):
-            classes.setdefault(label, []).append(item_id)
-        self.class_index = {label: tuple(members)
-                            for label, members in classes.items()}
+        classes, inverse, counts = np.unique(labels, return_inverse=True,
+                                             return_counts=True)
+        by_class = np.argsort(inverse, kind="stable")
+        self.paired_rows: Array = np.flatnonzero(counts[inverse] >= 2)
+        by_class.flags.writeable = self.paired_rows.flags.writeable = False
+        self.class_rows = MappingProxyType(dict(zip(
+            classes.tolist(), np.split(by_class, np.cumsum(counts)[:-1]))))
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _rows(self, ids: Iterable[str]) -> list[int]:
+    def rows(self, ids: Iterable[str]) -> list[int]:
         try:
             return [self._row[item_id] for item_id in ids]
         except KeyError as exc:
             raise DataError(f"no item with id {exc.args[0]!r}") from None
 
     def get(self, item_id: str) -> DatasetItem:
-        (row,) = self._rows([item_id])
+        (row,) = self.rows([item_id])
         return DatasetItem(item_id, self._images[row], int(self.labels[row]))
 
     def images(self, ids: Sequence[str] | None = None) -> Array:
@@ -61,11 +64,11 @@ class Dataset:
         stack of those of ``ids``."""
         if ids is None:
             return self._images
-        return self._images[self._rows(ids)]
+        return self._images[self.rows(ids)]
 
     def subset(self, ids: Iterable[str]) -> "Dataset":
         ids = tuple(ids)
-        rows = self._rows(ids)
+        rows = self.rows(ids)
         return Dataset(ids, self.labels[rows], self._images[rows])
 
 

@@ -4,9 +4,9 @@ the numeric config fields.
 A config class declares each number field's range in its type hint,
 ``rate: Annotated[float, Range(0, 1, "[)")]``, and calls
 :func:`check_ranges` from ``__post_init__``, so the range holds however
-the class is built; a field hinted ``int`` takes only integers, numpy's
-included.  ``typing.get_type_hints`` drops the range unless asked for
-extras, so readers of the plain types see ``float``.
+the class is built; an ``int`` field takes integers, numpy's included,
+a ``float`` field real numbers, and neither a bool.  ``get_type_hints``
+drops the range unless asked for extras, so plain readers see ``float``.
 """
 
 from __future__ import annotations
@@ -76,16 +76,17 @@ def _ranges(cls: type) -> tuple[tuple[str, Range, bool, bool], ...]:
 
 
 def check_ranges(config: object) -> None:
-    """Raise ``ConfigError`` for the first field of ``config`` that is not
-    an integer where its type hint says ``int``, or is outside the range
-    the hint declares."""
+    """Raise ``ConfigError`` for the first field of ``config`` that is a
+    bool or not of its hinted kind of number, or outside the range the
+    hint declares."""
     for name, bound, optional, integral in _ranges(type(config)):
         value = getattr(config, name)
         if optional and value is None:
             continue
         either = "None or " if optional else ""
-        if integral and not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be {either}an integer, "
-                              f"got {value!r}")
+        noun, kind = ("an integer", numbers.Integral) if integral \
+            else ("a number", numbers.Real)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {either}{noun}, got {value!r}")
         if value not in bound:
             raise ConfigError(f"{name} must be {either}{bound}, got {value}")

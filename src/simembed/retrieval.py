@@ -30,7 +30,7 @@ import numpy as np
 from .container import (atomic_write, pack_header, read_header, read_struct,
                         read_records, record_columns, write_records)
 from .distance import DistanceMetric, knn, knn_many, triplet_correct
-from .errors import DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, FormatError
 from .losses import TripletSample
 
 Array = np.ndarray
@@ -95,13 +95,17 @@ def write_embeddings(path: str, index: EmbeddingIndex) -> None:
 
 
 def read_embeddings(path: str) -> EmbeddingIndex:
-    """Read an index written by ``write_embeddings``, rejecting truncated,
-    padded or foreign files, non-finite vectors and duplicate ids."""
+    """Read a ``write_embeddings`` index, rejecting truncated, padded or
+    foreign files, a bad metric, non-finite vectors and duplicate ids."""
     with open(path, "rb") as fh:
         read_header(fh, EMBED_MAGIC, EMBED_VERSION, "embedding file")
         exponent, dim, count = read_struct(fh, EMBED_HEADER, "header")
+        try:
+            metric = DistanceMetric(exponent)
+        except ConfigError as exc:
+            raise FormatError(f"{fh.name}: bad header: {exc}") from None
         ids, labels, vectors = read_records(fh, count, (dim,), "record")
-    return build_index(ids, labels, vectors, DistanceMetric(exponent))
+    return build_index(ids, labels, vectors, metric)
 
 
 def rows_of(index: EmbeddingIndex, ids: Sequence[str],

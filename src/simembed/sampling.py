@@ -2,10 +2,10 @@
 
 Positive candidates for a query are its same-class nearest neighbors under
 a cheap similarity scorer: L1 distance between normalized intensity (or
-per-channel color) histograms.  :func:`candidate_table` groups a dataset's
-rows by class with one sort of its labels and ranks every item's candidates
-once; batches are row indices (positions in ``dataset.ids``) drawn from it,
-and other-class rows are read off the labels per negative, so a table of N
+per-channel color) histograms.  :func:`candidate_table` ranks every item's
+candidates once, within the dataset's own grouping (``Dataset.class_rows``);
+batches are row indices (positions in ``dataset.ids``) drawn from it, and
+other-class rows are read off the labels per negative, so a table of N
 rows is O(N) at any class count.  A ``random_baseline`` strategy replaces
 the scorer with uniform same-class / cross-class draws for ablation runs.
 
@@ -85,18 +85,13 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class CandidateTable:
-    """One dataset's rows (positions in ``dataset.ids``) grouped for
-    sampling under ``cfg``: ``class_rows`` maps each class to its rows,
-    ascending (other-class rows come from ``labels``); ``queryable`` rows
-    have a classmate; ``candidates[row]`` lists a row's positive candidates,
-    nearest first, or is ``None`` under ``random_baseline``, where a row's
+    """``dataset``, which holds the class grouping, ready for sampling under
+    ``cfg``: ``candidates[row]`` lists a row's positive candidates, nearest
+    first, or is ``None`` under ``random_baseline``, where a row's
     candidates are its classmates (negatives: see the module docstring)."""
 
     cfg: SamplerConfig
-    ids: tuple[str, ...]
-    labels: Array
-    class_rows: dict[int, Array]
-    queryable: Array
+    dataset: Dataset
     candidates: tuple[Array, ...] | None
 
 
@@ -127,7 +122,8 @@ def positive_candidates(query_id: str, dataset: Dataset,
     ``cfg.scorer``, ascending score with ties broken by ascending id; the query
     itself is excluded."""
     query = dataset.get(query_id)
-    classmates = dataset.class_index[query.class_label]
+    classmates = [dataset.ids[r]
+                  for r in dataset.class_rows[query.class_label]]
     if len(classmates) < 2:
         raise DataError(
             f"item {query_id!r} is alone in class {query.class_label}; "
@@ -140,19 +136,13 @@ def positive_candidates(query_id: str, dataset: Dataset,
 
 
 def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
-    """Group ``dataset``'s rows by class and, under the ``biss`` strategy,
-    rank each row's classmates by (``cfg.scorer`` score, id) and keep the
-    first ``cfg.n_candidates``; refuses what the module docstring says."""
-    ids = dataset.ids
-    labels = dataset.labels
-    classes, inverse, counts = np.unique(labels, return_inverse=True,
-                                         return_counts=True)
-    class_rows = dict(zip(classes.tolist(), np.split(
-        np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])))
-    queryable = np.flatnonzero(counts[inverse] >= 2)
+    """Under the ``biss`` strategy, rank each of ``dataset``'s rows'
+    classmates by (``cfg.scorer`` score, id) and keep the first
+    ``cfg.n_candidates``; refuses what the module docstring says."""
     candidates = None
     if cfg.strategy == STRATEGY_BISS:
-        smallest = counts.min()
+        ids = dataset.ids
+        smallest = min(map(len, dataset.class_rows.values()))
         if round(cfg.in_class_fraction) and cfg.n_candidates >= smallest - 1:
             raise ConfigError(
                 f"in_class_fraction {cfg.in_class_fraction} takes every "
@@ -163,7 +153,7 @@ def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
                           for image in dataset.images()])
         id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
         found = [_NO_ROWS] * len(ids)
-        for rows in class_rows.values():
+        for rows in dataset.class_rows.values():
             step = max(1, _SCORE_BLOCK // (len(rows) * hists.shape[1]))
             for start in range(0, len(rows), step):
                 queries = rows[start:start + step]
@@ -175,7 +165,7 @@ def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
                     found[query] = ranked[ranked != query][
                         :cfg.n_candidates].copy()  # drop the rest of the row
         candidates = tuple(found)
-    return CandidateTable(cfg, ids, labels, class_rows, queryable, candidates)
+    return CandidateTable(cfg, dataset, candidates)
 
 
 def _candidates_cached(table: CandidateTable, row: int) -> Array:
@@ -184,21 +174,20 @@ def _candidates_cached(table: CandidateTable, row: int) -> Array:
     this name."""
     if table.candidates is not None:
         return table.candidates[row]
-    classmates = table.class_rows[table.labels[row]]
-    return classmates[classmates != row]
+    return _in_class_pool(table.dataset, row, ())
 
 
-def _other_rows(table: CandidateTable, row: int) -> Array:
-    others = np.flatnonzero(table.labels != table.labels[row])
+def _other_rows(dataset: Dataset, row: int) -> Array:
+    others = np.flatnonzero(dataset.labels != dataset.labels[row])
     if not len(others):
         raise DataError("negative sampling needs at least one other class")
     return others
 
 
-def _in_class_pool(table: CandidateTable, row: int,
+def _in_class_pool(dataset: Dataset, row: int,
                    exclude: Sequence[int] | Array) -> Array:
     """``row``'s classmates other than itself and outside ``exclude``."""
-    classmates = table.class_rows[table.labels[row]]
+    classmates = dataset.class_rows[dataset.labels[row]]
     return classmates[~np.isin(classmates, exclude) & (classmates != row)]
 
 
@@ -213,15 +202,14 @@ def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
     Returns ``(id, in_class)`` tuples, in-class entries first.  Raises
     ``DataError`` naming the shortfall when a pool is too small.
     """
-    dataset.get(query_id)  # DataError naming an unknown id
-    # the random-baseline table groups the rows and ranks nothing
-    table = candidate_table(dataset, replace(cfg, strategy=STRATEGY_RANDOM))
-    row_of = {item_id: row for row, item_id in enumerate(table.ids)}
-    row = row_of[query_id]
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
+    (row,) = dataset.rows([query_id])
     n_in = int(round(count * cfg.in_class_fraction))
-    out_pool = _other_rows(table, row)
-    in_pool = _in_class_pool(table, row,
-                             [row_of[i] for i in exclude if i in row_of])
+    out_pool = _other_rows(dataset, row)
+    skip = set(exclude)
+    in_pool = _in_class_pool(dataset, row, ())
+    in_pool = in_pool[[dataset.ids[r] not in skip for r in in_pool]]
     picked = []
     for pool, need, in_class, name in (
             (in_pool, n_in, True, f"in-class negative pool for {query_id!r}"),
@@ -229,7 +217,7 @@ def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
         if len(pool) < need:
             raise DataError(f"{name} has {len(pool)} items, need {need} "
                             f"(short by {need - len(pool)})")
-        picked += [(table.ids[r], in_class) for r in
+        picked += [(dataset.ids[r], in_class) for r in
                    pool[rng.choice(len(pool), size=need, replace=False)]]
     return picked
 
@@ -237,17 +225,17 @@ def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
 def _negative(table: CandidateTable, row: int,
               rng: np.random.Generator) -> int:
     """One negative row for ``row``, by the rule in the module docstring."""
-    cfg = table.cfg
-    pool = _other_rows(table, row)
+    cfg, dataset = table.cfg, table.dataset
+    pool = _other_rows(dataset, row)
     if cfg.strategy == STRATEGY_BISS and round(cfg.in_class_fraction):
-        pool = _in_class_pool(table, row, _candidates_cached(table, row))
+        pool = _in_class_pool(dataset, row, _candidates_cached(table, row))
     return pool[rng.integers(len(pool))]
 
 
 def _queryable(table: CandidateTable) -> Array:
-    if not len(table.queryable):
+    if not len(table.dataset.paired_rows):
         raise DataError("no class in the dataset has two or more items")
-    return table.queryable
+    return table.dataset.paired_rows
 
 
 def make_pair_batch(table: CandidateTable, batch_size: int,
@@ -280,7 +268,7 @@ def make_pair_batch(table: CandidateTable, batch_size: int,
         candidates = _candidates_cached(table, query)
         rows[i] = query, candidates[rng.integers(len(candidates))]
     for i in range(n_pos, batch_size):
-        query = rng.integers(len(table.ids))
+        query = rng.integers(len(table.dataset))
         rows[i] = query, _negative(table, query, rng)
     return rows, (np.arange(batch_size) >= n_pos).astype(np.intp)
 

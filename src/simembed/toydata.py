@@ -23,6 +23,7 @@ CLASS_NAMES = (
     "h_stripes", "v_stripes", "diag_stripes", "disc", "ring",
     "square", "checker", "radial_gradient", "linear_gradient", "cross",
 )
+MIN_SIZE = 17  # a cross's bars sit at least 8 pixels from each edge
 
 
 def _grids(size: int) -> tuple[Array, Array]:
@@ -103,6 +104,8 @@ def make_shape_image(class_label: int, size: int,
         raise ConfigError(
             f"class_label must be in [0, {len(CLASS_NAMES)}), "
             f"got {class_label}")
+    if size < MIN_SIZE:
+        raise ConfigError(f"size must be >= {MIN_SIZE}, got {size}")
     img = _draw(CLASS_NAMES[class_label], size, rng)
     if rng.random() < 0.5:
         img = 1.0 - img

@@ -235,7 +235,7 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     """
     for what, data in (("training", dataset_train),
                        ("validation", dataset_val)):
-        classes = len(data.class_index)
+        classes = len(data.class_rows)
         if classes < 2 or data.image_shape != net_cfg.input_shape:
             raise DataError(
                 f"{what} data needs at least two classes of "
@@ -254,7 +254,7 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
                                      0x5EED])
     val_rows, val_labels = draw_batch(val_table, train_cfg,
                                       train_cfg.val_pairs, val_rng)
-    val_triplets = [TripletSample(*(val_table.ids[row] for row in rows))
+    val_triplets = [TripletSample(*(dataset_val.ids[row] for row in rows))
                     for rows in sampling.make_triplet_batch(
                         val_table, train_cfg.val_triplets, val_rng)]
 

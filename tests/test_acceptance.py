@@ -30,7 +30,8 @@ def report(capsys, num: int, passed: bool, detail: str) -> None:
 
 def sample_triplets(dataset: Dataset, count: int,
                     rng: np.random.Generator) -> list[TripletSample]:
-    by_class = {c: list(ids) for c, ids in dataset.class_index.items()}
+    by_class = {c: [dataset.ids[r] for r in rows]
+                for c, rows in dataset.class_rows.items()}
     classes = sorted(by_class)
     triplets = []
     while len(triplets) < count:

@@ -765,7 +765,7 @@ class TestSamplePairs:
 
         def recorded(table, cfg, size, rng):
             rows, labels = draw_batch(table, cfg, size, rng)
-            drawn.append([[table.ids[r] for r in row]
+            drawn.append([[table.dataset.ids[r] for r in row]
                           + ([] if labels is None else [str(labels[i])])
                           for i, row in enumerate(rows)])
             return rows, labels

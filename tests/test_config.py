@@ -419,6 +419,17 @@ class TestRanges:
         assert str(built.value) == f"{name} must be an integer, got 2.5"
 
     @pytest.mark.parametrize(
+        "cls, name", [(cls, name) for cls, name, *_ in RANGED],
+        ids=[f"{cls.__name__}.{name}" for cls, name, *_ in RANGED])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_is_refused(self, cls, name, value):
+        path, document = WHERE[cls]
+        base = _at(config.parse_run_config(document({})), path)
+        with pytest.raises(ConfigError, match=(
+                f"^{name} must be .*(an integer|a number), got {value}$")):
+            replace(base, **{name: value})
+
+    @pytest.mark.parametrize(
         "cls, name, bound", INTS,
         ids=[f"{cls.__name__}.{name}" for cls, name, _ in INTS])
     def test_int_field_takes_numpy_integers_and_no_float(self, cls, name,

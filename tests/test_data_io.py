@@ -377,7 +377,9 @@ class TestDatasetColumns:
         assert part.ids == ("c2i3", "c0i1")
         assert part.labels.tolist() == [2, 0]
         assert np.array_equal(part.images(), small_dataset.images()[[11, 1]])
-        assert part.class_index == {2: ("c2i3",), 0: ("c0i1",)}
+        assert {label: tuple(part.ids[r] for r in rows)
+                for label, rows in part.class_rows.items()} == \
+            {2: ("c2i3",), 0: ("c0i1",)}
 
     @pytest.mark.parametrize("label", [2 ** 31, -2 ** 31 - 1, 2 ** 70])
     def test_label_outside_int32_rejected(self, label):
@@ -477,6 +479,32 @@ def test_every_accepted_dataset_round_trips(tmp_path_factory, data, shape):
     assert same
     assert back.ids == ds.ids and back.labels.tolist() == labels
     assert back.images().tobytes() == ds.images().tobytes()
+
+
+@st.composite
+def class_labels(draw):
+    """Unsorted int32 labels drawn from one to six classes, so that single
+    classes, singletons and both int32 bounds all turn up."""
+    pool = draw(st.lists(LABELS, min_size=1, max_size=6, unique=True))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+@settings(deadline=None, max_examples=100)
+@given(labels=class_labels())
+def test_rows_are_grouped_by_class(labels):
+    ds = Dataset([f"i{j}" for j in range(len(labels))], labels,
+                 np.zeros((len(labels), 1, 1, 1), np.float32))
+    labels = np.array(labels)
+    assert {label: rows.tolist() for label, rows in ds.class_rows.items()} \
+        == {label: np.flatnonzero(labels == label).tolist()
+            for label in set(labels.tolist())}
+    assert ds.paired_rows.tolist() == [
+        row for row, label in enumerate(labels) if (labels == label).sum() > 1]
+    for rows in (*ds.class_rows.values(), ds.paired_rows):
+        with pytest.raises(ValueError):
+            rows[...] = 0
+    with pytest.raises(TypeError):
+        ds.class_rows[int(labels[0])] = ds.paired_rows
 
 
 @settings(deadline=None, max_examples=60)

@@ -321,6 +321,19 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match="truncated"):
             retrieval.read_embeddings(str(path))
 
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_metric_exponent_names_the_file(self, tmp_path, rng,
+                                                 exponent):
+        path = str(tmp_path / "ok.emb")
+        retrieval.write_embeddings(path, random_index(rng, 3))
+        blob = bytearray(open(path, "rb").read())
+        blob[12:20] = struct.pack("<d", exponent)  # after magic and version
+        bad = tmp_path / "exponent.emb"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=(
+                r"exponent\.emb: bad header: exponent must be > 0, got")):
+            retrieval.read_embeddings(str(bad))
+
     def test_non_utf8_id_rejected(self, tmp_path):
         path = tmp_path / "latin.emb"
         path.write_bytes(emb_bytes([(b"\xff\xfe", 0, [1.0, 2.0])], dim=2))

@@ -13,6 +13,10 @@ def flat_image(value, size=8):
     return np.full((1, size, size), value, dtype=np.float32)
 
 
+def class_ids(ds, label):
+    return [ds.ids[r] for r in ds.class_rows[label]]
+
+
 def dataset_of_flats(values_by_class):
     """{class_label: [pixel values]} -> Dataset of constant images."""
     return make_dataset((f"c{label}i{j}", flat_image(v), label)
@@ -99,7 +103,7 @@ class TestPositiveCandidates:
         query = ds.get("a00").image
         scored = sorted(
             ((sampling.biss_score(scorer, query, ds.get(i).image), i)
-             for i in ds.class_index[0] if i != "a00"))
+             for i in class_ids(ds, 0) if i != "a00"))
         assert got == [i for _, i in scored[:7]]
 
     def test_singleton_class_rejected(self):
@@ -129,7 +133,8 @@ def tie_dataset():
 
 
 def table_ids(table, row):
-    return [table.ids[r] for r in sampling._candidates_cached(table, row)]
+    return [table.dataset.ids[r]
+            for r in sampling._candidates_cached(table, row)]
 
 
 class TestCandidateTable:
@@ -142,7 +147,7 @@ class TestCandidateTable:
         for row, item in enumerate(map(ds.get, ds.ids)):
             scored = sorted(
                 (sampling.biss_score(scorer, item.image, ds.get(i).image), i)
-                for i in ds.class_index[item.class_label] if i != item.id)
+                for i in class_ids(ds, item.class_label) if i != item.id)
             assert table_ids(table, row) == [i for _, i in scored[:n]]
             if len(scored):
                 assert table_ids(table, row) == sampling.positive_candidates(
@@ -172,26 +177,25 @@ class TestCandidateTable:
         for row, item in enumerate(map(ds.get, ds.ids)):
             by_hand = sorted(
                 (sampling.biss_score(scorer, item.image, ds.get(i).image), i)
-                for i in ds.class_index[item.class_label] if i != item.id)
+                for i in class_ids(ds, item.class_label) if i != item.id)
             assert table_ids(table, row) == [i for _, i in by_hand[:5]]
         assert any(table_ids(table, row) != table_ids(default, row)
                    for row in range(len(ds)))
 
     def test_groups_rows_by_class(self):
         ds = tie_dataset()
-        table = sampling.candidate_table(ds, SamplerConfig())
-        assert list(table.class_rows[9]) == [len(ds) - 1]
-        assert list(sampling._other_rows(table, len(ds) - 1)) == \
+        assert list(ds.class_rows[9]) == [len(ds) - 1]
+        assert list(sampling._other_rows(ds, len(ds) - 1)) == \
             list(range(len(ds) - 1))
-        assert list(table.queryable) == list(range(len(ds) - 1))
-        assert ds.labels[table.class_rows[1]].tolist() == [1] * 12
+        assert list(ds.paired_rows) == list(range(len(ds) - 1))
+        assert ds.labels[ds.class_rows[1]].tolist() == [1] * 12
 
     def test_random_baseline_candidates_are_classmates(self):
         ds = tie_dataset()
         table = sampling.candidate_table(
             ds, SamplerConfig(strategy="random_baseline"))
         assert table.candidates is None
-        classmates = [i for i in ds.class_index[0] if i != ds.ids[5]]
+        classmates = [i for i in class_ids(ds, 0) if i != ds.ids[5]]
         assert table_ids(table, 5) == classmates
 
     def test_refuses_a_class_without_in_class_negatives(self):
@@ -215,7 +219,7 @@ class TestCandidateTable:
 
 
 def pair_ids(table, rows, labels):
-    return [(table.ids[q], table.ids[c], int(label))
+    return [(table.dataset.ids[q], table.dataset.ids[c], int(label))
             for (q, c), label in zip(rows, labels)]
 
 
@@ -285,6 +289,14 @@ class TestSampleNegatives:
             sampling.sample_negatives("c0i0", ds, SamplerConfig(), 2,
                                       np.random.default_rng(0))
 
+    def test_negative_count_refused_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=r"^count must be >= 0, got -1$"):
+            sampling.sample_negatives("c0i0", self.make_ds(), SamplerConfig(),
+                                      -1, rng)
+        assert rng.bit_generator.state == before
+
 
 class TestMakePairBatch:
     def batch(self, ds, cfg, seed, batch_size=16, pos_fraction=0.5):
@@ -336,7 +348,7 @@ class TestMakePairBatch:
         rows, labels = sampling.make_pair_batch(
             table, 40, 0.0, np.random.default_rng(4))
         for q, c in rows:
-            assert (table.labels[q] == table.labels[c]) == in_class
+            assert (ds.labels[q] == ds.labels[c]) == in_class
             assert c not in sampling._candidates_cached(table, q)
 
     def test_same_seed_reproduces_batch(self, small_dataset):

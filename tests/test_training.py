@@ -264,13 +264,15 @@ class TestTrainLoop:
         assert len(built) == tables
 
     def test_single_class_data_rejected(self, small_dataset):
-        one_class = small_dataset.subset(small_dataset.class_index[0])
+        one_class = small_dataset.subset(
+            small_dataset.ids[r] for r in small_dataset.class_rows[0])
         with pytest.raises(DataError):
             training.train(one_class, one_class, tiny_net_config(),
                            SamplerConfig(), quick_train_config())
 
     @pytest.mark.parametrize("val, got", [
-        (lambda ds: ds.subset(ds.class_index[0]), "1 of (1, 8, 8)"),
+        (lambda ds: ds.subset(ds.ids[r] for r in ds.class_rows[0]),
+         "1 of (1, 8, 8)"),
         (lambda ds: Dataset(ds.ids, ds.labels,
                             np.zeros((len(ds), 3, 8, 8), np.float32)),
          "3 of (3, 8, 8)"),
