@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +44,8 @@ EMBED_HEADER = "<dIQ"  # after the version: metric exponent, dim, count
 @dataclass(frozen=True, eq=False)
 class EmbeddingIndex:
     """Records of an id, an int32 label and a float32 vector row, queried
-    under ``metric``; ``size`` and ``dim`` are derived, never stored."""
+    under ``metric``; ``size`` and ``dim`` are derived, never stored, and
+    the id -> row map is built at its first use."""
 
     metric: DistanceMetric
     ids: tuple[str, ...]
@@ -57,6 +59,10 @@ class EmbeddingIndex:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    @cached_property
+    def _row(self) -> dict[str, int]:
+        return {item_id: i for i, item_id in enumerate(self.ids)}
 
 
 def build_index(ids: Sequence[str], labels, vectors,
@@ -112,9 +118,9 @@ def rows_of(index: EmbeddingIndex, ids: Sequence[str],
             what: str = "id") -> Array:
     """The index row of each of ``ids``, in order; the first id not in the
     index raises ``DataError``, naming it as a ``what``."""
-    row = {item_id: i for i, item_id in enumerate(index.ids)}
     try:
-        return np.array([row[item_id] for item_id in ids], dtype=np.intp)
+        return np.array([index._row[item_id] for item_id in ids],
+                        dtype=np.intp)
     except KeyError as exc:
         raise DataError(f"{what} {exc.args[0]!r} not in embeddings") from None
 

@@ -46,6 +46,8 @@ STRATEGY_RANDOM = "random_baseline"
 
 # Scores held at once while ranking one class: queries x classmates x bins.
 _SCORE_BLOCK = 1 << 16
+# Pixels binned at once by ``_histograms``, as ``np.histogram`` blocks them.
+_HIST_BLOCK = 1 << 16
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
@@ -95,16 +97,41 @@ class CandidateTable:
     candidates: tuple[Array, ...] | None
 
 
-def _histogram(scorer: BissScorer, image: Array) -> Array:
-    """Normalized histogram feature for one (C, H, W) image in [0, 1]."""
-    planes = [image.mean(axis=0)] if scorer.kind == SCORER_INTENSITY \
-        else image
-    parts = []
-    for plane in planes:
-        hist, _ = np.histogram(plane, bins=scorer.bins, range=(0.0, 1.0))
-        total = hist.sum()
-        parts.append(hist / total if total else hist.astype(np.float64))
-    return np.concatenate(parts)
+def _histograms(scorer: BissScorer, images: Array) -> Array:
+    """Normalized histogram features of (N, C, H, W) images in [0, 1], one
+    row per image.  A plane's counts are ``np.histogram``'s over the range
+    (0, 1), count for count: its uniform-bin rule, run on a block of images
+    at a time instead of one call per plane."""
+    bins = scorer.bins
+    n, c, h, w = images.shape
+    if scorer.kind == SCORER_INTENSITY:
+        c = 1
+    counts = np.empty((n, c, bins), np.intp)
+    step = max(1, _HIST_BLOCK // (c * h * w))
+    for start in range(0, n, step):
+        block = images[start:start + step]
+        if scorer.kind == SCORER_INTENSITY:
+            block = block.mean(axis=1)
+        block = block.reshape(-1, h * w)  # one row per plane
+        if block.dtype.kind != "f":
+            block = block.astype(np.float64)
+        edges = np.linspace(0.0, 1.0, bins + 1, dtype=block.dtype)
+        keep = (block >= 0.0) & (block <= 1.0)
+        block = np.where(keep, block, 0)
+        # numpy's bin (a - 0) / np.float64(1 - 0) * bins, moved by one where
+        # it disagrees with the edges; 1.0 falls in the last bin, and a pixel
+        # outside the range in an extra bin that is cut off
+        index = (block / np.float64(1.0) * bins).astype(np.intp)
+        index[index == bins] -= 1
+        index -= block < edges[index]
+        index += (block >= edges[index + 1]) & (index != bins - 1)
+        index[~keep] = bins
+        index += np.arange(len(block))[:, None] * (bins + 1)
+        found = np.bincount(index.ravel(),
+                            minlength=len(block) * (bins + 1))
+        counts[start:start + step] = found.reshape(-1, c, bins + 1)[..., :bins]
+    totals = counts.sum(axis=2, keepdims=True)
+    return (counts / np.maximum(totals, 1)).reshape(n, c * bins)
 
 
 def biss_score(scorer: BissScorer, a: Array, b: Array) -> float:
@@ -113,7 +140,9 @@ def biss_score(scorer: BissScorer, a: Array, b: Array) -> float:
     if a.shape != b.shape:
         raise DimensionError(
             f"images differ in shape: {a.shape} vs {b.shape}")
-    return float(np.abs(_histogram(scorer, a) - _histogram(scorer, b)).sum())
+    first, second = (_histograms(scorer, np.asarray(image)[None])
+                     for image in (a, b))
+    return float(np.abs(first - second).sum())
 
 
 def positive_candidates(query_id: str, dataset: Dataset,
@@ -149,8 +178,7 @@ def candidate_table(dataset: Dataset, cfg: SamplerConfig) -> CandidateTable:
                 f"batch negative from a query's non-candidate classmates, "
                 f"but n_candidates {cfg.n_candidates} leaves none in a "
                 f"class of {smallest}")
-        hists = np.stack([_histogram(cfg.scorer, image)
-                          for image in dataset.images()])
+        hists = _histograms(cfg.scorer, dataset.images())
         id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
         found = [_NO_ROWS] * len(ids)
         for rows in dataset.class_rows.values():

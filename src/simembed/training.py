@@ -7,13 +7,16 @@ every batch's query and candidate images are embedded by the same
 parameter set under one dropout mask per step, so row i of each arm of a
 pair (or triplet) goes through the same thinned network.  The pair (or
 triplet) loss produces per-row embedding gradients, and the arms'
-parameter gradients are summed before one RMSProp step.  Runs are
-bit-reproducible for a fixed seed: ``net.embed`` and the distance kernel
-split their work over every usable CPU, and their results do not depend
-on the count.  A non-finite loss or gradient, in a step or in the
-validation loss after the epoch's last step, ends the run before that
-epoch is logged; ``train`` then returns its best validated checkpoint,
-which is the initial parameters at epoch 0 when no epoch completed.
+parameter gradients are summed, in arm order, before one RMSProp step.
+Each arm's forward and backward pass runs on a worker of its own, one run
+of arms per usable CPU (``workers``); the loss runs in the caller between
+them.  Runs are bit-reproducible for a fixed seed: the arms, ``net.embed``
+and the distance kernel split their work over every usable CPU, and
+their results do not depend on the count.  A non-finite loss or
+gradient, in a step or in the validation loss after the epoch's last
+step, ends the run before that epoch is logged; ``train`` then returns
+its best validated checkpoint, which is the initial parameters at epoch
+0 when no epoch completed.
 
 ``triplet_accuracy`` and ``topk_recall`` embed images with a checkpoint
 and measure them with the functions of those names in ``retrieval``.
@@ -28,7 +31,7 @@ from typing import Annotated, Mapping, Sequence
 
 import numpy as np
 
-from . import net, retrieval, sampling
+from . import net, retrieval, sampling, workers
 from .container import atomic_write
 from .dataset import Dataset
 from .distance import EUCLIDEAN, DistanceMetric
@@ -314,18 +317,31 @@ def _train_step(checkpoint: net.Checkpoint, state: dict, dataset: Dataset,
     # a mask per arm the positive term mostly measures mask noise, which
     # the net lowers by collapsing the embedding.
     mask_seed = int(rng.integers(2 ** 63))
-    outputs, backwards = zip(*(
-        net.embed_with_grad(checkpoint, stack,
-                            rng=np.random.default_rng(mask_seed))
-        for stack in stacks))
+    outputs: list = [None] * len(stacks)
+    backwards: list = [None] * len(stacks)
+    arm_grads: list = [None] * len(stacks)
+
+    def forward(_: int, arms: range) -> None:
+        for a in arms:
+            outputs[a], backwards[a] = net.embed_with_grad(
+                checkpoint, stacks[a], rng=np.random.default_rng(mask_seed))
+
+    def backward(_: int, arms: range) -> None:
+        for a in arms:
+            arm_grads[a] = backwards[a](upstream[a])
+
+    runs = workers.split(range(len(stacks)))
+    workers.run(forward, runs)
     loss, row_grads = batch_loss(np.concatenate(outputs), labels,
                                  _arm_rows(outputs), train_cfg.loss,
                                  train_cfg.loss_metric)
+    upstream = np.split(row_grads, len(stacks))
+    workers.run(backward, runs)
 
     grads: dict[str, Array] = {name: np.zeros_like(p)
                                for name, p in params.items()}
-    for back, arm_grads in zip(backwards, np.split(row_grads, len(stacks))):
-        for name, g in back(arm_grads).items():
+    for one_arm in arm_grads:  # in arm order, so the sums keep their bits
+        for name, g in one_arm.items():
             grads[name] += g.astype(grads[name].dtype, copy=False)
 
     new_params, new_state = rmsprop_step(params, grads, state, train_cfg,

@@ -71,6 +71,39 @@ class TestBissScore:
             BissScorer(kind="embedding")
 
 
+class TestHistograms:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bins", [2, 7, 10, 16, 33])
+    @pytest.mark.parametrize("kind", ["intensity_histogram",
+                                      "color_histogram"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_counts_are_np_histograms(self, rng, kind, bins, channels,
+                                      dtype):
+        """Every image's feature is its planes' ``np.histogram`` counts
+        over (0, 1), each divided by its total, bit for bit.  Pixels lie
+        on the bin edges, one ulp either side of them, at 0.0 and 1.0 and
+        just outside the range."""
+        edges = np.linspace(0, 1, bins + 1, dtype=dtype)
+        pool = np.concatenate([edges, np.nextafter(edges, dtype(2)),
+                               np.nextafter(edges, dtype(-1)),
+                               np.array([0.0, 1.0, -0.0], dtype)])
+        images = rng.choice(pool, (40, channels, 6, 5))
+        images[:8] = rng.uniform(0, 1, (8, channels, 6, 5))
+        images[8] = 1.0
+        images[9] = 0.0
+        images[10] = -1.0  # no pixel in range: a zero feature
+        scorer = BissScorer(kind, bins)
+        want = []
+        for image in images:
+            planes = [image.mean(axis=0)] if kind == "intensity_histogram" \
+                else image
+            for plane in planes:
+                counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0))
+                want.append(counts / max(counts.sum(), 1))
+        got = sampling._histograms(scorer, images)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
 class TestPositiveCandidates:
     def test_clamped_to_class_size(self):
         ds = dataset_of_flats({0: [0.1, 0.2, 0.3, 0.4, 0.5], 1: [0.9]})

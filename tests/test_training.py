@@ -1,15 +1,16 @@
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simembed import data_io, net, sampling, toydata, training
+from simembed import data_io, losses, net, sampling, toydata, training, workers
 from simembed.dataset import Dataset, make_dataset
 from simembed.distance import DistanceMetric
 from simembed.errors import ConfigError, DataError, NumericError
-from simembed.losses import AngularConfig, TripletSample
+from simembed.losses import AngularConfig, ContrastiveConfig, TripletSample
 from simembed.retrieval import build_index
 from simembed.sampling import SamplerConfig
 from simembed.training import TrainConfig, TrainLogRow
@@ -310,6 +311,113 @@ class TestTrainLoop:
         assert vectors.shape == (len(ds), 6)
         assert np.array_equal(vectors,
                               net.embed(in_memory, small_dataset.images()))
+
+
+class TestThreadedStep:
+    """``_train_step`` embeds each siamese arm, and runs its backward, on
+    a worker of its own; every parameter bit equals the one-thread step's
+    at any CPU count."""
+
+    @staticmethod
+    def sequential_step(checkpoint, state, dataset, table, cfg, rng, lr):
+        """The step with its arms one after another in the caller."""
+        rows, labels = training.draw_batch(table, cfg, cfg.batch_size, rng)
+        stacks = training._arms(dataset, rows, cfg, rng)
+        mask_seed = int(rng.integers(2 ** 63))
+        outputs, backwards = zip(*(net.embed_with_grad(
+            checkpoint, stack, rng=np.random.default_rng(mask_seed))
+            for stack in stacks))
+        loss, row_grads = losses.batch_loss(
+            np.concatenate(outputs), labels, training._arm_rows(outputs),
+            cfg.loss, cfg.loss_metric)
+        grads = {name: np.zeros_like(p)
+                 for name, p in checkpoint.parameters.items()}
+        for back, up in zip(backwards, np.split(row_grads, len(stacks))):
+            for name, g in back(up).items():
+                grads[name] += g.astype(grads[name].dtype, copy=False)
+        params, new_state = training.rmsprop_step(
+            checkpoint.parameters, grads, state, cfg, learning_rate=lr)
+        checkpoint.parameters.update(params)
+        state.update(new_state)
+        return loss
+
+    @staticmethod
+    def steps(step, dataset, cfg, count=4):
+        """Losses and the parameter and state bytes after ``count`` seeded
+        steps of ``step``."""
+        checkpoint = net.build_network(
+            replace(tiny_net_config(), dropout_rate=0.25), seed=2)
+        state = {name: np.zeros_like(p)
+                 for name, p in checkpoint.parameters.items()}
+        table = sampling.candidate_table(dataset,
+                                         SamplerConfig(n_candidates=3))
+        rng = np.random.default_rng(5)
+        losses_ = [step(checkpoint, state, dataset, table, cfg, rng,
+                        cfg.learning_rate) for _ in range(count)]
+        return losses_, b"".join(
+            checkpoint.parameters[name].tobytes() + state[name].tobytes()
+            for name in sorted(state))
+
+    @pytest.mark.parametrize("loss, arms", [(ContrastiveConfig(), 2),
+                                            (AngularConfig(), 3)],
+                             ids=["contrastive", "angular"])
+    def test_steps_do_not_depend_on_the_cpu_count(self, small_dataset,
+                                                  monkeypatch, loss, arms):
+        """On 2 CPUs the angular loss's third arm shares a worker."""
+        cfg = quick_train_config(loss=loss, augmentation=frozenset(
+            {"hflip", "shift"}))
+        want = self.steps(self.sequential_step, small_dataset, cfg)
+        threads = []
+        inner = net.embed_with_grad
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(net, "embed_with_grad", recorded)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            threads.clear()
+            assert self.steps(training._train_step, small_dataset,
+                              cfg) == want
+            assert [len(set(threads[i:i + arms]))
+                    for i in range(0, len(threads), arms)] == \
+                [min(cpus, arms)] * 4
+
+    @pytest.mark.parametrize("raiser", ["caller", "worker"])
+    def test_a_raising_backward_raises_in_the_caller(self, small_dataset,
+                                                     monkeypatch, raiser):
+        """One arm's backward raises, in a worker or in the caller: the
+        step raises once every worker is joined, and changes nothing."""
+        inner = net.embed_with_grad
+
+        def failing(*args, **kwargs):
+            out, back = inner(*args, **kwargs)
+
+            def backward(upstream):
+                in_caller = threading.current_thread() is \
+                    threading.main_thread()
+                if in_caller == (raiser == "caller"):
+                    raise MemoryError("no room for the arm's gradients")
+                return back(upstream)
+
+            return out, backward
+
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(net, "embed_with_grad", failing)
+        checkpoint = net.build_network(tiny_net_config(), seed=2)
+        before = {name: p.copy() for name, p in checkpoint.parameters.items()}
+        state = {name: np.zeros_like(p) for name, p in before.items()}
+        table = sampling.candidate_table(small_dataset,
+                                         SamplerConfig(n_candidates=3))
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="arm's gradients"):
+            training._train_step(checkpoint, state, small_dataset, table,
+                                 quick_train_config(),
+                                 np.random.default_rng(5), 1e-3)
+        assert threading.active_count() == threads
+        for name, p in before.items():
+            assert np.array_equal(checkpoint.parameters[name], p)
 
 
 class TestDivergence:
