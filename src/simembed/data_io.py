@@ -153,12 +153,13 @@ def parse_triplet_list(text: str) -> list[TripletSample]:
 
 def parse_query_list(text: str) -> list[tuple[str, list[str]]]:
     """Parse ``query_id,truth_id[,...]`` lines into ``(query_id, truth_ids)``
-    pairs, skipping blanks and ``#`` comments.  Raises ``DataError`` with
-    the line number on a malformed line, or if no line is usable."""
+    pairs, skipping blanks and ``#`` comments.  Raises ``FormatError`` with
+    the line number on a malformed line, and ``DataError`` if no line is
+    usable."""
     queries = []
     for lineno, raw, parts in _list_lines(text):
         if len(parts) < 2 or not all(parts):
-            raise DataError(
+            raise FormatError(
                 f"line {lineno}: expected query_id,truth_id[,...], "
                 f"got {raw!r}")
         queries.append((parts[0], parts[1:]))

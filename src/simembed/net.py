@@ -11,10 +11,10 @@ comparable.
 Default sizing keeps an 8:2:1 ratio between the deep branch and the two
 shallow ones (64:16:8 at desk scale with a 64-dim final embedding).
 Dropout, when enabled, is applied to the merged branch vector only when
-:func:`embed_with_grad` is handed an ``rng``, as training does.  The mask
-is drawn from that generator, so two calls with equally seeded generators
-and equal row counts apply the same mask; siamese training relies on this
-to send every arm of a pair or triplet through one thinned network.
+:func:`embed_with_grad` is handed an ``rng`` (``ops.dropout``'s one switch),
+as the training step does with the images it augmented.  Equally seeded
+generators and equal row counts draw the same mask, so the step sends
+every arm of a pair or triplet through one thinned network.
 """
 
 from __future__ import annotations
@@ -282,8 +282,7 @@ def _forward(checkpoint: Checkpoint, images: Array,
         _run_branch(branch, bi, params, x,
                     None if tapes is None else tapes[bi])
         for bi, branch in enumerate(config.branches)])]
-    head.append(ops.dropout(head[-1].output, config.dropout_rate, rng,
-                            training=rng is not None))
+    head.append(ops.dropout(head[-1].output, config.dropout_rate, rng))
     head.append(ops.affine(head[-1].output, params["head.weight"],
                            params["head.bias"]))
     head.append(ops.l2_normalize(head[-1].output))
@@ -349,8 +348,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
     The blocks go in ``parameter_shapes`` order, the order the reader
     requires.  A parameter that is missing, extra or of another shape than
-    the config implies is one ``DimensionError``, before the file is
-    opened."""
+    the config implies is one ``DimensionError``, a refused ``rng_seed`` or
+    ``epoch`` one ``ConfigError``, both before the file is opened."""
     shapes = dict(parameter_shapes(checkpoint.config))
     params = checkpoint.parameters
     for name in [*shapes, *params]:  # "none": missing, or not implied
@@ -359,11 +358,10 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         if found != want:
             raise DimensionError(f"shape of parameter {name!r} {found}, "
                                  f"config implies {want}")
-    header = json.dumps({
-        "config": asdict(checkpoint.config),
-        "rng_seed": checkpoint.rng_seed,
-        "epoch": checkpoint.epoch,
-    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    counts = {"rng_seed": checkpoint.rng_seed, "epoch": checkpoint.epoch}
+    _check_counts(counts)
+    header = json.dumps({"config": asdict(checkpoint.config), **counts},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
@@ -376,6 +374,14 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
                      .tobytes())
 
 
+def _check_counts(counts: dict) -> None:
+    """``ConfigError`` unless each count is a non-negative int, not a bool."""
+    for field, value in counts.items():
+        if type(value) is not int or value < 0:
+            raise ConfigError(
+                f"{field} must be a non-negative integer, got {value!r}")
+
+
 def _expect(found, want, what: str) -> None:
     if found != want:
         raise FormatError(f"{what} {found!r}, config implies {want!r}")
@@ -384,7 +390,8 @@ def _expect(found, want, what: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, checking the block count and each block's name,
     rank and dims as they are read against the ``parameter_shapes`` of
-    its header's config; a mismatch is one ``FormatError``."""
+    its header's config; a mismatch, or a refused ``rng_seed`` or
+    ``epoch``, is one ``FormatError``."""
     from .config import parse_net_config  # config imports this module
     with open(path, "rb") as fh:
         read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
@@ -392,7 +399,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         try:
             header = json.loads(read_exact(fh, header_len, "header"))
             config = parse_net_config(header["config"])
-            rng_seed, epoch = header["rng_seed"], header["epoch"]
+            counts = {field: header[field] for field in ("rng_seed", "epoch")}
+            _check_counts(counts)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad checkpoint header: {exc}") from exc
         expected = parameter_shapes(config)
@@ -411,4 +419,4 @@ def load_checkpoint(path: str) -> Checkpoint:
                 shape).copy()
         if fh.read(1):
             raise FormatError("trailing bytes after final parameter block")
-    return Checkpoint(config, params, rng_seed=rng_seed, epoch=epoch)
+    return Checkpoint(config, params, **counts)

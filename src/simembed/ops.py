@@ -243,13 +243,13 @@ def concat(inputs: Sequence[Array]) -> OpGrad:
     return OpGrad(out, grad)
 
 
-def dropout(x: Array, rate: float, rng: np.random.Generator | None,
-            training: bool) -> OpGrad:
-    """Inverted dropout: zero each element with probability ``rate`` during
-    training and scale survivors by ``1/(1-rate)``; identity at inference."""
+def dropout(x: Array, rate: float, rng: np.random.Generator | None) -> OpGrad:
+    """Inverted dropout: one ``x.shape`` draw from ``rng`` zeroes each element
+    with probability ``rate`` and scales survivors by ``1/(1-rate)``.
+    Without ``rng`` (inference) or at rate 0: the identity, drawing nothing."""
     if not 0 <= rate < 1:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0:
+    if rng is None or rate == 0:
         return OpGrad(x, lambda upstream: (upstream,))
     keep = rng.random(x.shape) >= rate
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)

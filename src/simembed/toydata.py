@@ -3,11 +3,11 @@
 Classes are simple textures and shapes (stripe orientations, disc, ring,
 square, checkerboard, gradients, cross).  Every parameter that does not
 define the class is jittered per image: phase, position, scale, polarity,
-contrast, plus additive noise, and each image is standardized to a random
-target contrast around mean 0.5.  First-order pixel statistics therefore
-carry no class signal by construction; an untrained embedding scores near
-chance on triplet ordering while the spatial structure keeps the classes
-easy for a small convolutional net.
+contrast, plus additive noise (std ``NOISE``), and each image is
+standardized to a random target contrast around mean 0.5.  First-order
+pixel statistics therefore carry no class signal by construction; an
+untrained embedding scores near chance on triplet ordering while the
+spatial structure keeps the classes easy for a small convolutional net.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ CLASS_NAMES = (
     "square", "checker", "radial_gradient", "linear_gradient", "cross",
 )
 MIN_SIZE = 17  # a cross's bars sit at least 8 pixels from each edge
+NOISE = 0.08  # std of the pixel noise added before standardizing
 
 
 def _grids(size: int) -> tuple[Array, Array]:
@@ -92,7 +93,7 @@ def _draw(class_name: str, size: int, rng: np.random.Generator) -> Array:
 
 
 def make_shape_image(class_label: int, size: int,
-                     rng: np.random.Generator, noise: float = 0.08) -> Array:
+                     rng: np.random.Generator) -> Array:
     """One (1, size, size) float32 image of the given class in [0, 1].
 
     Each image is polarity-inverted (dark-on-bright instead of
@@ -109,16 +110,14 @@ def make_shape_image(class_label: int, size: int,
     img = _draw(CLASS_NAMES[class_label], size, rng)
     if rng.random() < 0.5:
         img = 1.0 - img
-    if noise > 0:
-        img = img + rng.normal(0.0, noise, img.shape)
+    img = img + rng.normal(0.0, NOISE, img.shape)
     spread = img.std()
     target = rng.uniform(0.15, 0.25)
     img = (img - img.mean()) / (spread if spread > 1e-6 else 1.0) * target
     return np.clip(img + 0.5, 0.0, 1.0).astype(np.float32)[None, :, :]
 
 
-def make_shape_dataset(count: int, seed: int, size: int = 28,
-                       noise: float = 0.08) -> Dataset:
+def make_shape_dataset(count: int, seed: int, size: int = 28) -> Dataset:
     """A balanced dataset of ``count`` images cycling through the 10
     classes, with ids ``shape-00000``, ``shape-00001``, ...; fully
     determined by ``seed``."""
@@ -128,6 +127,5 @@ def make_shape_dataset(count: int, seed: int, size: int = 28,
             f"got {count}")
     rng = np.random.default_rng(seed)
     labels = [i % len(CLASS_NAMES) for i in range(count)]
-    images = np.stack([make_shape_image(label, size, rng, noise)
-                       for label in labels])
+    images = np.stack([make_shape_image(label, size, rng) for label in labels])
     return Dataset([f"shape-{i:05d}" for i in range(count)], labels, images)

@@ -2,10 +2,12 @@
 
 ``train`` builds one candidate table per dataset when it starts and draws
 every batch from it with :func:`draw_batch` (negatives: see ``sampling``'s
-module docstring) as rows of dataset positions.  Training is siamese:
-every batch's query and candidate images are embedded by the same
-parameter set under one dropout mask per step, so row i of each arm of a
-pair (or triplet) goes through the same thinned network.  The pair (or
+module docstring) as rows of dataset positions.  The step gathers a
+batch's images and runs each occurrence through :func:`augment` on its
+own; validation batches are gathered alike, never augmented.  Training
+is siamese: every batch's query and candidate images are embedded by the
+same parameter set under one dropout mask per step, so row i of each arm
+of a pair (or triplet) goes through the same thinned network.  The pair (or
 triplet) loss produces per-row embedding gradients, and the arms'
 parameter gradients are summed, in arm order, before one RMSProp step.
 Each arm's forward and backward pass runs on a worker of its own, one run
@@ -143,7 +145,7 @@ def rmsprop_step(params: Mapping[str, Array], grads: Mapping[str, Array],
 def _rotate_nearest(image: Array, degrees: float) -> Array:
     """Rotate (C, H, W) about the center with nearest-neighbor sampling and
     zero fill outside the frame."""
-    c, h, w = image.shape
+    h, w = image.shape[1:]
     theta = math.radians(degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -152,12 +154,8 @@ def _rotate_nearest(image: Array, degrees: float) -> Array:
     src_y = np.rint(cos_t * yy + sin_t * xx + cy).astype(np.int64)
     src_x = np.rint(-sin_t * yy + cos_t * xx + cx).astype(np.int64)
     valid = (src_y >= 0) & (src_y < h) & (src_x >= 0) & (src_x < w)
-    out = np.zeros_like(image)
-    sy = np.clip(src_y, 0, h - 1)
-    sx = np.clip(src_x, 0, w - 1)
-    for ch in range(c):
-        out[ch] = np.where(valid, image[ch][sy, sx], 0.0)
-    return out
+    return np.where(valid, image[:, np.clip(src_y, 0, h - 1),
+                                 np.clip(src_x, 0, w - 1)], 0.0)
 
 
 def _shift(image: Array, dy: int, dx: int) -> Array:
@@ -175,7 +173,7 @@ def augment(image: Array, cfg: TrainConfig,
             rng: np.random.Generator) -> Array:
     """Apply each enabled transform with probability 1/2, in the fixed
     order flip, shift, rotate.  Pixels stay in their original range; shifts
-    and rotations zero-fill."""
+    and rotations zero-fill.  With no transform it draws nothing."""
     out = image
     if AUG_HFLIP in cfg.augmentation and rng.random() < 0.5:
         out = out[:, :, ::-1]
@@ -185,20 +183,13 @@ def augment(image: Array, cfg: TrainConfig,
         out = _shift(out, dy, dx)
     if AUG_ROTATE in cfg.augmentation and rng.random() < 0.5:
         degrees = float(rng.uniform(-ROTATE_MAX_DEG, ROTATE_MAX_DEG))
-        out = _rotate_nearest(np.ascontiguousarray(out), degrees)
+        out = _rotate_nearest(out, degrees)
     return np.ascontiguousarray(out)
 
 
-def _arms(dataset: Dataset, rows: Array, cfg: TrainConfig | None = None,
-          rng: np.random.Generator | None = None) -> list[Array]:
-    """One (B, C, H, W) image stack per column of sample ``rows``.  Given
-    ``rng``, every occurrence is augmented on its own, column by column,
-    so self-pairs see two different views."""
-    arms = [dataset.images()[column] for column in rows.T]
-    if rng is not None and cfg.augmentation:
-        arms = [np.stack([augment(image, cfg, rng) for image in arm])
-                for arm in arms]
-    return arms
+def _arms(dataset: Dataset, rows: Array) -> list[Array]:
+    """One (B, C, H, W) image stack per column of sample ``rows``."""
+    return [dataset.images()[column] for column in rows.T]
 
 
 def _arm_rows(arms: Sequence[Array]) -> Array:
@@ -277,8 +268,8 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         # ends it; the caller reports the divergence in one line
         try:
             with np.errstate(all="ignore"):
-                losses = [_train_step(checkpoint, state, dataset_train,
-                                      train_table, train_cfg, rng, lr)
+                losses = [_train_step(checkpoint, state, train_table,
+                                      train_cfg, rng, lr)
                           for _ in range(n_batches)]
                 val_out = [net.embed(checkpoint, arm)
                            for arm in _arms(dataset_val, val_rows)]
@@ -302,48 +293,47 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     return final, logs
 
 
-def _train_step(checkpoint: net.Checkpoint, state: dict, dataset: Dataset,
+def _train_step(checkpoint: net.Checkpoint, state: dict,
                 table: sampling.CandidateTable, train_cfg: TrainConfig,
                 rng: np.random.Generator, lr: float) -> float:
-    """Sample one batch, run the siamese arms under one shared dropout
-    mask, apply one RMSProp step.  Mutates ``checkpoint.parameters`` and
-    ``state`` in place (same dict objects)."""
+    """Sample one batch of ``table.dataset``, augment each occurrence on
+    its own (self-pairs see two views), run the siamese arms under one
+    shared dropout mask, apply one RMSProp step.  Mutates
+    ``checkpoint.parameters`` and ``state`` in place (same dict objects)."""
     params = checkpoint.parameters
     rows, labels = draw_batch(table, train_cfg, train_cfg.batch_size, rng)
-    stacks = _arms(dataset, rows, train_cfg, rng)
+    stacks = [np.stack([augment(image, train_cfg, rng) for image in arm])
+              for arm in _arms(table.dataset, rows)]
 
     # Every arm gets a generator seeded alike, and the stacks have equal
     # row counts, so row i of each stack draws the same dropout mask.  With
     # a mask per arm the positive term mostly measures mask noise, which
     # the net lowers by collapsing the embedding.
     mask_seed = int(rng.integers(2 ** 63))
-    outputs: list = [None] * len(stacks)
-    backwards: list = [None] * len(stacks)
+    passes: list = [None] * len(stacks)  # (embedding, backward) per arm
     arm_grads: list = [None] * len(stacks)
 
     def forward(_: int, arms: range) -> None:
         for a in arms:
-            outputs[a], backwards[a] = net.embed_with_grad(
+            passes[a] = net.embed_with_grad(
                 checkpoint, stacks[a], rng=np.random.default_rng(mask_seed))
 
     def backward(_: int, arms: range) -> None:
         for a in arms:
-            arm_grads[a] = backwards[a](upstream[a])
+            arm_grads[a] = passes[a][1](upstream[a])
 
     runs = workers.split(range(len(stacks)))
     workers.run(forward, runs)
+    outputs = [embedding for embedding, _ in passes]
     loss, row_grads = batch_loss(np.concatenate(outputs), labels,
                                  _arm_rows(outputs), train_cfg.loss,
                                  train_cfg.loss_metric)
     upstream = np.split(row_grads, len(stacks))
     workers.run(backward, runs)
 
-    grads: dict[str, Array] = {name: np.zeros_like(p)
-                               for name, p in params.items()}
-    for one_arm in arm_grads:  # in arm order, so the sums keep their bits
-        for name, g in one_arm.items():
-            grads[name] += g.astype(grads[name].dtype, copy=False)
-
+    # summed in arm order, so the sums keep their bits
+    grads = {name: sum((g[name] for g in arm_grads), np.zeros_like(p))
+             for name, p in params.items()}
     new_params, new_state = rmsprop_step(params, grads, state, train_cfg,
                                          learning_rate=lr)
     params.update(new_params)

@@ -100,8 +100,7 @@ def _op_case_makers():
     def dropout_case(rng):
         # a fresh identically-seeded generator per call fixes the mask, so
         # central differences see a deterministic linear map
-        return (lambda x: ops.dropout(x, 0.35, np.random.default_rng(9),
-                                      training=True),
+        return (lambda x: ops.dropout(x, 0.35, np.random.default_rng(9)),
                 [rng.standard_normal((4, 6))])
 
     return {"conv2d": conv_case, "relu": relu_case,

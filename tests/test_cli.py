@@ -578,8 +578,8 @@ class TestEval:
         queries.write_text("# query,truth\nc1i0,c1i1\nc0i0\n")
         rc = cli.main(["eval", "--embeddings", workdir["embeddings"],
                        "--queries", str(queries)])
-        captured = fails_with_one_line(capsys, rc, "DataError")
-        assert captured.err.startswith("error: DataError: line 3: ")
+        captured = fails_with_one_line(capsys, rc, "FormatError")
+        assert captured.err.startswith("error: FormatError: line 3: ")
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 

@@ -168,6 +168,15 @@ class TestParseTripletList:
             data_io.parse_triplet_list("a,p,n\n\na,p,a\n")
 
 
+class TestParseQueryList:
+    @pytest.mark.parametrize("line", ["q1", "q1,,t2"],
+                             ids=["one field", "empty field"])
+    def test_malformed_line_reports_line_number(self, line):
+        with pytest.raises(FormatError, match=r"^line 2: expected "
+                                              r"query_id,truth_id"):
+            data_io.parse_query_list(f"q0,t0\n{line}\n")
+
+
 def write_index(path, dataset):
     retrieval.write_embeddings(path, retrieval.build_index(
         dataset.ids, dataset.labels,

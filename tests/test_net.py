@@ -418,6 +418,26 @@ class TestCheckpointFile:
             net.load_checkpoint(str(bad))
         assert str(err.value).startswith(f"bad checkpoint header: {message}")
 
+    @pytest.mark.parametrize("field, value", [
+        ("epoch", "three"), ("epoch", -1), ("epoch", True),
+        ("rng_seed", 1.5), ("rng_seed", None)])
+    def test_counts_other_than_non_negative_integers_rejected(
+            self, tmp_path, field, value):
+        ckpt = net.build_network(tiny_config(), seed=5)
+        path = tmp_path / "model.ckpt"
+        net.save_checkpoint(ckpt, str(path))
+        path.write_bytes(with_header(path.read_bytes(),
+                                     lambda h: h.update({field: value})))
+        refusal = f"{field} must be a non-negative integer, got {value!r}"
+        with pytest.raises(FormatError) as err:
+            net.load_checkpoint(str(path))
+        assert str(err.value) == f"bad checkpoint header: {refusal}"
+        setattr(ckpt, field, value)
+        with pytest.raises(ConfigError) as err:
+            net.save_checkpoint(ckpt, str(tmp_path / "again.ckpt"))
+        assert str(err.value) == refusal
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
     def test_failed_save_leaves_no_file(self, tmp_path):
         # the last block has the implied shape but no float32 form, so the
         # save fails after the blocks before it are written

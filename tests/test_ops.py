@@ -440,30 +440,47 @@ class TestConcat:
 class TestDropout:
     def test_rate_zero_identity(self, rng):
         x = rng.standard_normal((4, 4))
-        out = ops.dropout(x, 0.0, rng, training=True).output
+        out = ops.dropout(x, 0.0, rng).output
         assert np.array_equal(out, x)
 
     def test_inference_identity(self, rng):
         x = rng.standard_normal((4, 4))
-        out = ops.dropout(x, 0.9, rng, training=False).output
+        out = ops.dropout(x, 0.9, None).output
         assert np.array_equal(out, x)
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(11)
         x = np.ones((100, 1000))
-        out = ops.dropout(x, 0.5, rng, training=True).output
+        out = ops.dropout(x, 0.5, rng).output
         assert abs(out.mean() - 1.0) < 0.05
 
     def test_bad_rate_rejected(self, rng):
         with pytest.raises(ConfigError):
-            ops.dropout(np.zeros((2, 2)), 1.0, rng, training=True)
+            ops.dropout(np.zeros((2, 2)), 1.0, rng)
 
     def test_gradients_with_fixed_mask(self):
         x = np.random.default_rng(4).standard_normal((3, 5)) + 3.0
         report = fd(lambda a: ops.dropout(a, 0.4,
-                                          np.random.default_rng(9), True),
+                                          np.random.default_rng(9)),
                     [x])
         assert report.passed, report
+
+    def test_without_a_generator_the_gradient_is_the_identity(self, rng):
+        x, upstream = rng.standard_normal((2, 3, 4))
+        result = ops.dropout(x, 0.5, None)
+        assert np.array_equal(result.output, x)
+        (dx,) = result.grad(upstream)
+        assert np.array_equal(dx, upstream)
+
+    @pytest.mark.parametrize("rate, draws", [(0.0, 0), (0.3, 1)])
+    def test_draws_once_in_the_input_shape_unless_the_rate_is_zero(
+            self, rate, draws):
+        x = np.ones((3, 7))
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        ops.dropout(x, rate, rng)
+        for _ in range(draws):
+            twin.random(x.shape)
+        assert rng.random() == twin.random()
 
 
 class TestFiniteDiffCheck:

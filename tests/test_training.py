@@ -319,10 +319,12 @@ class TestThreadedStep:
     at any CPU count."""
 
     @staticmethod
-    def sequential_step(checkpoint, state, dataset, table, cfg, rng, lr):
+    def sequential_step(checkpoint, state, table, cfg, rng, lr):
         """The step with its arms one after another in the caller."""
         rows, labels = training.draw_batch(table, cfg, cfg.batch_size, rng)
-        stacks = training._arms(dataset, rows, cfg, rng)
+        stacks = [np.stack([training.augment(image, cfg, rng)
+                            for image in arm])
+                  for arm in training._arms(table.dataset, rows)]
         mask_seed = int(rng.integers(2 ** 63))
         outputs, backwards = zip(*(net.embed_with_grad(
             checkpoint, stack, rng=np.random.default_rng(mask_seed))
@@ -352,7 +354,7 @@ class TestThreadedStep:
         table = sampling.candidate_table(dataset,
                                          SamplerConfig(n_candidates=3))
         rng = np.random.default_rng(5)
-        losses_ = [step(checkpoint, state, dataset, table, cfg, rng,
+        losses_ = [step(checkpoint, state, table, cfg, rng,
                         cfg.learning_rate) for _ in range(count)]
         return losses_, b"".join(
             checkpoint.parameters[name].tobytes() + state[name].tobytes()
@@ -412,7 +414,7 @@ class TestThreadedStep:
                                          SamplerConfig(n_candidates=3))
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="arm's gradients"):
-            training._train_step(checkpoint, state, small_dataset, table,
+            training._train_step(checkpoint, state, table,
                                  quick_train_config(),
                                  np.random.default_rng(5), 1e-3)
         assert threading.active_count() == threads
