@@ -1,9 +1,10 @@
 """Run configuration: one JSON document with ``net``, ``sampler``,
 ``train`` and ``metric`` sections.
 
-Each section is built from the class it configures: the keys it allows,
-their JSON types and which of them are required come from the class's own
-fields and type hints, and missing optional keys keep the class defaults.
+Each section is built from the class it configures, and the root from
+``RunConfig`` by the same walk: the keys it allows, their JSON types and
+which of them are required come from the class's own fields and type
+hints, and missing optional keys keep the class defaults.
 Each numeric field's range also comes from the class's hints: the class
 checks it when it is built (``errors.check_ranges``), and this module
 reads the hints without their ranges, as plain types.
@@ -75,22 +76,24 @@ def _build(make: Callable, section: Any, path: str,
            offenders: list[str]) -> Any:
     """``make(**section)``, each value read as its parameter's type hint.
 
-    Unknown keys go to ``offenders``.  Once there is one, nothing more is
-    checked for required keys or constructed, and None is returned: a
-    missing key or a refusal could stem from the misspelt key, which the
-    caller reports instead.
+    ``path`` is the section's dotted path, empty for the document root,
+    whose keys are then bare names.  Unknown keys go to ``offenders``.
+    Once there is one, nothing more is checked for required keys or
+    constructed, and None is returned: a missing key or a refusal could
+    stem from the misspelt key, which the caller reports instead.
     """
-    section = _mapping(section, path)
+    section = _mapping(section, path or "config root")
     hints, required = _schema(make)
-    offenders.extend(f"{path}.{key}" for key in section if key not in hints)
-    kwargs = {key: _value(hint, section[key], f"{path}.{key}", offenders)
+    prefix = f"{path}." if path else ""
+    offenders.extend(f"{prefix}{key}" for key in section if key not in hints)
+    kwargs = {key: _value(hint, section[key], f"{prefix}{key}", offenders)
               for key, hint in hints.items() if key in section}
     if offenders:
         return None
     missing = sorted(required - kwargs.keys())
     if missing:
         raise ConfigError("missing required config keys: " + ", ".join(
-            f"{path}.{key}" for key in missing))
+            f"{prefix}{key}" for key in missing))
     try:
         return make(**kwargs)
     except ConfigError as exc:
@@ -107,6 +110,8 @@ def _value(hint: Any, value: Any, path: str, offenders: list[str]) -> Any:
         if len(arms) > 1:  # the loss, the one union of config classes
             return _loss(value, path, offenders)
         return _value(arms[0], value, path, offenders)
+    if hint is net.MultiScaleNetConfig:
+        return _net(value, path, offenders)
     if is_dataclass(hint):
         return _build(hint, value, path, offenders)
     if origin in (tuple, frozenset):
@@ -138,12 +143,14 @@ def _loss(section: Any, path: str, offenders: list[str]
     return _build(_LOSS_KINDS[kind], section, path, offenders)
 
 
-def _net(section: Any, offenders: list[str]
+def _net(section: Any, path: str, offenders: list[str]
          ) -> net.MultiScaleNetConfig | None:
-    section = _mapping(section, "net")
+    """The full net of a section with ``branches``, else the desk-scale
+    net of its keys."""
+    section = _mapping(section, path)
     make = net.MultiScaleNetConfig if "branches" in section \
         else net.desk_scale_config
-    return _build(make, section, "net", offenders)
+    return _build(make, section, path, offenders)
 
 
 def _refuse_unknown(offenders: list[str]) -> None:
@@ -155,7 +162,7 @@ def _refuse_unknown(offenders: list[str]) -> None:
 def parse_net_config(section: Any) -> net.MultiScaleNetConfig:
     """The net section of a run config or of a checkpoint header."""
     offenders: list[str] = []
-    cfg = _net(section, offenders)
+    cfg = _net(section, "net", offenders)
     _refuse_unknown(offenders)
     return cfg
 
@@ -163,29 +170,20 @@ def parse_net_config(section: Any) -> net.MultiScaleNetConfig:
 def parse_run_config(document: str | Mapping[str, Any]) -> RunConfig:
     """Parse a JSON document (or an already-decoded mapping).
 
-    Raises ``ConfigError`` listing every unknown key if any section
-    contains one, or naming the path of any other fault.
+    The root is read by the same walk as every section, as the fields of
+    ``RunConfig``; a missing section keeps its default.  Raises
+    ``ConfigError`` listing every unknown key if any section contains
+    one, or naming the path of any other fault.
     """
     if isinstance(document, str):
         try:
-            decoded = json.loads(document)
+            document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        decoded = document
-    root = _mapping(decoded, "config root")
-    offenders = [str(key) for key in root
-                 if key not in _schema(RunConfig)[0]]
-    sections = {
-        "net": _net(root.get("net", {}), offenders),
-        "sampler": _build(SamplerConfig, root.get("sampler", {}), "sampler",
-                          offenders),
-        "train": _build(TrainConfig, root.get("train", {}), "train",
-                        offenders),
-        "metric": _build(DistanceMetric, root.get("metric", {}), "metric",
-                         offenders)}
+    offenders: list[str] = []
+    run = _build(RunConfig, document, "", offenders)
     _refuse_unknown(offenders)
-    return RunConfig(**sections)
+    return run
 
 
 def load_run_config(path: str) -> RunConfig:

@@ -18,6 +18,7 @@ or raise ``FormatError`` with the offending location (or the error the
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from pathlib import Path
 
@@ -41,50 +42,44 @@ def _maybe_gunzip(payload: bytes) -> bytes:
     return gzip.decompress(payload) if payload[:2] == b"\x1f\x8b" else payload
 
 
+def _idx_array(payload: bytes, magic: int, what: str) -> np.ndarray:
+    """The uint8 array of one IDX payload (gzip accepted), shaped by its
+    header: ``magic``, whose low byte is the number of dims, then one
+    big-endian u32 per dim.  ``what`` names the file in each refusal."""
+    payload = _maybe_gunzip(payload)
+    header = 4 + 4 * (magic & 0xFF)
+    if len(payload) < header:
+        raise FormatError(
+            f"IDX {what} header truncated at byte {len(payload)}")
+    found, *dims = struct.unpack(f">{header // 4}I", payload[:header])
+    if found != magic:
+        raise FormatError(
+            f"bad IDX {what} magic 0x{found:08x} at byte 0, "
+            f"want 0x{magic:08x}")
+    expected = header + math.prod(dims)
+    if len(payload) != expected:
+        raise FormatError(
+            f"IDX {what} payload is {len(payload)} bytes, "
+            f"want {expected} (truncated at byte {len(payload)})")
+    return np.frombuffer(payload, np.uint8, offset=header).reshape(dims)
+
+
 def parse_idx(image_bytes: bytes, label_bytes: bytes) -> Dataset:
     """Parse paired IDX image/label payloads (gzip accepted transparently).
 
-    Image magic must be 0x00000803 (unsigned bytes, 3 dims) and label magic
-    0x00000801; counts must agree.  Items keep file order with the fixed
-    ids ``idx-00000``, ``idx-00001``, ... and pixels scaled to [0, 1].
+    Both files go through one reader, which checks the header length,
+    the magic (0x00000803, unsigned bytes in 3 dims, for the images;
+    0x00000801 for the labels) and the payload length; the two counts
+    must then agree.  Items keep file order with the fixed ids
+    ``idx-00000``, ``idx-00001``, ... and pixels scaled to [0, 1].
     """
-    image_bytes = _maybe_gunzip(image_bytes)
-    label_bytes = _maybe_gunzip(label_bytes)
-
-    if len(image_bytes) < 16:
+    images = _idx_array(image_bytes, IDX_IMAGE_MAGIC, "image")
+    labels = _idx_array(label_bytes, IDX_LABEL_MAGIC, "label")
+    if len(labels) != len(images):
         raise FormatError(
-            f"IDX image header truncated at byte {len(image_bytes)}")
-    magic, count, rows, cols = struct.unpack(">IIII", image_bytes[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(
-            f"bad IDX image magic 0x{magic:08x} at byte 0, "
-            f"want 0x{IDX_IMAGE_MAGIC:08x}")
-    expected = 16 + count * rows * cols
-    if len(image_bytes) != expected:
-        raise FormatError(
-            f"IDX image payload is {len(image_bytes)} bytes, "
-            f"want {expected} (truncated at byte {len(image_bytes)})")
-
-    if len(label_bytes) < 8:
-        raise FormatError(
-            f"IDX label header truncated at byte {len(label_bytes)}")
-    lmagic, lcount = struct.unpack(">II", label_bytes[:8])
-    if lmagic != IDX_LABEL_MAGIC:
-        raise FormatError(
-            f"bad IDX label magic 0x{lmagic:08x} at byte 0, "
-            f"want 0x{IDX_LABEL_MAGIC:08x}")
-    if lcount != count:
-        raise FormatError(
-            f"label count {lcount} != image count {count}")
-    if len(label_bytes) != 8 + count:
-        raise FormatError(
-            f"IDX label payload is {len(label_bytes)} bytes, want "
-            f"{8 + count} (truncated at byte {len(label_bytes)})")
-
-    pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
-    return _digit_dataset([pixels.reshape(count, 1, rows, cols)],
-                          np.frombuffer(label_bytes, np.uint8, offset=8),
-                          "item", [("idx-", count)])
+            f"label count {len(labels)} != image count {len(images)}")
+    return _digit_dataset([images[:, None]], labels, "item",
+                          [("idx-", len(images))])
 
 
 def parse_cifar10_bin(batch_bytes: bytes) -> Dataset:

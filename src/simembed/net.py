@@ -125,12 +125,17 @@ def desk_scale_config(input_shape: tuple[int, int, int] = (1, 28, 28),
 @dataclass
 class Checkpoint:
     """A config plus its learned parameters; the parameter names and shapes
-    are exactly those generated from the config."""
+    are exactly those generated from the config.  ``rng_seed`` and
+    ``epoch`` follow the config range rule (``errors.check_ranges``):
+    integers >= 0, numpy's included, never a bool."""
 
     config: MultiScaleNetConfig
     parameters: dict[str, Array]
-    rng_seed: int = 0
-    epoch: int = 0
+    rng_seed: Annotated[int, Range(0)] = 0
+    epoch: Annotated[int, Range(0)] = 0
+
+    def __post_init__(self) -> None:
+        check_ranges(self)
 
 
 def _branch_shapes(branch: BranchSpec,
@@ -348,8 +353,9 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
     The blocks go in ``parameter_shapes`` order, the order the reader
     requires.  A parameter that is missing, extra or of another shape than
-    the config implies is one ``DimensionError``, a refused ``rng_seed`` or
-    ``epoch`` one ``ConfigError``, both before the file is opened."""
+    the config implies is one ``DimensionError``, an ``rng_seed`` or
+    ``epoch`` the range rule refuses one ``ConfigError``, both before the
+    file is opened.  The header stores both counts as plain integers."""
     shapes = dict(parameter_shapes(checkpoint.config))
     params = checkpoint.parameters
     for name in [*shapes, *params]:  # "none": missing, or not implied
@@ -358,9 +364,10 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
         if found != want:
             raise DimensionError(f"shape of parameter {name!r} {found}, "
                                  f"config implies {want}")
-    counts = {"rng_seed": checkpoint.rng_seed, "epoch": checkpoint.epoch}
-    _check_counts(counts)
-    header = json.dumps({"config": asdict(checkpoint.config), **counts},
+    check_ranges(checkpoint)
+    header = json.dumps({"config": asdict(checkpoint.config),
+                         "rng_seed": int(checkpoint.rng_seed),
+                         "epoch": int(checkpoint.epoch)},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(pack_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
@@ -374,14 +381,6 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
                      .tobytes())
 
 
-def _check_counts(counts: dict) -> None:
-    """``ConfigError`` unless each count is a non-negative int, not a bool."""
-    for field, value in counts.items():
-        if type(value) is not int or value < 0:
-            raise ConfigError(
-                f"{field} must be a non-negative integer, got {value!r}")
-
-
 def _expect(found, want, what: str) -> None:
     if found != want:
         raise FormatError(f"{what} {found!r}, config implies {want!r}")
@@ -390,23 +389,21 @@ def _expect(found, want, what: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, checking the block count and each block's name,
     rank and dims as they are read against the ``parameter_shapes`` of
-    its header's config; a mismatch, or a refused ``rng_seed`` or
-    ``epoch``, is one ``FormatError``."""
+    its header's config; a mismatch, or an ``rng_seed`` or ``epoch`` the
+    range rule refuses, is one ``FormatError``."""
     from .config import parse_net_config  # config imports this module
     with open(path, "rb") as fh:
         read_header(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
         (header_len,) = read_struct(fh, "<Q", "header length")
         try:
             header = json.loads(read_exact(fh, header_len, "header"))
-            config = parse_net_config(header["config"])
-            counts = {field: header[field] for field in ("rng_seed", "epoch")}
-            _check_counts(counts)
+            checkpoint = Checkpoint(parse_net_config(header["config"]), {},
+                                    header["rng_seed"], header["epoch"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad checkpoint header: {exc}") from exc
-        expected = parameter_shapes(config)
+        expected = parameter_shapes(checkpoint.config)
         (count,) = read_struct(fh, "<Q", "parameter count")
         _expect(count, len(expected), "parameter count")
-        params: dict[str, Array] = {}
         for i, (name, shape) in enumerate(expected):
             what = f"name of block {i}"
             _expect(read_name(fh, what), name, what)
@@ -415,8 +412,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             dims = read_struct(fh, f"<{rank}Q", f"dims of {name}")
             _expect(dims, shape, f"dims of {name}")
             raw = read_exact(fh, 4 * math.prod(shape), f"data of {name}")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(
-                shape).copy()
+            checkpoint.parameters[name] = np.frombuffer(
+                raw, dtype="<f4").reshape(shape).copy()
         if fh.read(1):
             raise FormatError("trailing bytes after final parameter block")
-    return Checkpoint(config, params, **counts)
+    return checkpoint

@@ -93,8 +93,15 @@ class TestParseIdx:
          "bad IDX label magic 0x00000803 at byte 0, want 0x00000801"),
         (lambda images, labels: (images, labels[:-1]),
          "IDX label payload is 10 bytes, want 11 (truncated at byte 10)"),
+        (lambda images, labels: (labels[:4] + images[4:], labels),
+         "bad IDX image magic 0x00000801 at byte 0, want 0x00000803"),
+        (lambda images, labels: (images[:-3], labels),
+         "IDX image payload is 25 bytes, want 28 (truncated at byte 25)"),
+        (lambda images, labels: (images, gzip.compress(labels[:5])),
+         "IDX label header truncated at byte 5"),
     ], ids=["short image header", "short label header", "label magic",
-            "label payload"])
+            "label payload", "image magic", "image payload",
+            "gzipped short label header"])
     def test_label_file_and_short_header_faults(self, golden_idx, edit,
                                                 refusal):
         with pytest.raises(FormatError) as err:

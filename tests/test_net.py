@@ -428,7 +428,8 @@ class TestCheckpointFile:
         net.save_checkpoint(ckpt, str(path))
         path.write_bytes(with_header(path.read_bytes(),
                                      lambda h: h.update({field: value})))
-        refusal = f"{field} must be a non-negative integer, got {value!r}"
+        refusal = f"{field} must be >= 0, got -1" if value == -1 \
+            else f"{field} must be an integer, got {value!r}"
         with pytest.raises(FormatError) as err:
             net.load_checkpoint(str(path))
         assert str(err.value) == f"bad checkpoint header: {refusal}"

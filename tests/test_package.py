@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 
@@ -40,3 +41,11 @@ def test_src_stats_parts_sum_to_the_total():
     assert total == sum(parts)
     lines = [int(line.split()[0]) for line in out.splitlines()[1:-2]]
     assert out.splitlines()[-2].split() == [str(sum(lines)), "total"]
+
+
+def test_bitcheck_repeats_its_digests():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    digests = runpy.run_path(str(root / "tools" / "bitcheck.py"))["digests"]
+    first = digests(tiny=True)
+    assert len(first) == 33
+    assert digests(tiny=True) == first

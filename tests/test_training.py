@@ -196,6 +196,19 @@ class TestTrainLoop:
         assert row.elapsed_seconds >= 0
         assert ckpt.epoch == 1
 
+    @pytest.mark.parametrize("make", [
+        lambda data: net.build_network(tiny_net_config(), seed=np.int64(3)),
+        lambda data: training.train(
+            data, data, tiny_net_config(), SamplerConfig(n_candidates=3),
+            quick_train_config(seed=np.int64(3)))[0],
+    ], ids=["build_network", "train"])
+    def test_numpy_integer_seed_saves_and_loads(self, tmp_path,
+                                                small_dataset, make):
+        path = str(tmp_path / "model.ckpt")
+        net.save_checkpoint(make(small_dataset), path)
+        loaded = net.load_checkpoint(path)
+        assert loaded.rng_seed == 3 and type(loaded.rng_seed) is int
+
     def test_seeded_rerun_is_bitwise_identical(self, small_dataset):
         cfg = quick_train_config(epochs=2, seed=3)
         runs = []
