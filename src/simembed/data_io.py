@@ -20,6 +20,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +39,22 @@ IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
 
 
-def _maybe_gunzip(payload: bytes) -> bytes:
-    return gzip.decompress(payload) if payload[:2] == b"\x1f\x8b" else payload
+def _maybe_gunzip(payload: bytes, what: str) -> bytes:
+    """``payload``, decompressed if it starts with the gzip magic.  A cut
+    or corrupt stream is one ``FormatError`` that names ``what``."""
+    if payload[:2] != b"\x1f\x8b":
+        return payload
+    try:
+        return gzip.decompress(payload)
+    except (EOFError, OSError, zlib.error) as exc:
+        raise FormatError(f"gzipped {what} is cut or corrupt: {exc}") from None
 
 
 def _idx_array(payload: bytes, magic: int, what: str) -> np.ndarray:
     """The uint8 array of one IDX payload (gzip accepted), shaped by its
     header: ``magic``, whose low byte is the number of dims, then one
     big-endian u32 per dim.  ``what`` names the file in each refusal."""
-    payload = _maybe_gunzip(payload)
+    payload = _maybe_gunzip(payload, f"IDX {what} file")
     header = 4 + 4 * (magic & 0xFF)
     if len(payload) < header:
         raise FormatError(
@@ -92,7 +100,8 @@ def _cifar_dataset(payloads: list[bytes], id_prefixes: list[str]) -> Dataset:
     """The records of every batch payload in order, ids numbered per
     payload."""
     batches = []
-    for payload in map(_maybe_gunzip, payloads):
+    for index, payload in enumerate(payloads):
+        payload = _maybe_gunzip(payload, f"CIFAR-10 batch {index}")
         if len(payload) == 0:
             raise FormatError("empty CIFAR-10 payload")
         if len(payload) % CIFAR_RECORD_BYTES:

@@ -46,10 +46,20 @@ def conv2d(x: Array, kernels: Array, bias: Array, stride: int = 1,
     likewise for width).  No kernel flip: this is the standard deep-learning
     convolution convention.
 
-    Lowered to im2col GEMMs: one ``np.dot`` each for the output and
-    ``dkernels`` and one ``matmul`` for every tap of ``dx``.  They copy and
-    ``dot`` as ``np.einsum``'s tensordot path did, over the same reduction
-    axis in the same order, so values and layouts are the einsum form's.
+    Lowered to im2col GEMMs (Chellapilla et al., 2006): one ``np.dot`` each
+    for the output and ``dkernels`` over a copy of the input columns,
+    reducing over (C, kh, kw) and (N, H', W') in order.  ``dx`` is a flat
+    col2im: ``upstream`` is zero-padded to the padded row width Wp, one
+    ``matmul`` gives every tap over those rows, and each tap (i, j), in
+    row-major order, is one step-``stride`` add into the flat
+    ``(N, C, Hp*Wp)`` gradient at offset i*Wp + j.  Every element of ``dx``
+    adds the same tap products in the same order as one strided add per
+    tap would; with finite kernels the extra terms are zeros, added to
+    sums that start at +0.0, so they change no bit.  The exception is a
+    tap product that OpenBLAS computes on another path once it is wider:
+    one with a single row (one input channel, a 1x1 kernel) at a stride
+    above 1, or one with at most two columns unpadded (h_out * w_out <= 2).
+    Such a ``dx`` can differ from the strided-add form in the last bit.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise DimensionError(
@@ -66,14 +76,14 @@ def conv2d(x: Array, kernels: Array, bias: Array, stride: int = 1,
         raise DimensionError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise DimensionError(f"padding must be >= 0, got {padding}")
-    if kh > h + 2 * padding or kw > w + 2 * padding:
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if kh > hp or kw > wp:
         raise DimensionError(
-            f"kernel {kh}x{kw} larger than padded input "
-            f"{h + 2 * padding}x{w + 2 * padding}")
+            f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
 
     if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding),
-                        (padding, padding)))
+        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
     else:
         xp = x
     # windows: (N, C, H', W', kh, kw), a strided view of xp
@@ -93,26 +103,40 @@ def conv2d(x: Array, kernels: Array, bias: Array, stride: int = 1,
         dbias = upstream.sum(axis=(0, 2, 3))
         dkernels = np.dot(columns(), upstream.transpose(0, 2, 3, 1).reshape(
             n * h_out * w_out, f)).reshape(c, kh, kw, f).transpose(3, 0, 1, 2)
-        taps = np.matmul(flat_kernels.T, upstream.reshape(
-            n, f, h_out * w_out)).reshape(n, c, kh, kw, h_out, w_out)
-        dxp = np.zeros_like(xp)
+        # upstream rows widened with zeros to the padded width wp and cut
+        # after the last real value: tap (i, j) of upstream (a, b) then
+        # lands at flat offset i*wp + j + stride * (a*wp + b)
+        length = (h_out - 1) * wp + w_out
+        rows = np.zeros((n, f, h_out * wp), dtype=upstream.dtype)
+        rows.reshape(n, f, h_out, wp)[..., :w_out] = upstream
+        taps = np.matmul(flat_kernels.T, rows[..., :length]).reshape(
+            n, c, kh, kw, length)
+        # dx is laid out as x: batch or channel axis outermost
+        if xp.strides[0] >= xp.strides[1]:
+            flat = np.zeros((n, c, hp * wp), dtype=xp.dtype)
+        else:
+            flat = np.zeros((c, n, hp * wp), dtype=xp.dtype).transpose(1, 0, 2)
+        span = stride * (length - 1) + 1
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + stride * h_out:stride,
-                    j:j + stride * w_out:stride] += taps[:, :, i, j]
-        dx = dxp[:, :, padding:padding + h, padding:padding + w]
+                start = i * wp + j
+                flat[:, :, start:start + span:stride] += taps[:, :, i, j]
+        dx = flat.reshape(n, c, hp, wp)[:, :, padding:padding + h,
+                                          padding:padding + w]
         return dx, dkernels, dbias
 
     return OpGrad(out, grad)
 
 
 def relu(x: Array) -> OpGrad:
-    """Elementwise ``max(0, x)``.  Subgradient at exactly 0 is 0."""
+    """Elementwise ``max(0, x)``.  Subgradient at exactly 0 is 0.
+
+    The closure keeps ``x`` and builds the ``x > 0`` mask only when the
+    gradient is asked for, so inference never builds it."""
     out = np.maximum(x, 0)
-    positive = x > 0
 
     def grad(upstream: Array) -> tuple[Array]:
-        return (upstream * positive,)
+        return (upstream * (x > 0),)
 
     return OpGrad(out, grad)
 
@@ -122,9 +146,12 @@ def maxpool2x2(x: Array) -> OpGrad:
 
     The gradient routes entirely to the argmax cell of each window; ties
     break to the first cell in row-major order, and a window holding NaN
-    pools to NaN and routes to its first NaN.  The output is the
-    ``np.maximum`` of the four strided cells taken last cell first, since
-    it keeps its second argument when ``-0.0`` ties ``0.0``.
+    pools to NaN and routes to its first NaN.  The output takes two
+    passes: ``np.maximum`` of each row's odd and even columns, then of the
+    odd and even rows of that.  That is the maximum of the four cells
+    taken last cell first, ``max(max(c11, c10), max(c01, c00))``, which
+    matters since ``np.maximum`` keeps its second argument when ``-0.0``
+    ties ``0.0``.
     """
     if x.ndim != 4:
         raise DimensionError(f"maxpool2x2 expects 4-d input, got {x.ndim}-d")
@@ -132,10 +159,8 @@ def maxpool2x2(x: Array) -> OpGrad:
     if h % 2 or w % 2:
         raise DimensionError(
             f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major in the window
-    cells = [x[:, :, i::2, j::2] for i, j in offsets]
-    out = np.maximum(np.maximum(cells[3], cells[2]),
-                     np.maximum(cells[1], cells[0]))
+    pairs = np.maximum(x[..., 1::2], x[..., 0::2])
+    out = np.maximum(pairs[:, :, 1::2], pairs[:, :, 0::2])
 
     def grad(upstream: Array) -> tuple[Array]:
         # dx and the masks in C order, as upstream is, though x may be laid
@@ -143,7 +168,8 @@ def maxpool2x2(x: Array) -> OpGrad:
         dx = np.empty(x.shape, dtype=upstream.dtype)
         free = np.ones(out.shape, dtype=bool)  # windows not yet routed
         hit = np.empty(out.shape, dtype=bool)
-        for (i, j), cell in zip(offsets, cells):
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # row-major order
+            cell = x[:, :, i::2, j::2]
             np.equal(cell, out, out=hit)
             hit |= np.isnan(cell)
             hit &= free
@@ -155,18 +181,32 @@ def maxpool2x2(x: Array) -> OpGrad:
 
 
 def downsample_avg(x: Array, factor: int) -> OpGrad:
-    """Block-mean pooling of ``(N,C,H,W)`` by an integer ``factor``."""
+    """Block-mean pooling of ``(N,C,H,W)`` by an integer ``factor``.
+
+    Each block is summed from strided slices: along each block row left to
+    right, then the row sums top to bottom; the total is divided by the
+    integer count ``factor**2`` as ``np.mean`` divides.  For factors up to
+    7 this is byte-equal to ``reshape(...).mean(axis=(3, 5))``; from 8 up
+    numpy's reduction sums in another order, so the two differ in the last
+    bit."""
     if x.ndim != 4:
         raise DimensionError(
             f"downsample_avg expects 4-d input, got {x.ndim}-d")
     if factor < 1:
         raise DimensionError(f"factor must be >= 1, got {factor}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % factor or w % factor:
         raise DimensionError(
             f"factor {factor} does not divide spatial dims {h}x{w}")
-    h2, w2 = h // factor, w // factor
-    out = x.reshape(n, c, h2, factor, w2, factor).mean(axis=(3, 5))
+    out = x[:, :, 0::factor, 0::factor] + 0.0  # a reduction starts at +0.0
+    for j in range(1, factor):
+        out += x[:, :, 0::factor, j::factor]
+    for i in range(1, factor):
+        row = x[:, :, i::factor, 0::factor] + x[:, :, i::factor, 1::factor]
+        for j in range(2, factor):
+            row += x[:, :, i::factor, j::factor]
+        out += row
+    np.true_divide(out, np.intp(factor * factor), out=out, casting="unsafe")
     inv = 1.0 / (factor * factor)
 
     def grad(upstream: Array) -> tuple[Array]:

@@ -200,6 +200,42 @@ class TestIngest:
                                             / np.float32(255)).reshape(
                                                 3, 3, 32, 32))
 
+    @pytest.mark.parametrize("fault, refusal", [
+        ("idx images cut", "gzipped IDX image file is cut or corrupt: "
+         "Compressed file ended before the end-of-stream marker was "
+         "reached"),
+        ("idx labels bad header", "gzipped IDX label file is cut or "
+         "corrupt: Unknown compression method"),
+        ("cifar10 batch cut", "gzipped CIFAR-10 batch 1 is cut or corrupt: "
+         "Compressed file ended before the end-of-stream marker was "
+         "reached"),
+    ])
+    def test_broken_gzip_input_refused(self, tmp_path, capsys, fault,
+                                       refusal):
+        out = tmp_path / "out.dset"
+        if fault.startswith("idx"):
+            ip, lp = self.write_idx(tmp_path)
+            path = tmp_path / ("img.gz" if fault == "idx images cut"
+                               else "lab.gz")
+            blob = bytearray(path.read_bytes())
+            if fault == "idx images cut":
+                del blob[-6:]
+            else:
+                blob[2] = 7  # compression method: only 8 (deflate) exists
+            path.write_bytes(bytes(blob))
+            argv = ["--format", "idx", "--images", ip, "--labels", lp]
+        else:
+            first, second = tmp_path / "b0.bin", tmp_path / "b1.gz"
+            first.write_bytes(bytes(data_io.CIFAR_RECORD_BYTES))
+            second.write_bytes(gzip.compress(
+                bytes(data_io.CIFAR_RECORD_BYTES))[:-6])
+            argv = ["--format", "cifar10", "--input", str(first),
+                    "--input", str(second)]
+        rc = cli.main(["ingest", *argv, "--output", str(out)])
+        err = fails_with_one_line(capsys, rc, "FormatError").err
+        assert err == f"error: FormatError: {refusal}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--images", "--labels"])
     def test_cifar10_ingest_refuses_idx_files(self, tmp_path, capsys, flag):
         batch = tmp_path / "batch.bin"

@@ -99,14 +99,28 @@ class TestParseIdx:
          "IDX image payload is 25 bytes, want 28 (truncated at byte 25)"),
         (lambda images, labels: (images, gzip.compress(labels[:5])),
          "IDX label header truncated at byte 5"),
+        (lambda images, labels: (corrupt_gzip(images, 10), labels),
+         "gzipped IDX image file is cut or corrupt: Error -3 while "
+         "decompressing data: invalid code lengths set"),
+        (lambda images, labels: (images, corrupt_gzip(labels, -8)),
+         "gzipped IDX label file is cut or corrupt: CRC check failed"),
     ], ids=["short image header", "short label header", "label magic",
             "label payload", "image magic", "image payload",
-            "gzipped short label header"])
+            "gzipped short label header", "deflate data",
+            "gzip checksum"])
     def test_label_file_and_short_header_faults(self, golden_idx, edit,
                                                 refusal):
         with pytest.raises(FormatError) as err:
             data_io.parse_idx(*edit(*golden_idx))
         assert str(err.value) == refusal
+
+
+def corrupt_gzip(payload, at):
+    """``payload`` gzipped, with the bits of the byte at ``at`` flipped:
+    byte 10 starts the deflate data, byte -8 the CRC-32."""
+    blob = bytearray(gzip.compress(payload))
+    blob[at] ^= 0xFF
+    return bytes(blob)
 
 
 class TestParseCifar10:

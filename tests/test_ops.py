@@ -179,6 +179,127 @@ class TestConv2dMatchesEinsumOracle:
                                            atol=rtol * np.abs(want).max())
 
 
+def strided_add_conv2d(x, kernels, bias, stride=1, padding=0):
+    """Frozen copy of the earlier im2col conv2d: ``np.pad``, one ``np.dot``
+    each for the output and dkernels, and dx as one ``matmul`` over the
+    unpadded upstream followed by one strided add per kernel tap."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernels.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                    (padding, padding))) if padding else x
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride,
+                                                         ::stride]
+    h_out, w_out = win.shape[2], win.shape[3]
+    flat_kernels = kernels.reshape(f, c * kh * kw)
+
+    def columns():
+        return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, -1)
+
+    out = np.dot(flat_kernels, columns()).reshape(
+        f, n, h_out, w_out).transpose(1, 0, 2, 3)
+    out += bias[None, :, None, None]
+
+    def grad(upstream):
+        dbias = upstream.sum(axis=(0, 2, 3))
+        dkernels = np.dot(columns(), upstream.transpose(0, 2, 3, 1).reshape(
+            n * h_out * w_out, f)).reshape(c, kh, kw, f).transpose(3, 0, 1, 2)
+        taps = np.matmul(flat_kernels.T, upstream.reshape(
+            n, f, h_out * w_out)).reshape(n, c, kh, kw, h_out, w_out)
+        dxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i:i + stride * h_out:stride,
+                    j:j + stride * w_out:stride] += taps[:, :, i, j]
+        return dxp[:, :, padding:padding + h, padding:padding + w], \
+            dkernels, dbias
+
+    return out, grad
+
+
+def with_signed_zeros(rng, a):
+    """``a`` with about a tenth of its elements 0.0 and a tenth -0.0."""
+    a = a.copy()
+    u = rng.random(a.shape)
+    a[u < 0.1] = 0.0
+    a[(u >= 0.1) & (u < 0.2)] = -0.0
+    return a
+
+
+class TestConv2dMatchesStridedAddOracle:
+    """The flat col2im conv equals the frozen strided-add conv byte for
+    byte, and at the desk layers in strides too.  The one exception is a tap
+    product that OpenBLAS computes on another path once the flat form
+    widens it: a single row (one channel, 1x1 kernel) at a stride above 1,
+    where the matrix-vector kernel rounds a column by where it falls in
+    the row, or at most two unpadded columns (h_out * w_out <= 2).  There
+    dx is checked within rounding."""
+
+    @pytest.mark.parametrize("upstream_layout", ["C", "FNHW"])
+    @pytest.mark.parametrize("input_layout", ["C", "FNHW"])
+    @pytest.mark.parametrize("batch", [32, 256])
+    @pytest.mark.parametrize("layer", DESK_CONV_LAYERS)
+    def test_desk_layers_byte_equal(self, layer, batch, input_layout,
+                                    upstream_layout):
+        c, h, w, f, padding = layer
+        rng = np.random.default_rng([c, h, f, batch, 27])
+        x = with_signed_zeros(rng, rng.standard_normal(
+            (batch, c, h, w)).astype(np.float32))
+        if input_layout == "FNHW":
+            x = laid_out_fnhw(x)
+        kernels = (rng.standard_normal((f, c, 3, 3)) / 3).astype(np.float32)
+        bias = rng.standard_normal(f).astype(np.float32)
+        upstream = with_signed_zeros(rng, rng.standard_normal(
+            (batch, f, h + 2 * padding - 2, w + 2 * padding - 2)
+        ).astype(np.float32))
+        if upstream_layout == "FNHW":
+            upstream = laid_out_fnhw(upstream)
+        args = (x, kernels, bias, upstream, 1, padding)
+        names = ("output", "dx", "dkernels", "dbias")
+        results = TestConv2dMatchesEinsumOracle.results
+        for name, got, want in zip(names, results(ops.conv2d, *args),
+                                   results(strided_add_conv2d, *args)):
+            assert got.dtype == want.dtype, name
+            assert got.strides == want.strides, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_random_shapes_byte_equal(self):
+        rng = np.random.default_rng(2027)
+        loose = 0
+        for _ in range(200):
+            dtype = rng.choice([np.float32, np.float64])
+            n, c, f = rng.integers(1, 5, size=3)
+            kh, kw = rng.integers(1, 4, size=2)
+            stride, padding = rng.integers(1, 4), rng.integers(0, 3)
+            h = rng.integers(max(1, kh - 2 * padding), 9)
+            w = rng.integers(max(1, kw - 2 * padding), 9)
+            x = with_signed_zeros(rng, rng.standard_normal(
+                (n, c, h, w)).astype(dtype))
+            if rng.random() < 0.5:
+                x = laid_out_fnhw(x)
+            kernels = rng.standard_normal((f, c, kh, kw)).astype(dtype)
+            bias = rng.standard_normal(f).astype(dtype)
+            h_out = (h + 2 * padding - kh) // stride + 1
+            w_out = (w + 2 * padding - kw) // stride + 1
+            upstream = with_signed_zeros(rng, rng.standard_normal(
+                (n, f, h_out, w_out)).astype(dtype))
+            args = (x, kernels, bias, upstream, stride, padding)
+            results = TestConv2dMatchesEinsumOracle.results
+            got = results(ops.conv2d, *args)
+            want = results(strided_add_conv2d, *args)
+            for name, a, b in zip(("output", "dx", "dkernels", "dbias"),
+                                  got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                if name == "dx" and (h_out * w_out <= 2 or (
+                        c * kh * kw == 1 and stride > 1)):
+                    loose += 1
+                    rtol = 1e-6 if dtype == np.float32 else 1e-12
+                    np.testing.assert_allclose(a, b, rtol=rtol,
+                                               atol=rtol * np.abs(b).max())
+                else:
+                    assert a.tobytes() == b.tobytes(), name
+        assert 0 < loose < 50
+
+
 class TestRelu:
     def test_values(self):
         out = ops.relu(np.array([-1.0, 0.0, 3.0])).output
@@ -191,6 +312,10 @@ class TestRelu:
     def test_gradient_blocked_below_zero(self):
         (g,) = ops.relu(np.array([-2.0])).grad(np.array([5.0]))
         assert g[0] == 0.0
+
+    def test_gradient_blocked_at_signed_zeros(self):
+        (g,) = ops.relu(np.array([0.0, -0.0])).grad(np.array([5.0, 5.0]))
+        assert np.array_equal(g, [0.0, 0.0])
 
     def test_finite_diff_away_from_kink(self, rng):
         x = rng.uniform(0.1, 1.0, (3, 7)) * rng.choice([-1.0, 1.0], (3, 7))
@@ -352,6 +477,53 @@ class TestDownsample:
         x = rng.standard_normal((2, 2, 4, 4))
         report = fd(lambda a: ops.downsample_avg(a, 2), [x])
         assert report.passed, report
+
+
+def mean_of_blocks(x, factor):
+    """Frozen copy of the earlier block mean: a reshaped ``np.mean``."""
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // factor, factor, w // factor,
+                     factor).mean(axis=(3, 5))
+
+
+class TestDownsampleMatchesMeanOracle:
+    """The strided-slice block sum equals the frozen ``np.mean`` form byte
+    for byte up to factor 7, where numpy's reduction sums each block row
+    left to right and the rows top to bottom; from factor 8 numpy sums a
+    row in another order, so only rounding agrees."""
+
+    @staticmethod
+    def mixed(rng, shape, dtype, layout):
+        """Magnitudes from 1e-3 to 1e3 of either sign, with 0.0 and -0.0;
+        a few whole blocks of -0.0 at factor 2."""
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        x = with_signed_zeros(rng, x).astype(dtype)
+        x[0, 0, :2, :2] = -0.0
+        return laid_out_fnhw(x) if layout == "FNHW" else x
+
+    @pytest.mark.parametrize("layout", ["C", "FNHW"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", range(1, 8))
+    def test_byte_equal_up_to_factor_7(self, factor, dtype, layout):
+        rng = np.random.default_rng([factor, 27])
+        x = self.mixed(rng, (5, 3, 6 * factor, 4 * factor), dtype, layout)
+        got = ops.downsample_avg(x, factor).output
+        want = mean_of_blocks(x, factor)
+        assert got.dtype == want.dtype
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "FNHW"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factor_8_within_rounding(self, dtype, layout):
+        rng = np.random.default_rng(8)
+        x = self.mixed(rng, (3, 2, 16, 24), dtype, layout)
+        got = ops.downsample_avg(x, 8).output
+        want = mean_of_blocks(x, 8)
+        assert got.dtype == want.dtype
+        rtol = 1e-5 if dtype == np.float32 else 1e-13
+        np.testing.assert_allclose(got, want, rtol=rtol,
+                                   atol=rtol * np.abs(x).max())
 
 
 class TestAffine:

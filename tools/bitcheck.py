@@ -6,14 +6,17 @@ a change that leaves every seeded float as it was prints the same lines.
 
     PYTHONPATH=src python tools/bitcheck.py [--tiny]
 
-The outputs are the toy images; the candidate tables, 20 pair and 20
+The outputs are the output and every gradient of ``conv2d``,
+``maxpool2x2``, ``downsample_avg`` and ``relu`` on fixed seeded inputs in
+float32 and float64; the toy images; the candidate tables, 20 pair and 20
 triplet batches and ``sample_negatives`` draws under both strategies and
 both scorers; the final parameters and log rows (seconds excluded) of
 short ``train`` runs on three paths; ``embed`` of whole and partial
 chunks; ``knn_many`` at k = 0.25, 1 and 2; and a seeded CLI chain,
 IDX ``ingest`` -> ``train --config`` -> ``embed`` -> ``query``.
-``--tiny`` runs the same set on smaller inputs.  Digests depend on the
-BLAS build and the CPU, so compare trees on one machine only.
+``--tiny`` runs the same set on smaller inputs, except the operators'
+fixed inputs.  Digests depend on the BLAS build and the CPU, so compare
+trees on one machine only.
 
 Standard library, numpy and simembed only.
 """
@@ -32,7 +35,7 @@ import tempfile
 
 import numpy as np
 
-from simembed import cli, net, retrieval, sampling, toydata, training
+from simembed import cli, net, ops, retrieval, sampling, toydata, training
 from simembed.dataset import Dataset
 from simembed.distance import DistanceMetric, knn_many
 from simembed.losses import AngularConfig, ContrastiveConfig
@@ -58,6 +61,45 @@ def _sha(*parts) -> str:
             part = repr(part).encode()
         digest.update(struct.pack("<Q", len(part)) + part)
     return digest.hexdigest()
+
+
+def _ops() -> dict[str, str]:
+    """Output and every gradient of each operator whose bits a faster
+    rewrite must keep, in float32 and float64.  The inputs hold exact
+    zeros and -0.0; the pool's also ties and NaN, the block mean's
+    magnitudes from 1e-3 to 1e3."""
+    out = {}
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(27)
+
+        def draw(*shape, spread=0.0):
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(
+                -spread, spread, shape)
+            a[rng.random(shape) < 0.1] = 0.0
+            a[rng.random(shape) < 0.1] = -0.0
+            return a.astype(dtype)
+
+        def add(name, result):
+            upstream = draw(*result.output.shape)
+            out[f"ops.{name}.{np.dtype(dtype).name}"] = _sha(
+                result.output, *result.grad(upstream))
+
+        x = draw(4, 3, 10, 11)
+        for stride, padding, kh, kw in ((1, 0, 3, 3), (1, 1, 3, 3),
+                                        (2, 0, 3, 3), (2, 1, 3, 3),
+                                        (1, 1, 2, 3)):
+            add(f"conv2d.s{stride}p{padding}k{kh}x{kw}", ops.conv2d(
+                x, draw(5, 3, kh, kw), draw(5), stride, padding))
+        cells = np.round(draw(3, 4, 8, 10))  # ties, and -0.0 from rounding
+        cells[0, 0, 0, :2] = cells[1, 2, 5, 7] = np.nan
+        add("maxpool2x2", ops.maxpool2x2(cells))
+        blocks = draw(3, 2, 12, 24, spread=3.0)
+        blocks[0, 0] = -0.0  # whole blocks of -0.0 average to +0.0
+        for factor in (2, 3, 4):
+            add(f"downsample_avg.f{factor}",
+                ops.downsample_avg(blocks, factor))
+        add("relu", ops.relu(cells))
+    return out
 
 
 def _sampling(dataset: Dataset, n_candidates: int) -> dict[str, str]:
@@ -208,8 +250,9 @@ def digests(tiny: bool = False) -> dict[str, str]:
     """Name -> sha256 of each checked output, in a fixed order."""
     count, side, steps = (60, 20, 1) if tiny else (600, 28, 10)
     dataset = toydata.make_shape_dataset(count, seed=0, size=side)
-    out = {"toydata.images": _sha(dataset.images(), dataset.labels,
-                                  dataset.ids)}
+    out = _ops()
+    out["toydata.images"] = _sha(dataset.images(), dataset.labels,
+                                 dataset.ids)
     out.update(_sampling(dataset, count // 30))
     trained, checkpoint = _training(dataset, steps)
     out.update(trained)
