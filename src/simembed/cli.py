@@ -30,7 +30,12 @@ from . import training as train_mod
 from .config import RunConfig, load_run_config
 from .dataset import Dataset
 from .distance import DistanceMetric, relative_contrast
-from .errors import ConfigError, DataError, SimEmbedError
+from .errors import ConfigError, DataError, Range, SimEmbedError
+
+# Each numeric option's range, by argparse dest, checked before any command
+# runs.  ``k`` is not here: it is also ``diag-contrast``'s exponent list.
+OPTION_RANGES = {"offset": Range(0), "limit": Range(0), "points": Range(2),
+                 "trials": Range(1), "seed": Range(0), "count": Range(2)}
 
 
 def _fail(message: str) -> int:
@@ -77,9 +82,6 @@ def _slice(dataset: Dataset, offset: int, limit: int | None) -> Dataset:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     _check_output(args.output, args.force)
-    for flag, value in (("--offset", args.offset), ("--limit", args.limit)):
-        if value is not None and value < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {value}")
     if args.format == "idx":
         if not args.images or not args.labels:
             raise ConfigError("idx ingest needs --images and --labels")
@@ -227,12 +229,6 @@ def cmd_diag_contrast(args: argparse.Namespace) -> int:
     exponents = _parse_float_list(args.k, "--k")
     if not all(dim.is_integer() and dim >= 1 for dim in dims):
         raise ConfigError(f"--dims must be integers >= 1, got {args.dims!r}")
-    if args.points < 2:
-        raise ConfigError(f"--points must be >= 2, got {args.points}")
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     metrics = [DistanceMetric(k) for k in exponents]  # refuse before printing
     print("dimension,k,contrast_mean,contrast_std")
     for dim in map(int, dims):
@@ -250,8 +246,6 @@ def cmd_diag_contrast(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_pairs(args: argparse.Namespace) -> int:
-    if args.count < 2:
-        raise ConfigError(f"--count must be >= 2, got {args.count}")
     cfg = _load_config(args.config, seed=args.seed)
     dataset = data_io.read_dataset(args.data)
     table = sampling.candidate_table(dataset, cfg.sampler)
@@ -361,6 +355,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, bound in OPTION_RANGES.items():
+            value = getattr(args, dest, None)
+            if value is not None:
+                bound.check(f"--{dest}", value)
         return args.func(args)
     except SimEmbedError as exc:
         kind = type(exc).__name__

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, field, is_dataclass
@@ -126,7 +126,8 @@ def _value(hint: Any, value: Any, path: str, offenders: list[str]) -> Any:
         return origin(_value(arg, item, f"{path}[{i}]", offenders)
                       for i, (arg, item) in enumerate(zip(args, value)))
     if hint is float:
-        if type(value) in (int, float) and math.isfinite(value):
+        # refuses inf, NaN and an int too large for a float
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
     elif type(value) is hint:
         return value

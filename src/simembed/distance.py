@@ -31,8 +31,7 @@ from typing import TYPE_CHECKING, Annotated
 import numpy as np
 
 from . import workers
-from .errors import (ConfigError, DataError, DimensionError, Range,
-                     check_ranges)
+from .errors import DataError, DimensionError, Range, check_ranges
 
 if TYPE_CHECKING:  # pragma: no cover
     from .retrieval import EmbeddingIndex
@@ -244,8 +243,7 @@ def knn_many(queries: Array, index: "EmbeddingIndex",
                              f"got {queries.shape}")
     if not np.isfinite(queries).all():
         raise DataError("query vector has non-finite entries")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    Range(1).check("k", k)
     if index.size == 0:
         raise DataError("knn on an empty index")
     k = min(k, index.size)

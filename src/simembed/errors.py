@@ -1,8 +1,12 @@
-"""Exception types shared across the package, and the one range check of
-the numeric config fields.
+"""Exception types shared across the package, and the one range rule for
+every number it refuses: config fields, function arguments and CLI options.
 
-A config class declares each number field's range in its type hint,
-``rate: Annotated[float, Range(0, 1, "[)")]``, and calls
+:class:`Range` alone decides whether a number is in range, and its refusal
+always reads ``<name> must be <range>, got <value>`` as a ``ConfigError``.
+A function refuses an argument with ``Range(1).check("k", k)``; the CLI
+checks each numeric option through a table of ranges before any command
+runs.  A config class declares each number field's range in its type
+hint, ``rate: Annotated[float, Range(0, 1, "[)")]``, and calls
 :func:`check_ranges` from ``__post_init__``, so the range holds however
 the class is built; an ``int`` field takes integers, numpy's included,
 a ``float`` field real numbers, and neither a bool.  ``get_type_hints``
@@ -45,7 +49,8 @@ class DataError(SimEmbedError, ValueError):
 class Range(typing.NamedTuple):
     """The finite numbers from ``low`` to ``high``, each end closed (``[``,
     ``]``) or open (``(``, ``)``) as ``ends`` marks it; ``value in range``
-    tests a number."""
+    tests a number.  An ``int`` counts as finite and is compared exactly,
+    however far beyond float range it lies (numpy's integers all fit)."""
 
     low: float
     high: float = math.inf
@@ -54,12 +59,22 @@ class Range(typing.NamedTuple):
     def __contains__(self, value: float) -> bool:
         above = value > self.low or value == self.low and self.ends[0] == "["
         below = value < self.high or value == self.high and self.ends[1] == "]"
-        return math.isfinite(value) and above and below
+        finite = isinstance(value, int) or math.isfinite(value)
+        return finite and above and below
+
+    def check(self, name: str, value: float) -> None:
+        """Raise ``ConfigError`` unless ``value`` is in this range."""
+        if value not in self:
+            raise _must_be(name, self, value)
 
     def __str__(self) -> str:
         if self.high == math.inf:
             return f"{'>=' if self.ends[0] == '[' else '>'} {self.low}"
         return f"in {self.ends[0]}{self.low}, {self.high}{self.ends[1]}"
+
+
+def _must_be(name: str, wanted: object, value: object) -> ConfigError:
+    return ConfigError(f"{name} must be {wanted}, got {value}")
 
 
 @functools.cache
@@ -87,6 +102,6 @@ def check_ranges(config: object) -> None:
         noun, kind = ("an integer", numbers.Integral) if integral \
             else ("a number", numbers.Real)
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{name} must be {either}{noun}, got {value!r}")
+            raise _must_be(name, either + noun, repr(value))
         if value not in bound:
-            raise ConfigError(f"{name} must be {either}{bound}, got {value}")
+            raise _must_be(name, f"{either}{bound}", value)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import DimensionError, NumericError, Range
 
 Array = np.ndarray
 NORM_EPSILON = 1e-12  # floor of the row norm ``l2_normalize`` divides by
@@ -72,10 +72,8 @@ def conv2d(x: Array, kernels: Array, bias: Array, stride: int = 1,
             f"kernel channels {kc} != input channels {c}")
     if bias.shape != (f,):
         raise DimensionError(f"bias shape {bias.shape} != ({f},)")
-    if stride < 1:
-        raise DimensionError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise DimensionError(f"padding must be >= 0, got {padding}")
+    Range(1).check("stride", stride)
+    Range(0).check("padding", padding)
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise DimensionError(
@@ -192,8 +190,7 @@ def downsample_avg(x: Array, factor: int) -> OpGrad:
     if x.ndim != 4:
         raise DimensionError(
             f"downsample_avg expects 4-d input, got {x.ndim}-d")
-    if factor < 1:
-        raise DimensionError(f"factor must be >= 1, got {factor}")
+    Range(1).check("factor", factor)
     h, w = x.shape[2:]
     if h % factor or w % factor:
         raise DimensionError(
@@ -287,8 +284,7 @@ def dropout(x: Array, rate: float, rng: np.random.Generator | None) -> OpGrad:
     """Inverted dropout: one ``x.shape`` draw from ``rng`` zeroes each element
     with probability ``rate`` and scales survivors by ``1/(1-rate)``.
     Without ``rng`` (inference) or at rate 0: the identity, drawing nothing."""
-    if not 0 <= rate < 1:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    Range(0, 1, "[)").check("dropout rate", rate)
     if rng is None or rate == 0:
         return OpGrad(x, lambda upstream: (upstream,))
     keep = rng.random(x.shape) >= rate
@@ -314,18 +310,17 @@ class GradCheckReport:
 
 def finite_diff_check(op: Callable[..., OpGrad], inputs: Sequence[Array],
                       step: float = 1e-5, tolerance: float = 1e-4,
-                      rng: np.random.Generator | None = None,
-                      upstream: Array | None = None) -> GradCheckReport:
+                      rng: np.random.Generator | None = None
+                      ) -> GradCheckReport:
     """Check ``op``'s analytic gradients against central finite differences.
 
     ``inputs`` must be float64 arrays; the check perturbs every element of
-    every input.  The scalar objective is ``sum(output * upstream)`` for a
-    fixed random ``upstream``.  The relative error of an element pair (a, n)
-    is ``|a - n| / max(|a|, |n|, 1e-4)``; the report carries the max over
-    all elements of all inputs.
+    every input.  The scalar objective is ``sum(output * upstream)`` for an
+    ``upstream`` drawn from ``rng`` (``default_rng(0)`` without one).  The
+    relative error of an element pair (a, n) is ``|a - n| / max(|a|, |n|,
+    1e-4)``; the report carries the max over all elements of all inputs.
     """
-    if step <= 0:
-        raise ConfigError(f"step must be > 0, got {step}")
+    Range(0, ends="()").check("step", step)
     inputs = [np.asarray(a, dtype=np.float64) for a in inputs]
     for a in inputs:
         if not np.all(np.isfinite(a)):
@@ -334,11 +329,10 @@ def finite_diff_check(op: Callable[..., OpGrad], inputs: Sequence[Array],
     first = op(*inputs)
     if not np.all(np.isfinite(first.output)):
         raise NumericError("operator produced non-finite output")
-    if upstream is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        upstream = rng.standard_normal(first.output.shape)
-    analytic = first.grad(np.asarray(upstream, dtype=np.float64))
+    if rng is None:
+        rng = np.random.default_rng(0)
+    upstream = rng.standard_normal(first.output.shape)
+    analytic = first.grad(upstream)
 
     def objective() -> float:
         return float((op(*inputs).output * upstream).sum())

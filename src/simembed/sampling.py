@@ -230,8 +230,7 @@ def sample_negatives(query_id: str, dataset: Dataset, cfg: SamplerConfig,
     Returns ``(id, in_class)`` tuples, in-class entries first.  Raises
     ``DataError`` naming the shortfall when a pool is too small.
     """
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
+    Range(0).check("count", count)
     (row,) = dataset.rows([query_id])
     n_in = int(round(count * cfg.in_class_fraction))
     out_pool = _other_rows(dataset, row)
@@ -279,11 +278,8 @@ def make_pair_batch(table: CandidateTable, batch_size: int,
     ``random_baseline`` they are uniform same-class pairs.  Each negative
     follows the rule in the module docstring.
     """
-    if batch_size < 2:
-        raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
-    if not 0 <= pos_fraction <= 1:
-        raise ConfigError(
-            f"pos_fraction must be in [0, 1], got {pos_fraction}")
+    Range(2).check("batch_size", batch_size)
+    Range(0, 1).check("pos_fraction", pos_fraction)
     queryable = _queryable(table)
     n_pos = int(round(batch_size * pos_fraction))
     self_pairs = table.cfg.self_pair_fraction
@@ -307,8 +303,7 @@ def make_triplet_batch(table: CandidateTable, batch_size: int,
     rows: anchors uniform over queryable rows, positives from the
     candidate list (same-class uniform under the random baseline),
     negatives by the rule in the module docstring."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    Range(1).check("batch_size", batch_size)
     queryable = _queryable(table)
     rows = np.empty((batch_size, 3), dtype=np.intp)
     for i in range(batch_size):

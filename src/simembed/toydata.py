@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, Range
 
 Array = np.ndarray
 
@@ -101,12 +101,8 @@ def make_shape_image(class_label: int, size: int,
     random per-image contrast, so only spatial arrangement separates the
     classes.
     """
-    if not 0 <= class_label < len(CLASS_NAMES):
-        raise ConfigError(
-            f"class_label must be in [0, {len(CLASS_NAMES)}), "
-            f"got {class_label}")
-    if size < MIN_SIZE:
-        raise ConfigError(f"size must be >= {MIN_SIZE}, got {size}")
+    Range(0, len(CLASS_NAMES), "[)").check("class_label", class_label)
+    Range(MIN_SIZE).check("size", size)
     img = _draw(CLASS_NAMES[class_label], size, rng)
     if rng.random() < 0.5:
         img = 1.0 - img

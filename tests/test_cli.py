@@ -840,6 +840,35 @@ class TestSamplePairs:
             f"error: ConfigError: --count must be >= 2, got {count}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("section, key, value, refusal", [
+        ("sampler", "rng_seed", -10 ** 400, "sampler: rng_seed must be >= 0"),
+        ("train", "learning_rate", 10 ** 400,
+         "train.learning_rate must be a finite number"),
+        ("net", "dropout_rate", 10 ** 400,
+         "net.dropout_rate must be a finite number"),
+        ("train", "epochs", 10 ** 400, None),
+        ("sampler", "rng_seed", 10 ** 400, None),
+    ], ids=["negative seed", "float field", "net float field", "epochs",
+            "seed"])
+    def test_integer_beyond_float_range_in_the_config(
+            self, workdir, capsys, tmp_path, section, key, value, refusal):
+        """A JSON integer of 400 digits is compared exactly: refused with
+        one line when out of range or in a float field, else accepted."""
+        doc = copy.deepcopy(TINY_CONFIG)
+        doc[section][key] = value
+        config_path = tmp_path / "huge.json"
+        config_path.write_text(json.dumps(doc))
+        rc = cli.main(["sample-pairs", "--data", workdir["dataset"],
+                       "--count", "4", "--config", str(config_path)])
+        if refusal is None:
+            assert rc == 0
+            assert len(capsys.readouterr().out.splitlines()) == 4
+        else:
+            captured = fails_with_one_line(capsys, rc, "ConfigError")
+            assert captured.err == \
+                f"error: ConfigError: {refusal}, got {value}\n"
+            assert captured.out == ""
+
 
 class TestCommonFlags:
     def test_unknown_subcommand_exits_nonzero(self, capsys):
