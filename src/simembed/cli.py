@@ -30,12 +30,13 @@ from . import training as train_mod
 from .config import RunConfig, load_run_config
 from .dataset import Dataset
 from .distance import DistanceMetric, relative_contrast
-from .errors import ConfigError, DataError, Range, SimEmbedError
+from .errors import MAX_SIZE, ConfigError, DataError, Range, SimEmbedError
 
 # Each numeric option's range, by argparse dest, checked before any command
 # runs.  ``k`` is not here: it is also ``diag-contrast``'s exponent list.
-OPTION_RANGES = {"offset": Range(0), "limit": Range(0), "points": Range(2),
-                 "trials": Range(1), "seed": Range(0), "count": Range(2)}
+OPTION_RANGES = {"offset": Range(0), "limit": Range(0),
+                 "points": Range(2, MAX_SIZE), "trials": Range(1),
+                 "seed": Range(0), "count": Range(2, MAX_SIZE)}
 
 
 def _fail(message: str) -> int:
@@ -227,8 +228,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 def cmd_diag_contrast(args: argparse.Namespace) -> int:
     dims = _parse_float_list(args.dims, "--dims")
     exponents = _parse_float_list(args.k, "--k")
-    if not all(dim.is_integer() and dim >= 1 for dim in dims):
-        raise ConfigError(f"--dims must be integers >= 1, got {args.dims!r}")
+    if not all(dim.is_integer() for dim in dims):
+        raise ConfigError(f"--dims must be integers, got {args.dims!r}")
+    for dim in dims:
+        Range(1, MAX_SIZE).check("--dims", int(dim))
     metrics = [DistanceMetric(k) for k in exponents]  # refuse before printing
     print("dimension,k,contrast_mean,contrast_std")
     for dim in map(int, dims):

@@ -20,6 +20,10 @@ import math
 import numbers
 import typing
 
+# The largest integer that may size an array: a count or width above it is
+# refused here, not left to overflow numpy's shape arithmetic.
+MAX_SIZE = 2 ** 31 - 1
+
 
 class SimEmbedError(Exception):
     """Base class for all package-specific errors."""

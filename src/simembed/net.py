@@ -30,8 +30,8 @@ import numpy as np
 from . import ops, workers
 from .container import (atomic_write, pack_header, pack_name, read_exact,
                         read_header, read_name, read_struct)
-from .errors import (ConfigError, DimensionError, FormatError, Range,
-                     check_ranges)
+from .errors import (MAX_SIZE, ConfigError, DimensionError, FormatError,
+                     Range, check_ranges)
 
 Array = np.ndarray
 
@@ -45,10 +45,10 @@ class ConvSpec:
     """One convolution layer: ``filters`` output channels, square
     ``kernel``, optional 2x2 max-pool after the activation."""
 
-    filters: Annotated[int, Range(1)]
+    filters: Annotated[int, Range(1, MAX_SIZE)]
     kernel: Annotated[int, Range(1)]
     stride: Annotated[int, Range(1)] = 1
-    padding: Annotated[int, Range(0)] = 0
+    padding: Annotated[int, Range(0, MAX_SIZE)] = 0
     pool_after: bool = False
 
     def __post_init__(self) -> None:
@@ -62,7 +62,7 @@ class BranchSpec:
 
     input_downsample_factor: Annotated[int, Range(1)]
     conv_layers: tuple[ConvSpec, ...]
-    branch_embed_dim: Annotated[int, Range(1)]
+    branch_embed_dim: Annotated[int, Range(1, MAX_SIZE)]
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -73,7 +73,7 @@ class BranchSpec:
 @dataclass(frozen=True)
 class MultiScaleNetConfig:
     branches: tuple[BranchSpec, ...]
-    final_embed_dim: Annotated[int, Range(1)]
+    final_embed_dim: Annotated[int, Range(1, MAX_SIZE)]
     input_shape: tuple[int, int, int]  # (C, H, W)
     dropout_rate: Annotated[float, Range(0, 1, "[)")] = 0.25
 

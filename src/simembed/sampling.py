@@ -33,8 +33,8 @@ from typing import Annotated, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (ConfigError, DataError, DimensionError, Range,
-                     check_ranges)
+from .errors import (MAX_SIZE, ConfigError, DataError, DimensionError,
+                     Range, check_ranges)
 
 Array = np.ndarray
 
@@ -61,7 +61,7 @@ class BissScorer:
     """
 
     kind: str = SCORER_INTENSITY
-    bins: Annotated[int, Range(2)] = 16
+    bins: Annotated[int, Range(2, MAX_SIZE)] = 16
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -75,8 +75,6 @@ class SamplerConfig:
     in_class_fraction: Annotated[float, Range(0, 1)] = 0.3
     rng_seed: Annotated[int, Range(0)] = 0
     strategy: str = STRATEGY_BISS
-    # share of positives taken as augmented views of the query itself
-    self_pair_fraction: Annotated[float, Range(0, 1)] = 0.0
     scorer: BissScorer = BissScorer()
 
     def __post_init__(self) -> None:
@@ -273,22 +271,17 @@ def make_pair_batch(table: CandidateTable, batch_size: int,
 
     Returns ``(rows, labels)``: a ``(batch_size, 2)`` array of (query,
     candidate) rows and the 0/1 labels.  Under the ``biss`` strategy
-    positives come from the query's candidate list (or, with probability
-    ``cfg.self_pair_fraction``, are self-pairs for augmented views); under
+    positives come from the query's candidate list; under
     ``random_baseline`` they are uniform same-class pairs.  Each negative
     follows the rule in the module docstring.
     """
-    Range(2).check("batch_size", batch_size)
+    Range(2, MAX_SIZE).check("batch_size", batch_size)
     Range(0, 1).check("pos_fraction", pos_fraction)
     queryable = _queryable(table)
     n_pos = int(round(batch_size * pos_fraction))
-    self_pairs = table.cfg.self_pair_fraction
     rows = np.empty((batch_size, 2), dtype=np.intp)
     for i in range(n_pos):
         query = queryable[rng.integers(len(queryable))]
-        if self_pairs and rng.random() < self_pairs:
-            rows[i] = query, query
-            continue
         candidates = _candidates_cached(table, query)
         rows[i] = query, candidates[rng.integers(len(candidates))]
     for i in range(n_pos, batch_size):
@@ -303,7 +296,7 @@ def make_triplet_batch(table: CandidateTable, batch_size: int,
     rows: anchors uniform over queryable rows, positives from the
     candidate list (same-class uniform under the random baseline),
     negatives by the rule in the module docstring."""
-    Range(1).check("batch_size", batch_size)
+    Range(1, MAX_SIZE).check("batch_size", batch_size)
     queryable = _queryable(table)
     rows = np.empty((batch_size, 3), dtype=np.intp)
     for i in range(batch_size):

@@ -37,7 +37,7 @@ from . import net, retrieval, sampling, workers
 from .container import atomic_write
 from .dataset import Dataset
 from .distance import EUCLIDEAN, DistanceMetric
-from .errors import (ConfigError, DataError, NumericError, Range,
+from .errors import (MAX_SIZE, ConfigError, DataError, NumericError, Range,
                      check_ranges)
 from .losses import (AngularConfig, ContrastiveConfig, TripletSample,
                      batch_loss)
@@ -52,27 +52,27 @@ SUPPORTED_AUGMENTATIONS = frozenset({AUG_HFLIP, AUG_SHIFT, AUG_ROTATE})
 SHIFT_MAX_PX = 2
 ROTATE_MAX_DEG = 10.0
 
+# RMSProp's decay of the squared-gradient average, and the epsilon added
+# to it under the square root
+RMS_DECAY = 0.9
+RMS_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: Annotated[float, Range(0)] = 1e-4
-    rms_decay: Annotated[float, Range(0, 1, "()")] = 0.9
-    epsilon: Annotated[float, Range(0, ends="()")] = 1e-8
     epochs: Annotated[int, Range(1)] = 1
-    batch_size: Annotated[int, Range(2)] = 32
+    batch_size: Annotated[int, Range(2, MAX_SIZE)] = 32
     loss: ContrastiveConfig | AngularConfig = field(
         default_factory=ContrastiveConfig)
     # metric used inside the loss
     loss_metric_exponent: Annotated[float, Range(0, ends="()")] = 2.0
     augmentation: frozenset[str] = frozenset()
-    weight_decay: Annotated[float, Range(0)] = 0.0
     seed: Annotated[int, Range(0)] = 0
-    # per-epoch multiplier on the learning rate
-    lr_decay: Annotated[float, Range(0, 1, "(]")] = 1.0
     pos_fraction: Annotated[float, Range(0, 1)] = 0.5
     batches_per_epoch: Annotated[int | None, Range(1)] = None
-    val_pairs: Annotated[int, Range(2)] = 128
-    val_triplets: Annotated[int, Range(1)] = 256
+    val_pairs: Annotated[int, Range(2, MAX_SIZE)] = 128
+    val_triplets: Annotated[int, Range(1, MAX_SIZE)] = 256
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -109,18 +109,16 @@ def write_log(path: str, rows: Sequence[TrainLogRow]) -> None:
 
 
 def rmsprop_step(params: Mapping[str, Array], grads: Mapping[str, Array],
-                 state: Mapping[str, Array], cfg: TrainConfig,
-                 learning_rate: float | None = None,
+                 state: Mapping[str, Array], learning_rate: float,
                  ) -> tuple[dict[str, Array], dict[str, Array]]:
     """One RMSProp update over named parameters.
 
     Per element: ``s <- rho*s + (1-rho)*g^2`` then
-    ``p <- p - lr * g / sqrt(s + eps)``.  Weight decay (if any) adds
-    ``wd * p`` to the gradient first.  Non-finite gradients abort the step.
+    ``p <- p - lr * g / sqrt(s + eps)``, with ``rho`` ``RMS_DECAY`` and
+    ``eps`` ``RMS_EPSILON``.  Non-finite gradients abort the step.
     """
     if set(params) != set(grads) or set(params) != set(state):
         raise ConfigError("params, grads, and state must share keys")
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
     new_params: dict[str, Array] = {}
     new_state: dict[str, Array] = {}
     for name, p in params.items():
@@ -132,13 +130,11 @@ def rmsprop_step(params: Mapping[str, Array], grads: Mapping[str, Array],
         if not np.all(np.isfinite(g)):
             raise NumericError(
                 f"non-finite gradient for {name!r}; step aborted")
-        if cfg.weight_decay:
-            g = g + np.asarray(cfg.weight_decay, dtype=p.dtype) * p
-        s = (cfg.rms_decay * state[name]
-             + (1.0 - cfg.rms_decay) * (g * g)).astype(p.dtype)
+        s = (RMS_DECAY * state[name]
+             + (1.0 - RMS_DECAY) * (g * g)).astype(p.dtype)
         new_state[name] = s
-        new_params[name] = (p - lr * g / np.sqrt(s + cfg.epsilon)).astype(
-            p.dtype)
+        new_params[name] = (p - learning_rate * g
+                            / np.sqrt(s + RMS_EPSILON)).astype(p.dtype)
     return new_params, new_state
 
 
@@ -259,7 +255,6 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
     logs: list[TrainLogRow] = []
     best_params = dict(params)
     best_val, best_epoch = math.inf, 0
-    lr = train_cfg.learning_rate
 
     for epoch in range(1, train_cfg.epochs + 1):
         t0 = time.perf_counter()
@@ -269,7 +264,7 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         try:
             with np.errstate(all="ignore"):
                 losses = [_train_step(checkpoint, state, train_table,
-                                      train_cfg, rng, lr)
+                                      train_cfg, rng)
                           for _ in range(n_batches)]
                 val_out = [net.embed(checkpoint, arm)
                            for arm in _arms(dataset_val, val_rows)]
@@ -286,7 +281,6 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
         if val_loss < best_val:
             best_val, best_epoch = val_loss, epoch
             best_params = dict(params)
-        lr *= train_cfg.lr_decay
 
     final = net.Checkpoint(net_cfg, best_params, rng_seed=train_cfg.seed,
                            epoch=best_epoch)
@@ -295,11 +289,11 @@ def train(dataset_train: Dataset, dataset_val: Dataset,
 
 def _train_step(checkpoint: net.Checkpoint, state: dict,
                 table: sampling.CandidateTable, train_cfg: TrainConfig,
-                rng: np.random.Generator, lr: float) -> float:
+                rng: np.random.Generator) -> float:
     """Sample one batch of ``table.dataset``, augment each occurrence on
-    its own (self-pairs see two views), run the siamese arms under one
-    shared dropout mask, apply one RMSProp step.  Mutates
-    ``checkpoint.parameters`` and ``state`` in place (same dict objects)."""
+    its own, run the siamese arms under one shared dropout mask, apply one
+    RMSProp step.  Mutates ``checkpoint.parameters`` and ``state`` in place
+    (same dict objects)."""
     params = checkpoint.parameters
     rows, labels = draw_batch(table, train_cfg, train_cfg.batch_size, rng)
     stacks = [np.stack([augment(image, train_cfg, rng) for image in arm])
@@ -334,8 +328,8 @@ def _train_step(checkpoint: net.Checkpoint, state: dict,
     # summed in arm order, so the sums keep their bits
     grads = {name: sum((g[name] for g in arm_grads), np.zeros_like(p))
              for name, p in params.items()}
-    new_params, new_state = rmsprop_step(params, grads, state, train_cfg,
-                                         learning_rate=lr)
+    new_params, new_state = rmsprop_step(params, grads, state,
+                                         train_cfg.learning_rate)
     params.update(new_params)
     state.update(new_state)
     return loss

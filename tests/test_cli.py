@@ -703,18 +703,21 @@ class TestDiagContrast:
                                "got 0\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("dims", ["2.7", "2,0"])
-    def test_dimension_not_a_positive_integer_rejected(self, capsys, dims):
+    @pytest.mark.parametrize("dims, refusal", [
+        ("2.7", "--dims must be integers, got '2.7'"),
+        ("2,0", "--dims must be in [1, 2147483647], got 0")],
+        ids=["2.7", "2,0"])
+    def test_dimension_not_a_positive_integer_rejected(self, capsys, dims,
+                                                       refusal):
         rc = cli.main(["diag-contrast", "--dims", dims, "--k", "1.0"])
         captured = fails_with_one_line(capsys, rc, "ConfigError")
-        assert captured.err.startswith(
-            "error: ConfigError: --dims must be integers >= 1")
+        assert captured.err == f"error: ConfigError: {refusal}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, refusal", [
         (["--dims", ",", "--k", "1.0"], "--dims must not be empty"),
         (["--dims", "2", "--k", "1.0", "--points", "1"],
-         "--points must be >= 2, got 1"),
+         "--points must be in [2, 2147483647], got 1"),
         # a later exponent is refused before the rows of earlier ones print
         (["--dims", "2,3", "--k", "1,0", "--points", "5"],
          "exponent must be > 0, got 0.0"),
@@ -837,7 +840,8 @@ class TestSamplePairs:
                        "--count", count])
         captured = fails_with_one_line(capsys, rc, "ConfigError")
         assert captured.err == \
-            f"error: ConfigError: --count must be >= 2, got {count}\n"
+            f"error: ConfigError: --count must be in [2, 2147483647], " \
+            f"got {count}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("section, key, value, refusal", [
@@ -868,6 +872,59 @@ class TestSamplePairs:
             assert captured.err == \
                 f"error: ConfigError: {refusal}, got {value}\n"
             assert captured.out == ""
+
+
+class TestSizeBounds:
+    """Every config field and option that sizes an array is refused above
+    2**31 - 1 with one line, before any data is read or output printed."""
+
+    FIELDS = [
+        ("train", "batch_size"), ("train", "val_pairs"),
+        ("train", "val_triplets"), ("net", "final_embed_dim"),
+        ("sampler", "scorer", "bins"),
+        ("net", "branches", 0, "branch_embed_dim"),
+        ("net", "branches", 0, "conv_layers", 0, "filters"),
+        ("net", "branches", 0, "conv_layers", 0, "padding"),
+    ]
+    OPTIONS = [
+        ["sample-pairs", "--data", "{data}", "--count", "{value}"],
+        ["diag-contrast", "--dims", "2", "--k", "2", "--points", "{value}"],
+        ["diag-contrast", "--dims", "3,{value}", "--k", "2"],
+    ]
+    VALUES = pytest.mark.parametrize("value", [10 ** 400, 2 ** 31],
+                                     ids=["10**400", "2**31"])
+
+    @VALUES
+    @pytest.mark.parametrize("path", FIELDS, ids=[
+        ".".join(map(str, path)) for path in FIELDS])
+    def test_config_field(self, workdir, capsys, tmp_path, path, value):
+        doc = copy.deepcopy(TINY_CONFIG)
+        doc["sampler"]["scorer"] = {}
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        config_path = tmp_path / "huge.json"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "model.ckpt"
+        rc = cli.main(["train", "--train-data", workdir["dataset"],
+                       "--config", str(config_path), "--output", str(out)])
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
+        assert f"{path[-1]} must be in [" in captured.err
+        assert captured.err.endswith(f", 2147483647], got {value}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @VALUES
+    @pytest.mark.parametrize("argv", OPTIONS,
+                             ids=["--count", "--points", "--dims"])
+    def test_option(self, workdir, capsys, argv, value):
+        rc = cli.main([arg.format(data=workdir["dataset"], value=value)
+                       for arg in argv])
+        captured = fails_with_one_line(capsys, rc, "ConfigError")
+        flag = argv[-2] if argv[-1] == "{value}" else "--dims"
+        assert captured.err.startswith(f"error: ConfigError: {flag} must be")
+        assert captured.out == ""
 
 
 class TestCommonFlags:

@@ -113,15 +113,12 @@ class TestOverrides:
                 dropout_rate=0.5),
             sampler=SamplerConfig(n_candidates=7, in_class_fraction=0.6,
                                   rng_seed=3, strategy="random_baseline",
-                                  self_pair_fraction=0.2,
                                   scorer=BissScorer("color_histogram", 8)),
-            train=TrainConfig(learning_rate=0.01, rms_decay=0.5,
-                              epsilon=1e-6, epochs=4, batch_size=8,
+            train=TrainConfig(learning_rate=0.01, epochs=4, batch_size=8,
                               loss=AngularConfig(30.0, "as_written"),
                               loss_metric_exponent=1.0,
                               augmentation=frozenset({"hflip", "rotate"}),
-                              weight_decay=0.1, seed=9, lr_decay=0.5,
-                              pos_fraction=0.25, batches_per_epoch=5,
+                              seed=9, pos_fraction=0.25, batches_per_epoch=5,
                               val_pairs=16, val_triplets=12),
             metric=DistanceMetric(0.5))
         defaults = config.RunConfig()
@@ -162,6 +159,17 @@ class TestUnknownKeys:
         for path in ("net.bogus_a", "train.bogus_b", "train.loss.bogus_c",
                      "sampler.bogus_d", "metric.bogus_e", "bogus_top"):
             assert path in message
+
+    def test_removed_optimiser_and_sampler_settings_are_unknown(self):
+        doc = {"train": {"rms_decay": 0.9, "epsilon": 1e-8,
+                         "weight_decay": 0.0, "lr_decay": 1.0},
+               "sampler": {"self_pair_fraction": 0.0}}
+        with pytest.raises(ConfigError) as err:
+            config.parse_run_config(json.dumps(doc))
+        assert str(err.value) == (
+            "unknown config keys: sampler.self_pair_fraction, "
+            "train.epsilon, train.lr_decay, train.rms_decay, "
+            "train.weight_decay")
 
     def test_offenders_sorted(self):
         with pytest.raises(ConfigError) as err:
@@ -276,7 +284,8 @@ class TestValueTypes:
         ({"net": {"input_shape": [1, 30, 30]}},
          "net: desk-scale config needs H, W divisible by 4"),
         (branch_net({"filters": 0, "kernel": 3}),
-         "net.branches[0].conv_layers[0]: filters must be >= 1, got 0"),
+         "net.branches[0].conv_layers[0]: filters must be in "
+         "[1, 2147483647], got 0"),
         ({"train": {"pos_fraction": 2.5}},
          "train: pos_fraction must be in [0, 1], got 2.5"),
     ])

@@ -189,18 +189,20 @@ ROUTED = [
      "dropout rate must be in [0, 1), got 1.0"),
     (lambda ds: _grad_check(0.0), "step must be > 0, got 0.0"),
     (lambda ds: _negatives(ds, -1), "count must be >= 0, got -1"),
-    (lambda ds: _pairs(ds, 1), "batch_size must be >= 2, got 1"),
+    (lambda ds: _pairs(ds, 1), "batch_size must be in [2, 2147483647], got 1"),
     (lambda ds: _pairs(ds, 4, 1.5), "pos_fraction must be in [0, 1], got 1.5"),
-    (lambda ds: _triplets(ds, 0), "batch_size must be >= 1, got 0"),
+    (lambda ds: _triplets(ds, 0),
+     "batch_size must be in [1, 2147483647], got 0"),
     (lambda ds: _image(10, 28), "class_label must be in [0, 10), got 10"),
     (lambda ds: _image(0, 16), "size must be >= 17, got 16"),
     ([*_INGEST, "--offset", "-1"], "--offset must be >= 0, got -1"),
     ([*_INGEST, "--limit", "-1"], "--limit must be >= 0, got -1"),
-    ([*_CONTRAST, "--points", "1"], "--points must be >= 2, got 1"),
+    ([*_CONTRAST, "--points", "1"],
+     "--points must be in [2, 2147483647], got 1"),
     ([*_CONTRAST, "--trials", "0"], "--trials must be >= 1, got 0"),
     ([*_CONTRAST, "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["sample-pairs", "--data", _MISSING, "--count", "1"],
-     "--count must be >= 2, got 1"),
+     "--count must be in [2, 2147483647], got 1"),
     # the same --seed refusal from every command that takes one
     (["train", "--train-data", _MISSING, "--output", _MISSING,
       "--seed", "-1"], "--seed must be >= 0, got -1"),
@@ -216,8 +218,10 @@ ROUTED = [
     (lambda ds: _grad_check(math.nan), "step must be > 0, got nan"),
     (lambda ds: _grad_check(math.inf), "step must be > 0, got inf"),
     (lambda ds: _negatives(ds, math.inf), "count must be >= 0, got inf"),
-    (lambda ds: _pairs(ds, math.nan), "batch_size must be >= 2, got nan"),
-    (lambda ds: _triplets(ds, math.inf), "batch_size must be >= 1, got inf"),
+    (lambda ds: _pairs(ds, math.nan),
+     "batch_size must be in [2, 2147483647], got nan"),
+    (lambda ds: _triplets(ds, math.inf),
+     "batch_size must be in [1, 2147483647], got inf"),
     (lambda ds: _image(0, math.inf), "size must be >= 17, got inf"),
 ]
 

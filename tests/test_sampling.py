@@ -354,12 +354,6 @@ class TestMakePairBatch:
             if label == 0:
                 assert qc == cc
 
-    def test_self_pairs_only_when_enabled(self, small_dataset):
-        cfg = SamplerConfig(n_candidates=3, self_pair_fraction=1.0)
-        pairs = self.batch(small_dataset, cfg, 2, batch_size=8,
-                           pos_fraction=1.0)
-        assert all(q == c for q, c, _ in pairs)
-
     def test_random_baseline_matches_definition(self, small_dataset):
         cfg = SamplerConfig(strategy="random_baseline")
         pairs = self.batch(small_dataset, cfg, 3, batch_size=30)

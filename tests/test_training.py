@@ -35,82 +35,70 @@ def quick_train_config(**overrides):
 
 class TestRmsprop:
     def test_first_step_matches_closed_form(self):
-        cfg = TrainConfig(learning_rate=0.01, rms_decay=0.9, epsilon=1e-12)
-        params = {"w": np.array([0.0])}
-        grads = {"w": np.array([1.0])}
-        state = {"w": np.zeros(1)}
-        new_params, new_state = training.rmsprop_step(params, grads, state,
-                                                      cfg)
-        # s = 0.1 * 1^2, step = 0.01 / sqrt(0.1) = 0.0316228
-        assert new_state["w"][0] == pytest.approx(0.1)
-        assert new_params["w"][0] == pytest.approx(-0.01 / math.sqrt(0.1),
-                                                   rel=1e-6)
-        assert new_params["w"][0] == pytest.approx(-0.0316228, abs=1e-6)
+        assert (training.RMS_DECAY, training.RMS_EPSILON) == (0.9, 1e-8)
+        for dtype in (np.float32, np.float64):
+            p = np.array([0.5, -1.0, 0.0], dtype)
+            g = np.array([1.0, -3e-5, 0.25], dtype)
+            s = np.array([0.0, 2e-9, 0.04], dtype)
+            new_params, new_state = training.rmsprop_step(
+                {"w": p}, {"w": g}, {"w": s}, 0.01)
+            # the update written out with decay 0.9 and epsilon 1e-8, byte
+            # for byte
+            want_s = (0.9 * s + (1.0 - 0.9) * (g * g)).astype(dtype)
+            want_p = (p - 0.01 * g / np.sqrt(want_s + 1e-8)).astype(dtype)
+            assert new_state["w"].tobytes() == want_s.tobytes()
+            assert new_params["w"].tobytes() == want_p.tobytes()
+            # s = 0.1 * 1^2, step = 0.01 / sqrt(0.1 + 1e-8) = 0.0316228
+            assert new_params["w"][0] == pytest.approx(0.5 - 0.0316228,
+                                                       abs=1e-6)
 
     def test_zero_gradient_leaves_params_and_decays_state(self):
-        cfg = TrainConfig(learning_rate=0.5, rms_decay=0.9)
         params = {"w": np.array([1.0, -2.0])}
         grads = {"w": np.zeros(2)}
         state = {"w": np.array([0.4, 0.8])}
         new_params, new_state = training.rmsprop_step(params, grads, state,
-                                                      cfg)
+                                                      0.5)
         assert np.array_equal(new_params["w"], params["w"])
         assert np.allclose(new_state["w"], [0.36, 0.72])
 
     def test_deterministic(self, rng):
-        cfg = TrainConfig(learning_rate=0.01)
         params = {"w": rng.standard_normal(5)}
         grads = {"w": rng.standard_normal(5)}
         state = {"w": np.abs(rng.standard_normal(5))}
-        a = training.rmsprop_step(params, grads, state, cfg)
-        b = training.rmsprop_step(params, grads, state, cfg)
+        a = training.rmsprop_step(params, grads, state, 0.01)
+        b = training.rmsprop_step(params, grads, state, 0.01)
         assert np.array_equal(a[0]["w"], b[0]["w"])
         assert np.array_equal(a[1]["w"], b[1]["w"])
 
     def test_inputs_not_mutated(self):
-        cfg = TrainConfig(learning_rate=0.1)
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([2.0])}
         state = {"w": np.array([0.5])}
-        training.rmsprop_step(params, grads, state, cfg)
+        training.rmsprop_step(params, grads, state, 0.1)
         assert params["w"][0] == 1.0 and state["w"][0] == 0.5
 
-    def test_weight_decay_adds_to_gradient(self):
-        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1)
-        params = {"w": np.array([2.0])}
-        grads = {"w": np.zeros(1)}
-        state = {"w": np.zeros(1)}
-        new_params, _ = training.rmsprop_step(params, grads, state, cfg)
-        # effective gradient 0.1 * 2 = 0.2 moves the weight down
-        assert new_params["w"][0] < 2.0
-
     def test_key_mismatch_rejected(self):
-        cfg = TrainConfig()
         with pytest.raises(ConfigError):
             training.rmsprop_step({"a": np.zeros(1)}, {"b": np.zeros(1)},
-                                  {"a": np.zeros(1)}, cfg)
+                                  {"a": np.zeros(1)}, 1e-4)
 
     def test_shape_mismatch_rejected(self):
-        cfg = TrainConfig()
         with pytest.raises(ConfigError):
             training.rmsprop_step({"a": np.zeros(2)}, {"a": np.zeros(3)},
-                                  {"a": np.zeros(2)}, cfg)
+                                  {"a": np.zeros(2)}, 1e-4)
 
     def test_non_finite_gradient_rejected(self):
-        cfg = TrainConfig()
         with pytest.raises(NumericError):
             training.rmsprop_step({"a": np.zeros(1)},
                                   {"a": np.array([np.nan])},
-                                  {"a": np.zeros(1)}, cfg)
+                                  {"a": np.zeros(1)}, 1e-4)
 
-    def test_learning_rate_override_wins(self):
-        cfg = TrainConfig(learning_rate=0.01)
+    def test_larger_learning_rate_moves_further(self):
         params = {"w": np.array([0.0])}
         grads = {"w": np.array([1.0])}
         state = {"w": np.zeros(1)}
-        hot, _ = training.rmsprop_step(params, grads, state, cfg,
-                                       learning_rate=0.1)
-        cold, _ = training.rmsprop_step(params, grads, state, cfg)
+        hot, _ = training.rmsprop_step(params, grads, state, 0.1)
+        cold, _ = training.rmsprop_step(params, grads, state, 0.01)
         assert abs(hot["w"][0]) == pytest.approx(10 * abs(cold["w"][0]),
                                                  rel=1e-9)
 
@@ -118,8 +106,8 @@ class TestRmsprop:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value, message", [
         ("batches_per_epoch", 0, "batches_per_epoch must be None or >= 1"),
-        ("val_pairs", 1, "val_pairs must be >= 2"),
-        ("val_triplets", 0, "val_triplets must be >= 1"),
+        ("val_pairs", 1, r"val_pairs must be in \[2, 2147483647\]"),
+        ("val_triplets", 0, r"val_triplets must be in \[1, 2147483647\]"),
         ("seed", -3, "seed must be >= 0"),
         ("pos_fraction", 2.5, r"pos_fraction must be in \[0, 1\], got 2.5"),
         ("pos_fraction", -0.5, r"pos_fraction must be in \[0, 1\]"),
@@ -229,8 +217,13 @@ class TestTrainLoop:
 
     def test_siamese_arms_share_one_dropout_mask(self, small_dataset,
                                                  monkeypatch):
-        # positive self-pairs without augmentation hand both arms the same
-        # images, so with one mask per step both arms embed them alike
+        # classmates share one image, so positive pairs without
+        # augmentation hand both arms the same images, and with one mask
+        # per step both arms embed them alike
+        first = [small_dataset.class_rows[label][0]
+                 for label in small_dataset.labels]
+        twins = Dataset(small_dataset.ids, small_dataset.labels,
+                        small_dataset.images()[first])
         arms = []
         real_embed_with_grad = net.embed_with_grad
 
@@ -242,9 +235,9 @@ class TestTrainLoop:
             return out, back
 
         monkeypatch.setattr(net, "embed_with_grad", recording)
-        training.train(small_dataset, small_dataset,
+        training.train(twins, twins,
                        replace(tiny_net_config(), dropout_rate=0.5),
-                       SamplerConfig(n_candidates=3, self_pair_fraction=1.0),
+                       SamplerConfig(n_candidates=3),
                        quick_train_config(batches_per_epoch=1,
                                           pos_fraction=1.0))
         (query_rows, query_plain), (candidate_rows, _) = arms
@@ -332,7 +325,7 @@ class TestThreadedStep:
     at any CPU count."""
 
     @staticmethod
-    def sequential_step(checkpoint, state, table, cfg, rng, lr):
+    def sequential_step(checkpoint, state, table, cfg, rng):
         """The step with its arms one after another in the caller."""
         rows, labels = training.draw_batch(table, cfg, cfg.batch_size, rng)
         stacks = [np.stack([training.augment(image, cfg, rng)
@@ -351,7 +344,7 @@ class TestThreadedStep:
             for name, g in back(up).items():
                 grads[name] += g.astype(grads[name].dtype, copy=False)
         params, new_state = training.rmsprop_step(
-            checkpoint.parameters, grads, state, cfg, learning_rate=lr)
+            checkpoint.parameters, grads, state, cfg.learning_rate)
         checkpoint.parameters.update(params)
         state.update(new_state)
         return loss
@@ -367,8 +360,8 @@ class TestThreadedStep:
         table = sampling.candidate_table(dataset,
                                          SamplerConfig(n_candidates=3))
         rng = np.random.default_rng(5)
-        losses_ = [step(checkpoint, state, table, cfg, rng,
-                        cfg.learning_rate) for _ in range(count)]
+        losses_ = [step(checkpoint, state, table, cfg, rng)
+                   for _ in range(count)]
         return losses_, b"".join(
             checkpoint.parameters[name].tobytes() + state[name].tobytes()
             for name in sorted(state))
@@ -429,7 +422,7 @@ class TestThreadedStep:
         with pytest.raises(MemoryError, match="arm's gradients"):
             training._train_step(checkpoint, state, table,
                                  quick_train_config(),
-                                 np.random.default_rng(5), 1e-3)
+                                 np.random.default_rng(5))
         assert threading.active_count() == threads
         for name, p in before.items():
             assert np.array_equal(checkpoint.parameters[name], p)

@@ -113,8 +113,7 @@ def _sampling(dataset: Dataset, n_candidates: int) -> dict[str, str]:
         for kind in (sampling.SCORER_INTENSITY, sampling.SCORER_COLOR):
             cfg = sampling.SamplerConfig(
                 n_candidates=n_candidates, in_class_fraction=0.6,
-                strategy=strategy, self_pair_fraction=0.25,
-                scorer=sampling.BissScorer(kind))
+                strategy=strategy, scorer=sampling.BissScorer(kind))
             table = sampling.candidate_table(rgb, cfg)
             rng = np.random.default_rng(7)
             name = f"sampling.{strategy}.{kind}"
@@ -155,7 +154,7 @@ def _training(dataset: Dataset,
         if name == list(TRAIN_PATHS)[-1]:
             val_set = train_set
         cfg = training.TrainConfig(
-            **_train_config(steps), loss=loss, seed=3, lr_decay=0.5,
+            **_train_config(steps), loss=loss, seed=3,
             augmentation=frozenset(augmentation))
         checkpoint, logs = training.train(
             train_set, val_set, net_cfg,
